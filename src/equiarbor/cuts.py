@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     ScaleError,
+    VerificationError,
 )
 from .graphs import Graph
 
@@ -182,8 +183,11 @@ def minimum_cuts(g: Graph,
     lam = edge_connectivity(g)
     cuts = cuts_up_to(g, lam, limit)
     # lambda is the minimum crossing size, so everything collected has
-    # exactly lambda edges; assert the two methods agree.
-    assert all(c.size == lam for c in cuts)
+    # exactly lambda edges; check that the two methods agree.
+    off = next((c for c in cuts if c.size != lam), None)
+    if off is not None:
+        raise VerificationError(
+            f"enumerated cut of size {off.size} disagrees with max-flow lambda {lam}")
     return cuts
 
 

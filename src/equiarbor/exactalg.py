@@ -1,10 +1,12 @@
 """Exact rational linear algebra.
 
 All scalars are ``fractions.Fraction``; no floating point appears anywhere
-in a computation path.  Determinants use fraction-free (Bareiss) elimination
-on a row-scaled integer copy of the matrix, solves use Gaussian elimination
-over the rationals with a first-nonzero pivot rule, so identical inputs
-always produce identical elimination traces.
+in a computation path.  Determinants, solves and inverses share one
+fraction-free (Bareiss 1968) elimination over Python ints: each row is
+scaled by the lcm of its denominators, the first row with a nonzero entry
+pivots each column, and every update divides exactly by the previous pivot,
+so identical inputs always produce identical elimination traces.  Solves
+are checked by multiplying back, inverses by an integer residual identity.
 
 Matrices are immutable; every function here is pure.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, SingularSystemError
+from .errors import DimensionError, SingularSystemError, VerificationError
 
 Rational = Fraction
 
@@ -97,31 +99,50 @@ class RationalMatrix:
         return self.rows == self.cols
 
 
-def _bareiss_int(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix.  Mutates ``a``."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # Exact division is guaranteed by the Bareiss identity.
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
+def _scaled_rows(m: RationalMatrix, rhs: Sequence[Sequence[Rational]] = ()
+                 ) -> tuple[list[list[int]], list[int]]:
+    """Rows of ``[m | rhs]`` as integers, each multiplied by the lcm of its
+    denominators; returns the rows and the per-row scale factors."""
+    rows: list[list[int]] = []
+    scales: list[int] = []
+    for i in range(m.rows):
+        row = m.row(i) + tuple(rhs[i]) if rhs else m.row(i)
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        scales.append(lcm)
+    return rows, scales
+
+
+def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int, list[list[int]]]:
+    """Fraction-free (Bareiss) elimination of ``[A | B]``, A square, over ints.
+
+    Column k is pivoted on the first row at or below k with a nonzero entry
+    and every other row is updated by the exact division
+    ``(x * pivot - f * y) // prev`` (Sylvester's identity); solved columns
+    are dropped from the rows as they go.  Forward mode updates only the
+    rows below the pivot, which is all a determinant needs.  Jordan mode
+    updates every other row, leaving ``det(PA) * A^-1 B`` in the returned
+    rows.  Returns ``(sign of P, det(PA), rows)``; raises
+    ``SingularSystemError`` when a column has no pivot.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if rows[r][0]), None)
+        if r is None:
+            raise SingularSystemError(f"no pivot in column {k}")
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        pivot, *tail = rows[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                f, *row = rows[i]
+                rows[i] = ([(x * pivot - f * y) // prev for x, y in zip(row, tail)]
+                           if f else [x * pivot // prev for x in row])
+        rows[k] = tail
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign, prev, rows
 
 
 def determinant(m: RationalMatrix) -> Rational:
@@ -132,19 +153,12 @@ def determinant(m: RationalMatrix) -> Rational:
     """
     if not m.is_square:
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    a: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
-        lcm = 1
-        for v in row:
-            lcm = math.lcm(lcm, v.denominator)
-        scale *= lcm
-        a.append([int(v * lcm) for v in row])
-    return Fraction(_bareiss_int(a), 1) / scale
+    rows, scales = _scaled_rows(m)
+    try:
+        sign, det, _ = _eliminate(rows, jordan=False)
+    except SingularSystemError:
+        return Fraction(0)
+    return Fraction(sign * det, math.prod(scales))
 
 
 def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...]:
@@ -158,60 +172,38 @@ def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...
     n = a.rows
     if len(b) != n:
         raise DimensionError(f"rhs length {len(b)} != {n}")
-    aug = [list(a.row(i)) + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularSystemError(f"no pivot in column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col]
-            if factor == 0:
-                continue
-            factor /= pivot
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    x: list[Rational] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = s / aug[i][i]
+    rows, _ = _scaled_rows(a, [(Fraction(v),) for v in b])
+    _, det, scaled_x = _eliminate(rows, jordan=True)
+    x = tuple(Fraction(row[0], det) for row in scaled_x)
     for i in range(n):
         if sum(a.entry(i, j) * x[j] for j in range(n)) != Fraction(b[i]):
             raise SingularSystemError("back-substitution check failed")
-    return tuple(x)
+    return x
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan elimination with all unit columns."""
+    """Exact inverse from one fraction-free Gauss-Jordan pass.
+
+    Eliminating ``[D A | D]``, with D the diagonal row scales, leaves
+    ``det * A^-1`` over the integers; the integer identity
+    ``(D A) (det * A^-1) == det * D`` is checked before anything is returned.
+    """
     if not m.is_square:
         raise DimensionError(f"inverse of a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularSystemError(f"no pivot in column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        if pivot != 1:
-            aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [rv - factor * cv for rv, cv in zip(aug[r], aug[col])]
-    return RationalMatrix.from_rows([row[n:] for row in aug])
+    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows, scales = _scaled_rows(m, unit)
+    scaled_a = [row[:n] for row in rows]
+    _, det, det_inv = _eliminate(rows, jordan=True)
+    for i, row in enumerate(scaled_a):
+        residual = [0] * n
+        residual[i] = -det * scales[i]
+        for a_ik, inv_row in zip(row, det_inv):
+            if a_ik:
+                residual = [r + a_ik * y for r, y in zip(residual, inv_row)]
+        if any(residual):
+            raise VerificationError(f"inverse residual check failed in row {i}")
+    return RationalMatrix(n, n, tuple(Fraction(v, det) for row in det_inv for v in row))
 
 
 def matvec(m: RationalMatrix, v: Sequence[Rational | int]) -> tuple[Rational, ...]:

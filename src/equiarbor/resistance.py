@@ -376,10 +376,18 @@ def network_from_json_dict(data: Mapping) -> WeightedNetwork:
         raw_edges = data["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"bad network JSON: {exc}") from exc
+    if not isinstance(raw_edges, list):
+        raise ParameterError("bad network JSON: 'edges' must be a list")
     terminals = data.get("terminals") or None
     edges = []
-    for e in raw_edges:
-        edges.append((int(e["u"]), int(e["v"]), parse_rational(str(e["r"]))))
+    for i, e in enumerate(raw_edges):
+        if not isinstance(e, dict) or not {"u", "v", "r"} <= e.keys():
+            raise ParameterError(
+                f"bad network JSON: edge {i} must be an object with u, v and r")
+        u, v = e["u"], e["v"]
+        if type(u) is not int or type(v) is not int:
+            raise ParameterError(f"bad network JSON: edge {i} endpoints must be integers")
+        edges.append((u, v, parse_rational(str(e["r"]))))
     return WeightedNetwork.from_resistances(n, edges, terminals)
 
 

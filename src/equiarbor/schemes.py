@@ -235,7 +235,8 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
     for i in range(1, s.class_count + 1):
         g = colour_class(s, i)
         k = g.is_regular()
-        assert k is not None
+        if k is None:
+            raise VerificationError(f"colour class {i} of a valid scheme is not regular")
         if g.is_connected():
             verdict = check_equiarboreal(g)
             lam = edge_connectivity(g)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's computation paths:
 spanning trees by deletion-contraction, connectivity by exhaustive
 bipartitions, matchings by exhaustive search, distances by BFS over plain
-adjacency sets.  Agreement between these and the package is the point of
-the tests importing them.
+adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
+elimination over ``Fraction``.  Agreement between these and the package is
+the point of the tests importing them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from equiarbor.errors import SingularSystemError
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork
 
@@ -128,6 +130,48 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Gaussian elimination over ``Fraction`` with the first-nonzero pivot
+    rule, then back substitution; raises ``SingularSystemError`` naming the
+    first column without a pivot."""
+    n = len(a)
+    aug = [list(a[i]) + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularSystemError(f"no pivot in column {col}")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        for r in range(col + 1, n):
+            factor = aug[r][col] / aug[col][col]
+            for c in range(col, n + 1):
+                aug[r][c] -= factor * aug[col][c]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = s / aug[i][i]
+    return x
+
+
+def fraction_invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination of ``[a | I]`` over ``Fraction`` with the
+    first-nonzero pivot rule."""
+    n = len(a)
+    aug = [list(a[i]) + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularSystemError(f"no pivot in column {col}")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [rv - factor * cv for rv, cv in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

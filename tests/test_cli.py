@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from equiarbor.cli import run_command
 from equiarbor.graphs import generate
 from equiarbor.resistance import WeightedNetwork, dump_network
@@ -251,3 +253,21 @@ def test_missing_file_exits_two(tmp_path):
     code, _, err = run(["resist", str(tmp_path / "missing.json"), "0", "1"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("network", [
+    {"vertices": 3, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "r": "1"}]},
+    {"vertices": 3, "edges": 5},
+    {"vertices": 3, "edges": [[0, 1, "1"], [1, 2, "1"]]},
+    {"vertices": 3, "edges": [{"u": 0.5, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+    {"vertices": 3, "edges": [{"u": 0, "v": "1", "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+    {"vertices": 3, "edges": [{"u": 0, "v": True, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+], ids=["missing-r", "edges-int", "edges-lists", "float-u", "string-v", "bool-v"])
+def test_malformed_network_json_exits_two(tmp_path, network):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(network))
+    for argv in (["resist", str(path), "0", "2"], ["transform", str(path), "--eliminate", "1"]):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert "bad network JSON" in err

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiarbor.errors import DimensionError, SingularSystemError
+from equiarbor import exactalg
+from equiarbor.catalog import default_catalog
+from equiarbor.errors import DimensionError, SingularSystemError, VerificationError
 from equiarbor.exactalg import (
     RationalMatrix,
     determinant,
@@ -16,6 +18,10 @@ from equiarbor.exactalg import (
     parse_rational,
     solve,
 )
+from equiarbor.resistance import WeightedNetwork
+from equiarbor.transform import bipartite_to_double_star
+
+import oracles
 
 rationals = st.builds(Fraction,
                       st.integers(min_value=-9, max_value=9),
@@ -118,6 +124,94 @@ def test_invert_roundtrip():
     inv = invert(m)
     assert matvec(inv, [1, 0]) == (1, -1)
     assert matvec(inv, [0, 1]) == (-1, 2)
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of its SingularSystemError."""
+    try:
+        return fn(*args)
+    except SingularSystemError as exc:
+        return ("singular", str(exc))
+
+
+def _assert_matches_oracle(rows, rhs):
+    m = RationalMatrix.from_rows(rows)
+    assert _outcome(solve, m, rhs) == _outcome(
+        lambda: tuple(oracles.fraction_solve(rows, rhs)))
+    assert _outcome(lambda: invert(m).to_rows()) == _outcome(
+        oracles.fraction_invert, rows)
+
+
+@st.composite
+def square_systems(draw):
+    """A random rational n x n matrix (n <= 6) and a fractional rhs; about
+    half the matrices get a row that is a combination of two others."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(rationals), draw(rationals)
+        perm = draw(st.permutations(range(n)))
+        k, i, j = perm[0], perm[1], perm[-1]
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    rhs = draw(st.lists(rationals, min_size=n, max_size=n))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_solve_and_invert_equal_fraction_oracle(system):
+    _assert_matches_oracle(*system)
+
+
+def _reduced_laplacian(net, grounded):
+    idx = [x for x in range(net.vertex_count) if x != grounded]
+    pos = {x: i for i, x in enumerate(idx)}
+    rows = [[Fraction(0)] * len(idx) for _ in idx]
+    for (a, b), c in net.edge_items():
+        for x, y in ((a, b), (b, a)):
+            if x != grounded:
+                rows[pos[x]][pos[x]] += c
+                if y != grounded:
+                    rows[pos[x]][pos[y]] -= c
+    return rows
+
+
+@pytest.mark.parametrize("entry", default_catalog(), ids=lambda e: e.name)
+def test_catalog_reduced_laplacians_equal_fraction_oracle(entry):
+    net = WeightedNetwork.from_graph(entry.graph)
+    rows = _reduced_laplacian(net, net.vertex_count - 1)
+    rhs = [Fraction(i % 3, 1 + i % 4) for i in range(len(rows))]
+    _assert_matches_oracle(rows, rhs)
+
+
+NEGATIVE_NETWORKS = [bipartite_to_double_star(m, n)
+                     for m, n in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 4)]]
+# Triangle with resistances 1, 1, -2: every reduced Laplacian is singular.
+NEGATIVE_NETWORKS.append(WeightedNetwork.from_resistances(
+    3, [(0, 1, 1), (0, 2, 1), (1, 2, -2)]))
+
+
+@pytest.mark.parametrize("net", NEGATIVE_NETWORKS)
+def test_negative_network_reduced_laplacians_equal_fraction_oracle(net):
+    # The double stars' centre edge carries the negative resistance -1/(mn).
+    for grounded in range(net.vertex_count):
+        rows = _reduced_laplacian(net, grounded)
+        rhs = [Fraction(1, i + 1) for i in range(len(rows))]
+        _assert_matches_oracle(rows, rhs)
+
+
+def test_invert_residual_check_catches_a_corrupt_adjugate(monkeypatch):
+    eliminate = exactalg._eliminate
+
+    def corrupted(rows, jordan):
+        sign, det, det_inv = eliminate(rows, jordan)
+        det_inv[1][0] += 1
+        return sign, det, det_inv
+
+    monkeypatch.setattr(exactalg, "_eliminate", corrupted)
+    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    with pytest.raises(VerificationError):
+        invert(m)
 
 
 def test_format_rational():
