@@ -40,19 +40,31 @@ class GraphCatalogEntry:
                     f"found degree sequence with regularity {k}")
 
 
-def entry_from_manifest(item: dict) -> GraphCatalogEntry:
+def entry_from_manifest(item) -> GraphCatalogEntry:
+    """Build one catalog entry from a decoded manifest item; any malformed
+    item, whatever its JSON type, raises ``ParameterError``."""
+    if not isinstance(item, dict):
+        raise ParameterError("manifest entry must be a JSON object")
     try:
         name = item["name"]
         fmt = item["format"]
         payload = item["payload"]
     except KeyError as exc:
         raise ParameterError(f"manifest entry missing key {exc}") from exc
+    if not isinstance(name, str):
+        raise ParameterError("manifest entry name must be a string")
     if fmt == "generator":
-        graph = generate(payload["family"], payload.get("params", []))
-    elif fmt == "graph6":
-        graph = parse_graph6(payload)
-    elif fmt == "edge-list":
-        graph = parse_edge_list(payload)
+        if not isinstance(payload, dict) or not isinstance(payload.get("family"), str):
+            raise ParameterError(
+                f"{name}: generator payload must be an object with a string family")
+        params = payload.get("params", [])
+        if not isinstance(params, list) or any(type(p) is not int for p in params):
+            raise ParameterError(f"{name}: generator params must be a list of integers")
+        graph = generate(payload["family"], params)
+    elif fmt in ("graph6", "edge-list"):
+        if not isinstance(payload, str):
+            raise ParameterError(f"{name}: {fmt} payload must be a string")
+        graph = parse_graph6(payload) if fmt == "graph6" else parse_edge_list(payload)
     else:
         raise ParameterError(f"unknown manifest format {fmt!r}")
     return GraphCatalogEntry(

@@ -300,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the timestamp from reports")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--enumeration-limit", type=int,
-                        default=cuts.DEFAULT_ENUMERATION_LIMIT)
+                        default=cuts.DEFAULT_ENUMERATION_LIMIT,
+                        help="largest vertex count whose minimum cuts are "
+                             "enumerated; larger graphs get lambda by "
+                             "max-flow only")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="equiarboreality analysis")

@@ -1,10 +1,11 @@
-"""Edge connectivity, exhaustive minimum-cut enumeration, and structural
+"""Edge connectivity, minimum-cut enumeration, and structural
 classification of the bipartite graph spanned by a cut's crossing edges.
 
-Edge connectivity runs n-1 max-flow computations from a fixed source; the
-enumeration path walks every bipartition (Gray-code order, incrementally
-maintained crossing count) behind a size limit.  The two methods are
-independent, so they cross-validate each other in the verification suites.
+Edge connectivity runs n-1 max-flow computations from a fixed source.  The
+minimum cuts are read off the same flows' residual graphs (Picard &
+Queyranne 1980), behind a size limit: the work grows with the number of
+minimum cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every
+enumerated cut is recounted from the graph and checked against lambda.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -16,6 +17,7 @@ out parallel crossing edges at the centre).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -77,40 +79,39 @@ def cut_from_side(g: Graph, side_a) -> EdgeCut:
 
 
 # ---------------------------------------------------------------------------
-# Edge connectivity by max-flow
+# Edge connectivity and minimum cuts by max-flow
 
 
-def _max_flow(g: Graph, s: int, t: int) -> int:
-    """Integral max flow with capacities equal to edge multiplicities."""
-    cap: dict[Edge, int] = {}
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[dict[int, int]]]:
+    """Integral max flow with capacities equal to edge multiplicities, and
+    the residual capacities it leaves: ``residual[x][y]`` for every edge
+    direction x -> y."""
+    residual: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for (u, v), m in g.edge_items():
-        cap[(u, v)] = m
-        cap[(v, u)] = m
-        adj[u].append(v)
-        adj[v].append(u)
+        residual[u][v] = m
+        residual[v][u] = m
     flow = 0
     while True:
         parent: dict[int, int | None] = {s: None}
         queue = deque([s])
         while queue and t not in parent:
             x = queue.popleft()
-            for y in adj[x]:
-                if y not in parent and cap[(x, y)] > 0:
+            for y, c in residual[x].items():
+                if c > 0 and y not in parent:
                     parent[y] = x
                     queue.append(y)
         if t not in parent:
-            return flow
+            return flow, residual
         path = []
         y = t
         while parent[y] is not None:
             x = parent[y]
             path.append((x, y))
             y = x
-        bottleneck = min(cap[e] for e in path)
+        bottleneck = min(residual[x][y] for (x, y) in path)
         for (x, y) in path:
-            cap[(x, y)] -= bottleneck
-            cap[(y, x)] += bottleneck
+            residual[x][y] -= bottleneck
+            residual[y][x] += bottleneck
         flow += bottleneck
 
 
@@ -120,70 +121,107 @@ def edge_connectivity(g: Graph) -> int:
         raise ParameterError("edge connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
-    return min(_max_flow(g, 0, t) for t in range(1, g.vertex_count))
+    return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive bipartition enumeration
+def _reach(residual: list[dict[int, int]], start: int, forward: bool) -> int:
+    """Bitmask of the vertices that ``start`` reaches along residual arcs,
+    or, with ``forward`` false, of the vertices that reach ``start``."""
+    seen = 1 << start
+    stack = [start]
+    while stack:
+        y = stack.pop()
+        for z, c in residual[y].items():
+            if (c if forward else residual[z][y]) > 0 and not seen >> z & 1:
+                seen |= 1 << z
+                stack.append(z)
+    return seen
 
 
-def _bipartitions(g: Graph) -> Iterator[tuple[int, int]]:
-    """Yield (mask of side B over vertices 1..n-1, crossing size) for every
-    bipartition with vertex 0 on side A, in Gray-code order."""
+def _closed_sides(residual: list[dict[int, int]], t: int) -> Iterator[int]:
+    """Bitmasks of the vertex sets that contain 0, omit t and are closed
+    under residual arcs: the source sides of every minimum 0-t cut
+    (Picard & Queyranne 1980).
+
+    Each branch either adds a free vertex with everything it reaches or
+    drops it with everything that reaches it, so every leaf is a distinct
+    closed set and the work is proportional to the output."""
+    reach = functools.cache(functools.partial(_reach, residual))
+    everything = (1 << len(residual)) - 1
+    stack = [(reach(0, True), everything & ~(reach(0, True) | reach(t, False)))]
+    while stack:
+        side, free = stack.pop()
+        if not free:
+            yield side
+            continue
+        v = (free & -free).bit_length() - 1
+        stack.append((side, free & ~reach(v, False)))
+        grown = side | reach(v, True)
+        stack.append((grown, free & ~grown))
+
+
+def _minimum_cut_sides(g: Graph) -> tuple[int, set[int]]:
+    """lambda(G) and the bitmask of side A, the side holding vertex 0, of
+    every minimum cut of a connected graph.
+
+    A minimum cut separates 0 from every vertex t on its far side, so it is
+    a minimum 0-t cut for each t whose max flow is lambda.  Only the current
+    residual is kept; sides gathered for a flow value above lambda are
+    dropped once a smaller flow shows up."""
     n = g.vertex_count
-    nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), m in g.edge_items():
-        nbr[u].append((v, m))
-        nbr[v].append((u, m))
-    deg = [g.degree(v) for v in range(n)]
-    in_b = [False] * n
-    crossing = 0
-    mask = 0
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length()  # lowest set bit of i -> vertex v in 1..n-1
-        to_b = sum(m for (u, m) in nbr[v] if in_b[u])
-        if in_b[v]:
-            crossing -= deg[v] - 2 * to_b
-            in_b[v] = False
-            mask &= ~(1 << (v - 1))
-        else:
-            crossing += deg[v] - 2 * to_b
-            in_b[v] = True
-            mask |= 1 << (v - 1)
-        yield mask, crossing
-
-
-def _cut_from_mask(g: Graph, mask: int) -> EdgeCut:
-    side_b = frozenset(v for v in range(1, g.vertex_count)
-                       if mask >> (v - 1) & 1)
-    return cut_from_side(g, frozenset(range(g.vertex_count)) - side_b)
+    most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
+    lam: int | None = None
+    sides: set[int] = set()
+    for t in range(1, n):
+        flow, residual = _max_flow(g, 0, t)
+        if lam is None or flow < lam:
+            lam, sides = flow, set()
+        elif flow > lam:
+            continue
+        for side in _closed_sides(residual, t):
+            if len(sides) > most:
+                break
+            sides.add(side)
+    if len(sides) > most:
+        raise VerificationError(
+            f"more than n(n-1)/2 = {most} minimum cuts enumerated")
+    return lam, sides
 
 
 def cuts_up_to(g: Graph, max_size: int,
                limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[EdgeCut]:
-    """All cuts of size at most ``max_size``, normalized so side A contains
-    vertex 0, sorted by (|A|, lexicographic A)."""
+    """All cuts of at most ``max_size`` edges, for ``max_size`` up to
+    lambda(G): the minimum cuts, or none below lambda.  Cuts above the
+    minimum are not enumerated, so a larger ``max_size`` is a
+    ``ParameterError``.  Nothing in the package calls it; the benchmark's
+    per-layer trace (``bench/tracer.py``) measures it by this name."""
+    cuts = minimum_cuts(g, limit)
+    if max_size > cuts[0].size:
+        raise ParameterError(
+            f"only minimum cuts are enumerated; {max_size} exceeds "
+            f"lambda = {cuts[0].size}")
+    return cuts if max_size == cuts[0].size else []
+
+
+def minimum_cuts(g: Graph,
+                 limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[EdgeCut]:
+    """Every cut of size lambda(G), read off max-flow residual graphs,
+    normalized so side A contains vertex 0 and sorted by (|A|,
+    lexicographic A)."""
+    if g.vertex_count < 2:
+        raise ParameterError("minimum cuts need at least 2 vertices")
     if not g.is_connected():
         raise ConnectivityError("cut enumeration needs a connected graph")
     if g.vertex_count > limit:
         raise ScaleError(
             f"{g.vertex_count} vertices exceed the enumeration limit {limit}; "
             "use edge_connectivity instead")
-    hits = [mask for mask, crossing in _bipartitions(g) if crossing <= max_size]
-    cuts = [_cut_from_mask(g, mask) for mask in hits]
+    lam, sides = _minimum_cut_sides(g)
+    cuts = [cut_from_side(g, (v for v in range(g.vertex_count) if side >> v & 1))
+            for side in sides]
     cuts.sort(key=lambda c: (len(c.side_a), sorted(c.side_a)))
-    return cuts
-
-
-def minimum_cuts(g: Graph,
-                 limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[EdgeCut]:
-    """Every cut of size lambda(G), by exhaustive bipartition enumeration."""
-    if g.vertex_count < 2:
-        raise ParameterError("minimum cuts need at least 2 vertices")
-    lam = edge_connectivity(g)
-    cuts = cuts_up_to(g, lam, limit)
-    # lambda is the minimum crossing size, so everything collected has
-    # exactly lambda edges; check that the two methods agree.
+    # Recount every crossing set from the graph itself: a side that is not
+    # a minimum cut means the residual closure went wrong.
     off = next((c for c in cuts if c.size != lam), None)
     if off is not None:
         raise VerificationError(
@@ -352,10 +390,13 @@ def verify_degree_connectivity(
     connectivity equal to its degree, plus every structural cut property
     that applies at its degree.
 
-    Whenever exhaustive enumeration is feasible, every bipartition is
-    checked: any cut below k, any non-trivial cut of k edges at k >= 11,
-    and any non-trivial minimum cut violating the applicable cut-graph
-    prohibitions is flagged as a counterexample.
+    Up to ``enumeration_limit`` vertices every minimum cut is enumerated
+    and checked: a minimum cut below k, any non-trivial cut of k edges at
+    k >= 11, and any non-trivial minimum cut violating the applicable
+    cut-graph prohibitions is flagged as a counterexample.  When lambda = k
+    the minimum cuts are all the cuts of at most k edges; when lambda < k
+    (impossible under the preconditions, by the main theorem) only the
+    minimum cuts are listed.
     """
     if not g.is_connected():
         raise ConnectivityError("degree-connectivity check needs a connected graph")
@@ -367,8 +408,10 @@ def verify_degree_connectivity(
         raise PreconditionError(
             f"graph is not equiarboreal; witness {verdict.witness}")
 
+    enumerated = g.vertex_count <= enumeration_limit
+    cuts = minimum_cuts(g, enumeration_limit) if enumerated else []
+    lam = cuts[0].size if enumerated else edge_connectivity(g)
     counterexamples: list[str] = []
-    lam = edge_connectivity(g)
     if lam != k:
         counterexamples.append(f"lambda = {lam} != degree {k}")
     parity_ok: bool | None = None
@@ -377,10 +420,8 @@ def verify_degree_connectivity(
         if not parity_ok:
             counterexamples.append(f"even degree {k} but odd lambda {lam}")
 
-    enumerated = g.vertex_count <= enumeration_limit
     nontrivial_count: int | None = None
     if enumerated:
-        cuts = cuts_up_to(g, k, enumeration_limit)
         nontrivial = [c for c in cuts if not c.is_trivial]
         nontrivial_count = len(nontrivial)
         for cut in cuts:

@@ -389,7 +389,9 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ParameterError(f"bad edge-list header {lines[0]!r}; expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _edge_list_ints(head, lines[0])
+    if n > _GRAPH6_MAX_N:
+        raise ParameterError(f"vertex count {n} above supported range")
     if len(lines) - 1 != m:
         raise ParameterError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
@@ -397,8 +399,15 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ParameterError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(_edge_list_ints(parts, ln))
     return Graph(n, edges)
+
+
+def _edge_list_ints(parts: list[str], line: str) -> tuple[int, int]:
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ParameterError(f"non-integer value in edge-list line {line!r}") from exc
 
 
 def format_edge_list(g: Graph) -> str:

@@ -200,9 +200,11 @@ def _safe_survey_entry(entry: GraphCatalogEntry,
     try:
         return _survey_entry(entry, enumeration_limit)
     except EquiarborError as exc:
-        return SurveyEntry(entry.name, None, None, None, None,
-                           "skipped", "skipped",
-                           f"error: {exc}", "failed")
+        note = f"error: {exc}"
+    except Exception as exc:  # a defect must not abort the other entries
+        note = f"internal error: {type(exc).__name__}: {exc}"
+    return SurveyEntry(entry.name, None, None, None, None,
+                       "skipped", "skipped", note, "failed")
 
 
 def survey(catalog: Sequence[GraphCatalogEntry],
@@ -232,10 +234,11 @@ def survey_manifest(items: Sequence[dict],
     recorded as failed with a note and the run continues."""
     loaded: list[tuple[str, GraphCatalogEntry | None, str | None]] = []
     for item in items:
-        name = item.get("name", "<unnamed>") if isinstance(item, dict) else "<unnamed>"
+        name = item.get("name") if isinstance(item, dict) else None
+        name = name if isinstance(name, str) else "<unnamed>"
         try:
             loaded.append((name, entry_from_manifest(item), None))
-        except (EquiarborError, TypeError, KeyError, ValueError) as exc:
+        except EquiarborError as exc:
             loaded.append((name, None, str(exc)))
     good = [entry for _, entry, _ in loaded if entry is not None]
     good_report = survey(good, jobs=jobs, deterministic=deterministic,

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the package's computation paths:
-spanning trees by deletion-contraction, connectivity by exhaustive
+spanning trees by deletion-contraction, connectivity and cuts by exhaustive
 bipartitions, matchings by exhaustive search, distances by BFS over plain
 adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
 elimination over ``Fraction``.  Agreement between these and the package is
@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from equiarbor.cuts import EdgeCut, cut_from_side
 from equiarbor.errors import SingularSystemError
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork
@@ -93,6 +94,35 @@ def brute_force_min_cut_sides(g: Graph) -> list[frozenset[int]]:
             if crossing == lam:
                 out.append(side_a)
     return out
+
+
+def sweep_cuts_up_to(g: Graph, max_size: int) -> list[EdgeCut]:
+    """Every cut of at most ``max_size`` edges, side A holding vertex 0,
+    sorted by (|A|, lexicographic A): a Gray-code walk over all 2^(n-1)
+    bipartitions that keeps the crossing count up to date one vertex flip
+    at a time."""
+    n = g.vertex_count
+    nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), m in g.edge_items():
+        nbr[u].append((v, m))
+        nbr[v].append((u, m))
+    deg = [g.degree(v) for v in range(n)]
+    in_b = [False] * n
+    crossing = 0
+    hits = []
+    for i in range(1, 1 << (n - 1)):
+        v = (i & -i).bit_length()  # lowest set bit of i -> vertex v in 1..n-1
+        to_b = sum(m for (u, m) in nbr[v] if in_b[u])
+        if in_b[v]:
+            crossing -= deg[v] - 2 * to_b
+        else:
+            crossing += deg[v] - 2 * to_b
+        in_b[v] = not in_b[v]
+        if crossing <= max_size:
+            hits.append(frozenset(x for x in range(n) if not in_b[x]))
+    cuts = [cut_from_side(g, side) for side in hits]
+    cuts.sort(key=lambda c: (len(c.side_a), sorted(c.side_a)))
+    return cuts
 
 
 def exhaustive_max_matching_size(g: Graph) -> int:

@@ -20,7 +20,7 @@ from equiarbor.bounds import (
     verify_double_star_threshold,
 )
 from equiarbor.catalog import SCHEME_SOURCE_NAMES, default_catalog
-from equiarbor.cuts import cuts_up_to, edge_connectivity, minimum_cuts
+from equiarbor.cuts import edge_connectivity, minimum_cuts
 from equiarbor.equiarboreal import check_equiarboreal
 from equiarbor.graphs import generate, identify_vertices
 from equiarbor.matching import has_perfect_matching
@@ -158,7 +158,7 @@ def test_criterion_5_degree_connectivity():
             if g.vertex_count <= 20:
                 # Exhaustive: every bipartition crosses at least k edges,
                 # so no cut (trivial or not) of size < k exists.
-                for cut in cuts_up_to(g, k):
+                for cut in oracles.sweep_cuts_up_to(g, k):
                     assert cut.size == k, (name, cut)
         petersen = generate("petersen")
         cuts = minimum_cuts(petersen)

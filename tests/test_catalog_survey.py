@@ -3,14 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equiarbor import survey as survey_module
 from equiarbor.catalog import (
     GraphCatalogEntry,
     default_catalog,
     default_manifest_json,
+    entry_from_manifest,
     load_manifest,
 )
-from equiarbor.errors import ParameterError
+from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
 from equiarbor.survey import survey
 
@@ -132,3 +136,69 @@ def test_survey_report_validates_against_published_schema():
     jsonschema.validate(report.to_json_dict(), SURVEY_REPORT_SCHEMA)
     stamped = survey(default_catalog()[:1], deterministic=False)
     jsonschema.validate(stamped.to_json_dict(), SURVEY_REPORT_SCHEMA)
+
+
+# Integers stay small so that a generator family drawn by name cannot ask
+# for a huge graph.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+_manifest_items = st.one_of(
+    _json_values,
+    st.fixed_dictionaries(
+        {"name": st.one_of(st.text(max_size=6), _json_values),
+         "format": st.one_of(st.sampled_from(["generator", "graph6", "edge-list"]),
+                             _json_values),
+         "payload": st.one_of(
+             _json_values,
+             st.fixed_dictionaries(
+                 {"family": st.one_of(st.sampled_from(
+                     ["cycle", "complete", "hypercube", "johnson", "hamming",
+                      "petersen"]), _json_values),
+                  "params": st.one_of(st.lists(st.integers(-2, 4), max_size=3),
+                                      _json_values)}))},
+        optional={"expected_regularity": _json_values,
+                  "negative_control": _json_values}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_manifest_items)
+def test_entry_from_manifest_fuzz(item):
+    try:
+        assert isinstance(entry_from_manifest(item), GraphCatalogEntry)
+    except EquiarborError:
+        pass
+
+
+@pytest.mark.parametrize("item", [
+    {"name": "x", "format": "graph6", "payload": 5},
+    {"name": "x", "format": "edge-list", "payload": ["2 1", "0 1"]},
+    {"name": "x", "format": "generator", "payload": "cycle"},
+    {"name": "x", "format": "generator", "payload": {"family": ["cycle"]}},
+    {"name": "x", "format": "generator",
+     "payload": {"family": "cycle", "params": [5.0]}},
+    {"name": 5, "format": "graph6", "payload": "C~"},
+    ["name", "format", "payload"],
+])
+def test_entry_from_manifest_rejects_wrong_types(item):
+    with pytest.raises(ParameterError):
+        entry_from_manifest(item)
+
+
+def test_survey_records_an_internal_error_and_continues(monkeypatch):
+    real = survey_module.check_equiarboreal
+    broken = generate("cycle", (6,))
+
+    def check(g):
+        if g == broken:
+            raise RuntimeError("injected")
+        return real(g)
+
+    monkeypatch.setattr(survey_module, "check_equiarboreal", check)
+    report = survey([GraphCatalogEntry("C5", generate("cycle", (5,))),
+                     GraphCatalogEntry("C6", broken),
+                     GraphCatalogEntry("C7", generate("cycle", (7,)))])
+    assert [e.status for e in report.entries] == ["passed", "failed", "passed"]
+    assert report.entries[1].notes == "internal error: RuntimeError: injected"

@@ -201,6 +201,27 @@ def test_survey_unreadable_entry_fails_but_continues(tmp_path):
     assert data["summary"]["failed"] == 1
 
 
+def test_survey_records_malformed_entries_and_completes(tmp_path):
+    manifest = tmp_path / "cat.json"
+    manifest.write_text(json.dumps([
+        {"name": "x", "format": "graph6", "payload": 5},
+        {"name": "y", "format": "generator", "payload": "cycle"},
+        {"name": "z", "format": "edge-list", "payload": "2 1\n0 one\n"},
+        {"name": 7, "format": "graph6", "payload": "C~"},
+        {"name": "ok", "format": "generator",
+         "payload": {"family": "cycle", "params": [5]}},
+    ]))
+    code, out, err = run(["survey", str(manifest)])
+    assert code == 1
+    assert "Traceback" not in err
+    data = json.loads(out)
+    entries = data["entries"]
+    assert [e["graphName"] for e in entries] == ["x", "y", "z", "<unnamed>", "ok"]
+    assert all(e["notes"].startswith("unreadable entry: ") for e in entries[:4])
+    assert entries[4]["mainTheoremPass"] == "pass"
+    assert (data["summary"]["failed"], data["summary"]["passed"]) == (4, 1)
+
+
 def test_survey_reruns_are_byte_identical():
     _, first, _ = run(["--deterministic", "survey"])
     _, second, _ = run(["--deterministic", "survey"])

@@ -1,16 +1,28 @@
 """Edge connectivity, cut enumeration, and cut-graph classification."""
 
-import pytest
+import random
+import re
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equiarbor import cuts as cuts_module
 from equiarbor.cuts import (
     classify_cut,
     cut_from_side,
-    cuts_up_to,
     edge_connectivity,
     minimum_cuts,
     verify_degree_connectivity,
 )
-from equiarbor.errors import ParameterError, PreconditionError, ScaleError
+from equiarbor.equiarboreal import EquiarborealVerdict
+from equiarbor.errors import (
+    ParameterError,
+    PreconditionError,
+    ScaleError,
+    VerificationError,
+)
 from equiarbor.graphs import Graph, generate
 
 import oracles
@@ -95,6 +107,68 @@ def test_enumeration_scale_error():
     with pytest.raises(ScaleError):
         minimum_cuts(big)
     assert edge_connectivity(big) == 2  # the max-flow path still works
+    assert len(minimum_cuts(big, limit=30)) == 30 * 29 // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2 ** 32))
+def test_minimum_cuts_match_brute_force_on_random_multigraphs(n, seed):
+    rng = random.Random(seed)
+    simple = oracles.random_connected_graph(rng, n)
+    g = Graph(n, [(u, v, rng.choice((1, 1, 1, 2, 3)))
+                  for (u, v), _ in simple.edge_items()])
+    cuts = minimum_cuts(g)
+    assert [c.side_a for c in cuts] == sorted(
+        oracles.brute_force_min_cut_sides(g), key=lambda a: (len(a), sorted(a)))
+    assert all(c.size == oracles.brute_force_edge_connectivity(g) for c in cuts)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_minimum_cuts_cycle_has_n_choose_2(n):
+    # Any two of the n cycle edges form a minimum cut, the most any graph
+    # on n vertices has.
+    c = generate("cycle", (n,))
+    sides = {cut.side_a for cut in minimum_cuts(c)}
+    assert len(sides) == n * (n - 1) // 2
+    assert sides == set(oracles.brute_force_min_cut_sides(c))
+
+
+def test_minimum_cuts_bridge():
+    # Two K4s joined by the bridge 3-4: lambda = 1 and the bridge is the
+    # only minimum cut.
+    left = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    g = Graph(8, left + [(u + 4, v + 4) for (u, v) in left] + [(3, 4)])
+    cuts = minimum_cuts(g)
+    assert [(c.side_a, c.crossing) for c in cuts] == [
+        (frozenset(range(4)), ((3, 4),))]
+    assert [c.side_a for c in cuts] == oracles.brute_force_min_cut_sides(g)
+
+
+def test_minimum_cuts_doubled_petersen():
+    p = generate("petersen")
+    doubled = Graph(10, [(u, v, 2) for (u, v), _ in p.edge_items()])
+    cuts = minimum_cuts(doubled)
+    assert len(cuts) == 10 and all(c.size == 6 for c in cuts)
+    assert {c.side_a for c in cuts} == set(oracles.brute_force_min_cut_sides(doubled))
+
+
+@pytest.mark.parametrize("family,params,message", [
+    ("star", (3,), "disagrees with max-flow lambda"),
+    ("petersen", (), "more than n(n-1)/2"),
+])
+def test_corrupt_residual_raises(monkeypatch, family, params, message):
+    # A residual with every arc saturated makes every set holding 0 look
+    # closed: on the 3-star that adds the side {0} of a 2-edge cut, on
+    # the Petersen graph 511 sides.
+    real = cuts_module._max_flow
+
+    def saturated(g, s, t):
+        flow, residual = real(g, s, t)
+        return flow, [dict.fromkeys(arcs, 0) for arcs in residual]
+
+    monkeypatch.setattr(cuts_module, "_max_flow", saturated)
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        minimum_cuts(generate(family, params))
 
 
 def _without_edges(g: Graph, edges) -> Graph:
@@ -125,7 +199,7 @@ def test_cut_degree_identity():
     # Crossing degrees on each side sum to the cut size.
     for family, params in [("petersen", ()), ("hamming", (2, 3))]:
         g = generate(family, params)
-        for cut in cuts_up_to(g, g.is_regular() + 1):
+        for cut in oracles.sweep_cuts_up_to(g, g.is_regular() + 1):
             deg_a = sum(1 for (u, v) in cut.crossing for x in [u])
             deg_b = sum(1 for (u, v) in cut.crossing for x in [v])
             assert deg_a == cut.size == deg_b
@@ -273,6 +347,32 @@ def test_degree_connectivity_counts_nontrivial_cuts():
     # Every pair of non-adjacent cycle edges is a non-trivial 2-cut.
     report = verify_degree_connectivity(generate("cycle", (6,)))
     assert report.nontrivial_min_cut_count == 9
+
+
+def test_degree_connectivity_below_degree_reports_minimum_cuts(monkeypatch):
+    # Two copies of K5 minus the edge 0-1, joined by 0-5 and 1-6: 4-regular
+    # with lambda = 2.  It is not equiarboreal, so the theorem does not
+    # apply; with the precondition forced, the report lists the minimum
+    # cuts only, not every cut of at most k edges.
+    k5e = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+    g = Graph(10, k5e + [(u + 5, v + 5) for (u, v) in k5e] + [(0, 5), (1, 6)])
+    assert g.is_regular() == 4
+    monkeypatch.setattr(cuts_module, "check_equiarboreal",
+                        lambda graph: EquiarborealVerdict(True, Fraction(9, 20), None))
+    report = verify_degree_connectivity(g)
+    assert (report.k, report.lam, report.parity_ok) == (4, 2, True)
+    assert report.enumerated
+    assert report.nontrivial_min_cut_count == 1
+    assert report.counterexamples == (
+        "lambda = 2 != degree 4",
+        "cut of size 2 < 4: sides [0, 1, 2, 3, 4]",
+    )
+
+
+def test_degree_connectivity_above_limit_uses_max_flow_only():
+    report = verify_degree_connectivity(generate("cycle", (30,)))
+    assert (report.lam, report.enumerated, report.passed) == (2, False, True)
+    assert report.nontrivial_min_cut_count is None
 
 
 def test_degree_connectivity_preconditions():

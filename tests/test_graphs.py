@@ -4,8 +4,10 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiarbor.errors import Graph6ParseError, ParameterError
+from equiarbor.errors import EquiarborError, Graph6ParseError, ParameterError
 from equiarbor.graphs import (
     Graph,
     emit_graph6,
@@ -213,3 +215,39 @@ def test_identify_preserves_multiplicity_minus_loops():
         loops = sum(m for (u, v), m in g.edge_items()
                     if mapping[u] == mapping[v])
         assert merged.edge_count == g.edge_count - loops
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzzing: parse, or raise EquiarborError; nothing else escapes.
+
+_graph6_like = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=130),
+                       max_size=24)
+_edge_list_like = st.lists(
+    st.lists(st.one_of(st.integers(-2, 12).map(str), st.text(max_size=3)),
+             max_size=3).map(" ".join),
+    max_size=8).map("\n".join)
+
+
+def _parses_or_rejects(parse, text):
+    try:
+        assert isinstance(parse(text), Graph)
+    except EquiarborError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _graph6_like))
+def test_parse_graph6_fuzz(text):
+    _parses_or_rejects(parse_graph6, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), _edge_list_like))
+def test_parse_edge_list_fuzz(text):
+    _parses_or_rejects(parse_edge_list, text)
+
+
+def test_parse_edge_list_rejects_non_integers_and_huge_counts():
+    for text in ("3 x\n", "3 1\n0 one\n", "2.5 0\n", "9999999999 0\n"):
+        with pytest.raises(ParameterError):
+            parse_edge_list(text)
