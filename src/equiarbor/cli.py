@@ -23,7 +23,7 @@ from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal, godsil_bound_check
 from .errors import ConnectivityError, EquiarborError, PreconditionError
 from .exactalg import format_rational
-from .graphs import Graph, generate, parse_edge_list, parse_graph6
+from .graphs import Graph, fact_scope, generate, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
 
 ENV_CATALOG = "EQUIARBOR_CATALOG"
@@ -103,13 +103,13 @@ def _cut_to_json(cut: cuts.EdgeCut) -> dict:
 
 def _cmd_cut(args, stdout, stderr) -> int:
     g = _graph_from_args(args)
-    lam = cuts.edge_connectivity(g)
-    payload: dict = {"lambda": lam}
     exit_code = 0
-    min_cuts = None
     if args.enumerate or args.classify:
         min_cuts = cuts.minimum_cuts(g, args.enumeration_limit)
-        payload["cuts"] = [_cut_to_json(c) for c in min_cuts]
+        payload: dict = {"lambda": min_cuts[0].size,
+                         "cuts": [_cut_to_json(c) for c in min_cuts]}
+    else:
+        payload = {"lambda": cuts.edge_connectivity(g)}
     if args.classify:
         classifications = []
         for c in min_cuts:
@@ -184,7 +184,8 @@ def _cmd_scheme(args, stdout, stderr) -> int:
         if args.verify_godsil:
             exit_code = 1
     else:
-        scheme = schemes.scheme_from_relation(table)
+        scheme = schemes.AssociationScheme(
+            len(table), check.tensor.class_count, tuple(map(tuple, table)))
         payload["pointCount"] = scheme.point_count
         payload["classCount"] = scheme.class_count
         payload["intersectionNumbers"] = [
@@ -379,7 +380,8 @@ def run_command(argv: Sequence[str],
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, stdout, stderr)
+        with fact_scope():
+            return args.func(args, stdout, stderr)
     except (EquiarborError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2

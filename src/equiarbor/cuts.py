@@ -31,7 +31,7 @@ from .errors import (
     ScaleError,
     VerificationError,
 )
-from .graphs import Graph
+from .graphs import Graph, memoized
 
 Edge = tuple[int, int]
 
@@ -115,6 +115,7 @@ def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[dict[int, int]]]:
         flow += bottleneck
 
 
+@memoized
 def edge_connectivity(g: Graph) -> int:
     """lambda(G); 0 for a disconnected graph."""
     if g.vertex_count < 2:
@@ -160,7 +161,8 @@ def _closed_sides(residual: list[dict[int, int]], t: int) -> Iterator[int]:
         stack.append((grown, free & ~grown))
 
 
-def _minimum_cut_sides(g: Graph) -> tuple[int, set[int]]:
+@memoized
+def _minimum_cut_sides(g: Graph) -> tuple[int, frozenset[int]]:
     """lambda(G) and the bitmask of side A, the side holding vertex 0, of
     every minimum cut of a connected graph.
 
@@ -185,7 +187,7 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, set[int]]:
     if len(sides) > most:
         raise VerificationError(
             f"more than n(n-1)/2 = {most} minimum cuts enumerated")
-    return lam, sides
+    return lam, frozenset(sides)
 
 
 def cuts_up_to(g: Graph, max_size: int,

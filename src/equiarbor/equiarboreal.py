@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConnectivityError, ParameterError, PreconditionError, VerificationError
-from .graphs import Graph
+from .graphs import Graph, memoized
 from .resistance import WeightedNetwork, resistance_matrix
 
 Edge = tuple[int, int]
@@ -46,6 +46,7 @@ def edge_resistances(g: Graph) -> list[tuple[Edge, Fraction]]:
     return [((u, v), omega[u][v]) for (u, v), _ in g.edge_items()]
 
 
+@memoized
 def check_equiarboreal(g: Graph) -> EquiarborealVerdict:
     """Compare all edge resistances exactly.
 

@@ -27,8 +27,11 @@ Generator labelings (stable, so witnesses in reports are reproducible):
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConnectivityError, Graph6ParseError, ParameterError
 
@@ -459,3 +462,40 @@ def identify_vertices(g: Graph, groups: Sequence[Iterable[int]]
 def require_connected(g: Graph, what: str = "operation") -> None:
     if not g.is_connected():
         raise ConnectivityError(f"{what} requires a connected graph")
+
+
+# ---------------------------------------------------------------------------
+# Facts computed once per scope
+
+_T = TypeVar("_T")
+
+#: (function, graph) -> result inside the innermost fact_scope; None outside.
+_facts: ContextVar[dict | None] = ContextVar("equiarbor_facts", default=None)
+
+
+@contextmanager
+def fact_scope() -> Iterator[None]:
+    """Within the block, every :func:`memoized` fact of a graph is computed
+    once; equal graphs share the result.  Nested scopes start empty, and each
+    thread starts outside any scope."""
+    token = _facts.set({})
+    try:
+        yield
+    finally:
+        _facts.reset(token)
+
+
+def memoized(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
+    """Cache ``fn(g)`` per graph inside a :func:`fact_scope`; outside one,
+    call ``fn`` every time.  Every caller gets the same result object, so
+    it must be immutable; exceptions are not cached."""
+    @functools.wraps(fn)
+    def cached(g: Graph) -> _T:
+        facts = _facts.get()
+        if facts is None:
+            return fn(g)
+        key = (fn, g)
+        if key not in facts:
+            facts[key] = fn(g)
+        return facts[key]
+    return cached

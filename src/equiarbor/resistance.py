@@ -31,7 +31,7 @@ from .errors import (
     SingularSystemError,
 )
 from .exactalg import RationalMatrix, Rational, format_rational, parse_rational
-from .graphs import Graph, identify_vertices, require_connected
+from .graphs import _GRAPH6_MAX_N, Graph, identify_vertices, require_connected
 
 Pair = tuple[int, int]
 
@@ -370,15 +370,27 @@ def network_to_json_dict(net: WeightedNetwork) -> dict:
     }
 
 
+def _is_index(value: object, bound: int) -> bool:
+    """An int, not a bool, in 0..bound-1."""
+    return type(value) is int and 0 <= value < bound
+
+
 def network_from_json_dict(data: Mapping) -> WeightedNetwork:
     try:
-        n = int(data["vertices"])
+        n = data["vertices"]
         raw_edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParameterError(f"bad network JSON: {exc}") from exc
+    if not _is_index(n, _GRAPH6_MAX_N + 1):
+        raise ParameterError(
+            f"bad network JSON: 'vertices' must be an integer in 0..{_GRAPH6_MAX_N}")
     if not isinstance(raw_edges, list):
         raise ParameterError("bad network JSON: 'edges' must be a list")
-    terminals = data.get("terminals") or None
+    terminals = data.get("terminals")
+    if terminals is not None and not (
+            isinstance(terminals, list) and all(_is_index(t, n) for t in terminals)):
+        raise ParameterError(
+            f"bad network JSON: 'terminals' must be a list of vertices in 0..{n - 1}")
     edges = []
     for i, e in enumerate(raw_edges):
         if not isinstance(e, dict) or not {"u", "v", "r"} <= e.keys():
@@ -387,8 +399,12 @@ def network_from_json_dict(data: Mapping) -> WeightedNetwork:
         u, v = e["u"], e["v"]
         if type(u) is not int or type(v) is not int:
             raise ParameterError(f"bad network JSON: edge {i} endpoints must be integers")
-        edges.append((u, v, parse_rational(str(e["r"]))))
-    return WeightedNetwork.from_resistances(n, edges, terminals)
+        try:
+            r = parse_rational(str(e["r"]))
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from exc
+        edges.append((u, v, r))
+    return WeightedNetwork.from_resistances(n, edges, terminals or None)
 
 
 def load_network(path: str) -> WeightedNetwork:

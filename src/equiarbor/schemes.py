@@ -4,9 +4,12 @@ colour-class extraction.
 A scheme is stored as a total relation table mapping ordered point pairs to
 class indices 0..n, class 0 being the identity relation.  Verification
 checks the four axioms exhaustively: identity class, cover (every class
-attained), symmetry, and constancy of the intersection counts; on success
-the full intersection-number tensor is returned, on failure the first
-violating tuple in scan order.
+attained), symmetry, and constancy of the intersection counts.  The last
+takes one histogram of (rel(x, z), rel(z, y)) over z per ordered pair
+(x, y), O(n^3) in all, and compares it with the histogram of the first pair
+of the same class.  On success the full intersection-number tensor is
+returned; on failure the first violating tuple in scan order, intersection
+counts being scanned by (i, j, class, position in the class).
 
 Only symmetric schemes are supported.  Colour classes of a valid scheme are
 always regular; the extractor asserts that instead of assuming it.
@@ -14,7 +17,7 @@ always regular; the extractor asserts that instead of assuming it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -82,7 +85,10 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
 
     Returns the intersection tensor on success; on failure, the first
     violation in scan order, with (i, j, x, y) details for a failed
-    intersection-count constancy.
+    intersection-count constancy: the least (i, j), then the least class k,
+    then the first pair (x, y) of class k in row-major order whose count of
+    z with rel(x, z) = i and rel(z, y) = j differs from the count of the
+    class's first pair.
     """
     size, n = _validate_table(rel)
 
@@ -106,31 +112,37 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
                 return SchemeCheck(False, None,
                                    SchemeViolation("symmetry", (x, y)))
 
-    # Intersection counts: group ordered pairs by class once, then demand
-    # the z-count be constant over each class for every (i, j).
-    pairs_by_class: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    # Intersection numbers: the histogram of (rel(x, z), rel(z, y)) over z
+    # must be the same for every pair (x, y) of a class.  The table is
+    # symmetric by now, so column y is row y.  Each pair is compared with
+    # the first pair of its class, and the least mismatch by (i, j, class,
+    # position in the class) is reported.
+    firsts: list[Counter] = [Counter() for _ in range(n + 1)]
+    seen = [0] * (n + 1)
+    least: Optional[tuple[int, int, int, int, int, int]] = None
     for x in range(size):
         for y in range(size):
-            pairs_by_class[rel[x][y]].append((x, y))
+            k = rel[x][y]
+            hist = Counter(zip(rel[x], rel[y]))
+            position = seen[k]
+            seen[k] += 1
+            if position == 0:
+                firsts[k] = hist
+            elif hist != firsts[k]:
+                first = firsts[k]
+                i, j = min(ij for ij in hist.keys() | first.keys()
+                           if hist[ij] != first[ij])
+                found = (i, j, k, position, x, y)
+                if least is None or found < least:
+                    least = found
+    if least is not None:
+        i, j, _, _, x, y = least
+        return SchemeCheck(False, None,
+                           SchemeViolation("intersection", (i, j, x, y)))
 
-    values = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                ref_x, ref_y = pairs_by_class[k][0]
-                ref = sum(1 for z in range(size)
-                          if rel[ref_x][z] == i and rel[z][ref_y] == j)
-                for (x, y) in pairs_by_class[k]:
-                    count = sum(1 for z in range(size)
-                                if rel[x][z] == i and rel[z][y] == j)
-                    if count != ref:
-                        return SchemeCheck(
-                            False, None,
-                            SchemeViolation("intersection", (i, j, x, y)))
-                values[i][j][k] = ref
-
-    tensor = IntersectionTensor(
-        n, tuple(tuple(tuple(row) for row in plane) for plane in values))
+    tensor = IntersectionTensor(n, tuple(
+        tuple(tuple(firsts[k][i, j] for k in range(n + 1)) for j in range(n + 1))
+        for i in range(n + 1)))
     return SchemeCheck(True, tensor, None)
 
 
@@ -139,8 +151,8 @@ def scheme_from_relation(rel: RelationTable) -> AssociationScheme:
     check = verify_scheme(rel)
     if not check.valid:
         raise ParameterError(f"relation table is not a scheme: {check.violation}")
-    size, n = _validate_table(rel)
-    return AssociationScheme(size, n, tuple(tuple(row) for row in rel))
+    return AssociationScheme(len(rel), check.tensor.class_count,
+                             tuple(map(tuple, rel)))
 
 
 def distance_table(g: Graph) -> list[list[int]]:
@@ -172,9 +184,8 @@ def scheme_from_distance_partition(g: Graph) -> Optional[AssociationScheme]:
     check = verify_scheme(table)
     if not check.valid:
         return None
-    diameter = max(max(row) for row in table)
-    return AssociationScheme(g.vertex_count, diameter,
-                             tuple(tuple(row) for row in table))
+    return AssociationScheme(g.vertex_count, check.tensor.class_count,
+                             tuple(map(tuple, table)))
 
 
 def colour_class(s: AssociationScheme, i: int) -> Graph:
@@ -267,20 +278,28 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
 # the upper-triangular relation values rel(i, i), rel(i, i+1), ...
 
 
+def _scheme_ints(line: str) -> list[int]:
+    try:
+        return [int(t) for t in line.split()]
+    except ValueError as exc:
+        raise ParameterError(f"non-integer entry in scheme line {line!r}") from exc
+
+
 def parse_scheme_table(text: str) -> list[list[int]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
         raise ParameterError("empty scheme input")
-    head = lines[0].split()
-    if len(head) != 2:
+    if len(lines[0].split()) != 2:
         raise ParameterError(f"bad scheme header {lines[0]!r}")
-    size, n = int(head[0]), int(head[1])
+    size, n = _scheme_ints(lines[0])
+    if size < 1:
+        raise ParameterError(f"scheme header declares {size} points")
     if len(lines) - 1 != size:
         raise ParameterError(f"expected {size} rows, found {len(lines) - 1}")
     table = [[0] * size for _ in range(size)]
     for i in range(size):
-        row = [int(t) for t in lines[1 + i].split()]
+        row = _scheme_ints(lines[1 + i])
         if len(row) != size - i:
             raise ParameterError(
                 f"row {i} should list {size - i} upper-triangular entries")

@@ -4,7 +4,10 @@ Each entry gets the equiarboreality check, the degree-connectivity verdict
 when its hypotheses hold, the distance-partition scheme check with the
 colour-class theorems when a scheme exists, and the perfect-matching
 corollary on even orders.  Entries process independently (optionally in a
-thread pool); report order always follows the manifest.
+thread pool); report order always follows the manifest.  Each entry runs in
+its own fact scope, so its equiarboreal verdict, lambda and minimum cuts are
+computed once, and the distance-1 colour class of a distance-regular graph,
+which equals the graph, reuses them.
 
 Entry status: "failed" if any applicable check produced a counterexample,
 "skipped" if the degree-connectivity hypotheses did not apply (negative
@@ -26,6 +29,7 @@ from .cuts import DEFAULT_ENUMERATION_LIMIT, edge_connectivity, verify_degree_co
 from .equiarboreal import check_equiarboreal
 from .errors import EquiarborError
 from .exactalg import format_rational
+from .graphs import fact_scope
 from .matching import has_perfect_matching
 from .schemes import scheme_from_distance_partition, verify_godsil_theorems
 
@@ -198,7 +202,8 @@ def _survey_entry(entry: GraphCatalogEntry,
 def _safe_survey_entry(entry: GraphCatalogEntry,
                        enumeration_limit: int) -> SurveyEntry:
     try:
-        return _survey_entry(entry, enumeration_limit)
+        with fact_scope():
+            return _survey_entry(entry, enumeration_limit)
     except EquiarborError as exc:
         note = f"error: {exc}"
     except Exception as exc:  # a defect must not abort the other entries

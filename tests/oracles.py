@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's computation paths:
 spanning trees by deletion-contraction, connectivity and cuts by exhaustive
 bipartitions, matchings by exhaustive search, distances by BFS over plain
 adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
-elimination over ``Fraction``.  Agreement between these and the package is
+elimination over ``Fraction``, scheme intersection numbers by counting z
+for every (i, j, k) and pair.  Agreement between these and the package is
 the point of the tests importing them.
 """
 
@@ -18,6 +19,12 @@ from equiarbor.cuts import EdgeCut, cut_from_side
 from equiarbor.errors import SingularSystemError
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork
+from equiarbor.schemes import (
+    IntersectionTensor,
+    SchemeCheck,
+    SchemeViolation,
+    _validate_table,
+)
 
 
 def tau_deletion_contraction(g: Graph) -> int:
@@ -160,6 +167,60 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:
+    """The scheme axioms checked by the direct scan: for every (i, j, k),
+    count the z for each pair of class k and compare with the class's first
+    pair.  O(c^2 n^3) for c classes; the reference for ``verify_scheme``."""
+    size, n = _validate_table(rel)
+
+    for x in range(size):
+        if rel[x][x] != 0:
+            return SchemeCheck(False, None,
+                               SchemeViolation("identity", (x, x, rel[x][x])))
+        for y in range(size):
+            if x != y and rel[x][y] == 0:
+                return SchemeCheck(False, None,
+                                   SchemeViolation("identity", (x, y, 0)))
+
+    attained = {rel[x][y] for x in range(size) for y in range(size)}
+    for cls in range(n + 1):
+        if cls not in attained:
+            return SchemeCheck(False, None, SchemeViolation("cover", (cls,)))
+
+    for x in range(size):
+        for y in range(x + 1, size):
+            if rel[x][y] != rel[y][x]:
+                return SchemeCheck(False, None,
+                                   SchemeViolation("symmetry", (x, y)))
+
+    # Intersection counts: group ordered pairs by class once, then demand
+    # the z-count be constant over each class for every (i, j).
+    pairs_by_class: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for x in range(size):
+        for y in range(size):
+            pairs_by_class[rel[x][y]].append((x, y))
+
+    values = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                ref_x, ref_y = pairs_by_class[k][0]
+                ref = sum(1 for z in range(size)
+                          if rel[ref_x][z] == i and rel[z][ref_y] == j)
+                for (x, y) in pairs_by_class[k]:
+                    count = sum(1 for z in range(size)
+                                if rel[x][z] == i and rel[z][y] == j)
+                    if count != ref:
+                        return SchemeCheck(
+                            False, None,
+                            SchemeViolation("intersection", (i, j, x, y)))
+                values[i][j][k] = ref
+
+    tensor = IntersectionTensor(
+        n, tuple(tuple(tuple(row) for row in plane) for plane in values))
+    return SchemeCheck(True, tensor, None)
 
 
 def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiarbor import equiarboreal as equiarboreal_module
 from equiarbor import survey as survey_module
 from equiarbor.catalog import (
     GraphCatalogEntry,
@@ -16,6 +17,7 @@ from equiarbor.catalog import (
 )
 from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
+from equiarbor.resistance import WeightedNetwork
 from equiarbor.survey import survey
 
 
@@ -202,3 +204,25 @@ def test_survey_records_an_internal_error_and_continues(monkeypatch):
                      GraphCatalogEntry("C7", generate("cycle", (7,)))])
     assert [e.status for e in report.entries] == ["passed", "failed", "passed"]
     assert report.entries[1].notes == "internal error: RuntimeError: injected"
+
+
+def test_survey_entry_inverts_each_graph_once(monkeypatch):
+    inverted = []
+    real = equiarboreal_module.resistance_matrix
+
+    def counting(net):
+        inverted.append(net)
+        return real(net)
+
+    monkeypatch.setattr(equiarboreal_module, "resistance_matrix", counting)
+    host = generate("petersen")
+    entry = GraphCatalogEntry("Petersen", host)
+    report = survey([entry])
+    assert report.entries[0].status == "passed"
+    # The host (entry verdict, degree-connectivity hypothesis, colour class
+    # 1) and colour class 2, the complement.
+    assert inverted.count(WeightedNetwork.from_graph(host)) == 1
+    assert len(inverted) == 2
+    # Facts do not outlive their entry.
+    survey([entry, entry])
+    assert inverted.count(WeightedNetwork.from_graph(host)) == 3

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from equiarbor import cuts as cuts_module
+from equiarbor import schemes as schemes_module
 from equiarbor.cli import run_command
 from equiarbor.graphs import generate
 from equiarbor.resistance import WeightedNetwork, dump_network
@@ -69,6 +71,49 @@ def test_cut_enumerate_classify():
     assert len(data["cuts"]) == 10
     assert all(c["isTrivial"] for c in data["classifications"])
     assert data["theorem"]["passed"] is True
+
+
+def test_cut_enumerate_takes_lambda_from_the_cuts(monkeypatch):
+    def unexpected(g):
+        raise AssertionError("edge_connectivity called")
+
+    monkeypatch.setattr(cuts_module, "edge_connectivity", unexpected)
+    code, out, _ = run(["cut", "--family", "johnson", "--params", "6", "3",
+                        "--enumerate"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["lambda"] == 9
+    assert len(data["cuts"]) == 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cut", "--family", "cycle", "--params", "30", "--enumerate"],
+     "exceed the enumeration limit"),
+    (["--enumeration-limit", "8", "cut", "--family", "petersen", "--classify"],
+     "exceed the enumeration limit"),
+    (["cut", "disconnected.txt", "--enumerate"], "connected graph"),
+])
+def test_cut_enumerate_error_exits(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "disconnected.txt").write_text("4 2\n0 1\n2 3\n")
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_scheme_verifies_the_table_once(monkeypatch):
+    calls = []
+    real = schemes_module.verify_scheme
+
+    def counting(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(schemes_module, "verify_scheme", counting)
+    code, _, _ = run(["scheme", "--family", "petersen", "--verify-godsil"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_cut_non_regular_graph_marks_theorem_inapplicable():
@@ -283,7 +328,19 @@ def test_missing_file_exits_two(tmp_path):
     {"vertices": 3, "edges": [{"u": 0.5, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
     {"vertices": 3, "edges": [{"u": 0, "v": "1", "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
     {"vertices": 3, "edges": [{"u": 0, "v": True, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
-], ids=["missing-r", "edges-int", "edges-lists", "float-u", "string-v", "bool-v"])
+    {"vertices": 3, "terminals": 5, "edges": [{"u": 0, "v": 1, "r": "1"}]},
+    {"vertices": 3, "terminals": ["a"], "edges": [{"u": 0, "v": 1, "r": "1"}]},
+    {"vertices": 3, "terminals": [0, 3], "edges": [{"u": 0, "v": 1, "r": "1"}]},
+    {"vertices": 3, "terminals": [0, True], "edges": [{"u": 0, "v": 1, "r": "1"}]},
+    {"vertices": 3.7, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+    {"vertices": True, "edges": [{"u": 0, "v": 1, "r": "1"}]},
+    {"vertices": "3", "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+    {"vertices": -1, "edges": []},
+    {"vertices": 10**9, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+], ids=["missing-r", "edges-int", "edges-lists", "float-u", "string-v", "bool-v",
+        "terminals-int", "terminals-string", "terminal-out-of-range", "terminal-bool",
+        "vertices-float", "vertices-bool", "vertices-string", "vertices-negative",
+        "vertices-huge"])
 def test_malformed_network_json_exits_two(tmp_path, network):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(network))

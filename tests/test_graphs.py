@@ -1,6 +1,7 @@
 """Multigraph core: generators, graph6 codec, identification."""
 
 import random
+import threading
 
 import networkx as nx
 import pytest
@@ -8,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiarbor.errors import EquiarborError, Graph6ParseError, ParameterError
+from equiarbor import equiarboreal as equiarboreal_module
+from equiarbor.equiarboreal import check_equiarboreal
 from equiarbor.graphs import (
     Graph,
     emit_graph6,
+    fact_scope,
     format_edge_list,
     generate,
     identify_vertices,
+    memoized,
     parse_edge_list,
     parse_graph6,
 )
@@ -251,3 +256,51 @@ def test_parse_edge_list_rejects_non_integers_and_huge_counts():
     for text in ("3 x\n", "3 1\n0 one\n", "2.5 0\n", "9999999999 0\n"):
         with pytest.raises(ParameterError):
             parse_edge_list(text)
+
+
+def test_facts_are_cached_only_inside_a_scope():
+    calls = []
+
+    @memoized
+    def fact(g):
+        calls.append(g)
+        if len(calls) == 1:
+            raise ParameterError("first call fails")
+        return g.edge_count
+
+    c5 = generate("cycle", (5,))
+    relabelled_c5 = Graph(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
+    with fact_scope():
+        with pytest.raises(ParameterError):
+            fact(c5)                          # exceptions are not cached
+        assert fact(c5) == fact(relabelled_c5) == 5
+        assert len(calls) == 2
+        with fact_scope():                    # a nested scope starts empty
+            fact(c5)
+        assert len(calls) == 3
+        fact(c5)
+        worker = threading.Thread(target=fact, args=(c5,))
+        worker.start()                        # a thread starts outside any scope
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(calls) == 4
+    fact(c5)
+    fact(c5)
+    assert len(calls) == 6
+
+
+def test_library_calls_outside_a_scope_recompute(monkeypatch):
+    inverted = []
+    real = equiarboreal_module.resistance_matrix
+
+    def counting(net):
+        inverted.append(net)
+        return real(net)
+
+    monkeypatch.setattr(equiarboreal_module, "resistance_matrix", counting)
+    g = generate("petersen")
+    assert check_equiarboreal(g) == check_equiarboreal(g)
+    assert len(inverted) == 2
+    with fact_scope():
+        assert check_equiarboreal(g) is check_equiarboreal(g)
+    assert len(inverted) == 3

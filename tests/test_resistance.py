@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiarbor.errors import (
     ConnectivityError,
+    EquiarborError,
     InfiniteResistanceError,
     ParameterError,
     SingularNetworkError,
@@ -215,3 +218,28 @@ def test_network_json_roundtrip():
     assert data["edges"][0]["r"] == "2/5"
     assert network_from_json_dict(data) == net
     assert "terminals" in dump_network(net)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+_small = st.integers(-1, 4)
+_network_dicts = st.fixed_dictionaries(
+    {"vertices": st.one_of(_small, _json_values),
+     "edges": st.one_of(_json_values, st.lists(st.one_of(_json_values, st.fixed_dictionaries(
+         {"u": st.one_of(_small, _json_values), "v": st.one_of(_small, _json_values),
+          "r": st.one_of(st.sampled_from(["1", "-1/2", "0", "3/0", "x"]), _json_values)})),
+         max_size=4))},
+    optional={"terminals": st.one_of(st.lists(_small, max_size=3), _json_values)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_json_values, _network_dicts))
+def test_network_from_json_dict_fuzz(data):
+    try:
+        net = network_from_json_dict(data)
+    except EquiarborError:
+        return
+    assert network_from_json_dict(network_to_json_dict(net)) == net

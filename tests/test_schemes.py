@@ -1,8 +1,12 @@
 """Association schemes: axiom verification, tensors, colour classes."""
 
-import pytest
+import random
 
-from equiarbor.errors import ParameterError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
 from equiarbor.schemes import (
     colour_class,
@@ -45,6 +49,28 @@ def test_prism_distance_partition_fails_intersection_axiom():
     count = lambda a, b: sum(1 for z in range(6)
                              if table[a][z] == i and table[z][b] == j)
     assert count(x, y) != count(*ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 11), st.booleans())
+def test_verify_scheme_matches_the_scan_oracle(seed, n, perturb):
+    # Random connected graphs are rarely distance-regular, so most tables
+    # fail the intersection axiom; the perturbed ones may fail any axiom.
+    rng = random.Random(seed)
+    table = distance_table(oracles.random_connected_graph(rng, n))
+    if perturb:
+        x, y = rng.sample(range(n), 2)
+        table[x][y] = table[y][x] = rng.randint(0, max(map(max, table)) + 1)
+    assert verify_scheme(table) == oracles.scan_verify_scheme(table)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (12,)), ("hypercube", (4,)), ("johnson", (6, 3)),
+    ("hamming", (2, 4)), ("triangular_prism", ()), ("star", (6,)),
+])
+def test_verify_scheme_matches_the_scan_oracle_on_families(family, params):
+    table = distance_table(generate(family, params))
+    assert verify_scheme(table) == oracles.scan_verify_scheme(table)
 
 
 def test_scheme_from_distance_partition():
@@ -184,3 +210,34 @@ def test_scheme_table_rejects_bad_shapes():
         parse_scheme_table("2 1\n0 1\n")  # missing a row
     with pytest.raises(ParameterError):
         parse_scheme_table("2 2\n0 1\n0\n")  # header overstates classes
+
+
+@pytest.mark.parametrize("text", [
+    "0 0\n", "-1 0\n", "2 x\n0 1\n0\n", "2 1\n0 one\n0\n", "2 1\n0 1.0\n0\n",
+])
+def test_scheme_table_rejects_bad_values(text):
+    with pytest.raises(ParameterError):
+        parse_scheme_table(text)
+
+
+@st.composite
+def _scheme_texts(draw):
+    """Well-shaped table texts with small class indices, mostly with a
+    zero diagonal and a header that matches the rows."""
+    size = draw(st.integers(1, 5))
+    rows = [[draw(st.sampled_from([0, 0, 0, 1]))]
+            + draw(st.lists(st.integers(0, 3), min_size=size - i - 1,
+                            max_size=size - i - 1))
+            for i in range(size)]
+    classes = draw(st.one_of(st.just(max(map(max, rows))), st.integers(0, 3)))
+    return "\n".join([f"{size} {classes}"] + [" ".join(map(str, row)) for row in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _scheme_texts()))
+def test_parse_scheme_table_fuzz(text):
+    try:
+        table = parse_scheme_table(text)
+    except EquiarborError:
+        return
+    assert verify_scheme(table) == oracles.scan_verify_scheme(table)
