@@ -11,15 +11,16 @@ closed-form resistance across the chosen edge,
 with a = k-x, b = k-y, c = k-x-y+1, which lower-bounds the common edge
 resistance of any equiarboreal host.  Everything here is verified two ways:
 the closed form against a literal nodal solve of the network, and the grid
-inequalities by exhaustive exact arithmetic (square-root comparisons are
-done by integer squaring, never through floats).
+inequalities over every integer pair they quantify, each compared by integer
+cross-multiplication.  The range x + y <= k - sqrt(k) - 2 is walked
+directly with the root rounded by ``math.isqrt``, never through floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import exactalg
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .exactalg import Rational, RationalMatrix
-from .cuts import EdgeCut, _cut_graph_degrees, cut_from_side
+from .cuts import EdgeCut, _cut_graph_degrees, _small_degree_sum_rows, cut_from_side
 from .graphs import Graph
 from .resistance import WeightedNetwork, resistance
 
@@ -180,25 +181,37 @@ def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
 # Exhaustive grid verifiers
 
 
+def _row_meets_two_over_k(k: int, x: int, ys: Iterable[int]) -> bool:
+    """Whether the shifted bound at (x+1, y+1) is at least 2/k for every y
+    in ys.  N/D >= 2/k is decided as N*k >= 2D, reversed when D < 0; a
+    vanishing D raises BoundParams' DomainError."""
+    a, k2 = k - x - 1, 2 * (k + 1)
+    for y in ys:
+        ab, c = a * (k - y - 1), a - y
+        num_k, den = (4 * ab - c * c) * k, k2 * ab - k * c * c
+        if den > 0:
+            if num_k < 2 * den:
+                return False
+        elif den == 0:
+            BoundParams.create(k, x + 1, y + 1)  # raises the DomainError
+        elif num_k > 2 * den:
+            return False
+    return True
+
+
 def verify_double_star_threshold(k: int) -> bool:
     """For every x, y >= 1 with x + y <= k - sqrt(k) - 2, the shifted bound
     at degrees (x+1, y+1) is at least 2/k.
 
     This is what rules out small double stars inside minimum-cut graphs.
-    The range test uses integer squaring: x + y <= k - sqrt(k) - 2 iff
-    s = k - x - y - 2 satisfies s >= 0 and s^2 >= k.
+    The pairs are walked directly: x + y <= k - ceil(sqrt(k)) - 2 with the
+    root from ``math.isqrt``, and each bound is compared with 2/k by
+    integer cross-multiplication, so no fraction is built.
     """
     if k < 7:
         raise ParameterError(f"threshold grid is stated for k >= 7, got {k}")
-    threshold = Fraction(2, k)
-    for x in range(1, k):
-        for y in range(1, k):
-            s = k - x - y - 2
-            if s < 0 or s * s < k:
-                continue
-            if degree_pair_bound(k, x + 1, y + 1) < threshold:
-                return False
-    return True
+    return all(_row_meets_two_over_k(k, x, ys)
+               for x, ys in _small_degree_sum_rows(k))
 
 
 def verify_denominator_positive(k: int) -> bool:
@@ -207,9 +220,10 @@ def verify_denominator_positive(k: int) -> bool:
     if k < 7:
         raise ParameterError(f"positivity grid is stated for k >= 7, got {k}")
     for x in range(1, k - 1):
+        ax = 2 * (k - x - 1) * (k + 1)
         for y in range(1, k - x):
             c = k - x - y - 1
-            if 2 * (k - x - 1) * (k - y - 1) * (k + 1) - k * c * c <= 0:
+            if ax * (k - y - 1) - k * c * c <= 0:
                 return False
     return True
 

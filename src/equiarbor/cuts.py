@@ -31,7 +31,7 @@ from .errors import (
     ScaleError,
     VerificationError,
 )
-from .graphs import Graph, memoized
+from .graphs import Graph, known_fact, memoized
 
 Edge = tuple[int, int]
 
@@ -122,6 +122,9 @@ def edge_connectivity(g: Graph) -> int:
         raise ParameterError("edge connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
+    known = known_fact(_minimum_cut_sides, g)  # the same n-1 flows
+    if known is not None:
+        return known[0]
     return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
 
 
@@ -374,14 +377,12 @@ def _floor_k_minus_sqrt_k(k: int) -> int:
     return k - (math.isqrt(k - 1) + 1) if k >= 2 else 0
 
 
-def _small_degree_sum_pairs(k: int, size: int) -> Iterator[tuple[int, int]]:
-    """(x, y) pairs with x, y >= 1 and x + y <= k - sqrt(k) - 2, compared by
-    integer squaring so the boundary is exact."""
-    for x in range(1, size):
-        for y in range(1, size):
-            s = k - x - y - 2
-            if s >= 0 and s * s >= k:
-                yield x, y
+def _small_degree_sum_rows(k: int) -> list[tuple[int, range]]:
+    """Every (x, y) with x, y >= 1 and x + y <= k - sqrt(k) - 2, grouped by
+    x in increasing order: (x, range of y).  The bound is an integer,
+    floor(k - sqrt(k)) - 2, so the boundary is exact."""
+    top = _floor_k_minus_sqrt_k(k) - 2
+    return [(x, range(1, top - x + 1)) for x in range(1, top)]
 
 
 def verify_degree_connectivity(
@@ -443,11 +444,11 @@ def verify_degree_connectivity(
                 counterexamples.append(
                     f"cut {sorted(cut.side_a)} has a K2 component")
             if k >= 7:
-                for (x, y) in _small_degree_sum_pairs(k, cut.size + 1):
-                    if not cls.strongly_sxy_free.get((x, y), True):
-                        counterexamples.append(
-                            f"cut {sorted(cut.side_a)} contains the forbidden "
-                            f"double star for degrees ({x + 1}, {y + 1})")
+                for x, ys in _small_degree_sum_rows(k):
+                    counterexamples.extend(
+                        f"cut {sorted(cut.side_a)} contains the forbidden "
+                        f"double star for degrees ({x + 1}, {y + 1})"
+                        for y in ys if not cls.strongly_sxy_free.get((x, y), True))
             if k >= 8:
                 if cls.min_degree_in_cut_graph < 2:
                     counterexamples.append(

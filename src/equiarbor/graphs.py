@@ -85,10 +85,6 @@ class Graph:
         """Total number of edges counting multiplicity."""
         return sum(self._edges.values())
 
-    @property
-    def distinct_edge_count(self) -> int:
-        return len(self._edges)
-
     def edge_items(self) -> list[tuple[Edge, int]]:
         """(edge, multiplicity) pairs in lexicographic edge order."""
         return sorted(self._edges.items())
@@ -286,10 +282,6 @@ def generate(family: str, params: Sequence[int] = ()) -> Graph:
     if len(params) != arity:
         raise ParameterError(f"{family} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
-
-
-def family_names() -> list[str]:
-    return sorted(_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +491,10 @@ def memoized(fn: Callable[[Graph], _T]) -> Callable[[Graph], _T]:
             facts[key] = fn(g)
         return facts[key]
     return cached
+
+
+def known_fact(fact: Callable[[Graph], _T], g: Graph) -> _T | None:
+    """The result the :func:`memoized` ``fact`` already holds for ``g`` in
+    this scope, or None; never computes it."""
+    facts = _facts.get()
+    return None if facts is None else facts.get((fact.__wrapped__, g))

@@ -18,7 +18,6 @@ path is kept as an independent oracle, not the default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -132,9 +131,6 @@ class WeightedNetwork:
                 out.append(a)
         return tuple(sorted(out))
 
-    def is_all_positive(self) -> bool:
-        return all(c > 0 for c in self._cond.values())
-
     def with_resistance(self, u: int, v: int, r: Rational | None
                         ) -> "WeightedNetwork":
         """Copy with the resistance of pair (u, v) replaced (None removes)."""
@@ -189,12 +185,6 @@ class WeightedNetwork:
         return f"WeightedNetwork({self._n}, {self.edge_items()})"
 
 
-@dataclass(frozen=True)
-class ResistanceResult:
-    value: Fraction
-    method: str  # "laplacian-solve" | "tree-ratio" | "closed-form"
-
-
 # ---------------------------------------------------------------------------
 # Spanning trees (Matrix-Tree) and the tree-ratio resistance oracle
 
@@ -236,10 +226,6 @@ def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:
         raise ConnectivityError("tree-ratio resistance needs a connected graph")
     merged, _ = identify_vertices(g, [{u, v}])
     return Fraction(spanning_tree_count(merged), tau)
-
-
-def tree_ratio_result(g: Graph, u: int, v: int) -> ResistanceResult:
-    return ResistanceResult(tree_ratio_resistance(g, u, v), "tree-ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +273,6 @@ def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
         raise SingularNetworkError(
             f"reduced system is singular for probe pair ({u}, {v})") from exc
     return x[pos[u]]
-
-
-def resistance_result(net: WeightedNetwork, u: int, v: int) -> ResistanceResult:
-    return ResistanceResult(resistance(net, u, v), "laplacian-solve")
 
 
 def resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:

@@ -146,15 +146,6 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
     return SchemeCheck(True, tensor, None)
 
 
-def scheme_from_relation(rel: RelationTable) -> AssociationScheme:
-    """Wrap a verified table; raises if the axioms fail."""
-    check = verify_scheme(rel)
-    if not check.valid:
-        raise ParameterError(f"relation table is not a scheme: {check.violation}")
-    return AssociationScheme(len(rel), check.tensor.class_count,
-                             tuple(map(tuple, rel)))
-
-
 def distance_table(g: Graph) -> list[list[int]]:
     """All-pairs graph distances by BFS; requires a connected graph."""
     require_connected(g, "distance table")

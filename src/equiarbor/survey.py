@@ -149,7 +149,6 @@ def _survey_entry(entry: GraphCatalogEntry,
 
     regularity = g.is_regular()
     verdict = check_equiarboreal(g)
-    lam = edge_connectivity(g) if g.vertex_count >= 2 else None
 
     if entry.negative_control and verdict.is_equiarboreal:
         notes.append("expected non-equiarboreal, found equiarboreal")
@@ -163,10 +162,13 @@ def _survey_entry(entry: GraphCatalogEntry,
     main = "skipped"
     if regularity is not None and verdict.is_equiarboreal:
         report = verify_degree_connectivity(g, enumeration_limit)
+        lam = report.lam
         main = "pass" if report.passed else "fail"
         if not report.passed:
             failed = True
             notes.extend(report.counterexamples)
+    else:
+        lam = edge_connectivity(g) if g.vertex_count >= 2 else None
 
     if g.is_simple:
         scheme = scheme_from_distance_partition(g)

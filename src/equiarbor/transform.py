@@ -30,7 +30,7 @@ TerminalSet = Sequence[int]
 
 @dataclass(frozen=True)
 class TransformRecord:
-    kind: str  # series | parallel | star-mesh | bipartite-to-double-star | star-synthesis
+    kind: str  # series | parallel | star-mesh | bipartite-to-double-star
     removed_vertices: tuple[int, ...]
     added_edges: tuple[tuple[int, int, Fraction], ...]
 
@@ -141,13 +141,6 @@ def synthesize_star(r12: Rational, r13: Rational, r23: Rational
         raise NonRealizableError(
             f"triangle inequality violated: ({r12}, {r13}, {r23})")
     return q1, q2, q3
-
-
-def star_synthesis_record(qs: tuple[Fraction, Fraction, Fraction]
-                          ) -> TransformRecord:
-    q1, q2, q3 = qs
-    return TransformRecord("star-synthesis", (),
-                           ((0, 3, q1), (1, 3, q2), (2, 3, q3)))
 
 
 def _pair_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction | None:

@@ -5,8 +5,9 @@ spanning trees by deletion-contraction, connectivity and cuts by exhaustive
 bipartitions, matchings by exhaustive search, distances by BFS over plain
 adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
 elimination over ``Fraction``, scheme intersection numbers by counting z
-for every (i, j, k) and pair.  Agreement between these and the package is
-the point of the tests importing them.
+for every (i, j, k) and pair, the bound grids by filtering the whole (x, y)
+square and comparing ``Fraction`` values.  Agreement between these and the
+package is the point of the tests importing them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from equiarbor.bounds import degree_pair_bound
 from equiarbor.cuts import EdgeCut, cut_from_side
 from equiarbor.errors import SingularSystemError
 from equiarbor.graphs import Graph
@@ -221,6 +223,33 @@ def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:
     tensor = IntersectionTensor(
         n, tuple(tuple(tuple(row) for row in plane) for plane in values))
     return SchemeCheck(True, tensor, None)
+
+
+def fraction_double_star_threshold(k: int) -> bool:
+    """The double-star threshold grid over every (x, y) in 1..k-1: the
+    range x + y <= k - sqrt(k) - 2 tested as s >= 0 and s^2 >= k for
+    s = k - x - y - 2, each bound a ``Fraction`` compared with 2/k.  The
+    reference for ``verify_double_star_threshold``."""
+    threshold = Fraction(2, k)
+    for x in range(1, k):
+        for y in range(1, k):
+            s = k - x - y - 2
+            if s < 0 or s * s < k:
+                continue
+            if degree_pair_bound(k, x + 1, y + 1) < threshold:
+                return False
+    return True
+
+
+def scan_denominator_positive(k: int) -> bool:
+    """The positivity grid with the whole denominator evaluated per pair;
+    the reference for ``verify_denominator_positive``."""
+    for x in range(1, k - 1):
+        for y in range(1, k - x):
+            c = k - x - y - 1
+            if 2 * (k - x - 1) * (k - y - 1) * (k + 1) - k * c * c <= 0:
+                return False
+    return True
 
 
 def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiarbor.bounds import (
+    BoundParams,
+    _row_meets_two_over_k,
     closed_form,
     cut_lower_bound,
     degree_pair_bound,
@@ -18,10 +20,12 @@ from equiarbor.bounds import (
     verify_denominator_positive,
     verify_double_star_threshold,
 )
-from equiarbor.cuts import cut_from_side
+from equiarbor.cuts import _small_degree_sum_rows, cut_from_side
 from equiarbor.errors import DomainError, ParameterError, PreconditionError
 from equiarbor.graphs import Graph, generate
 from equiarbor.resistance import WeightedNetwork, resistance
+
+import oracles
 
 positive_rationals = st.builds(Fraction,
                                st.integers(min_value=1, max_value=12),
@@ -113,6 +117,80 @@ def test_threshold_grids_small_range():
         verify_double_star_threshold(6)
     with pytest.raises(ParameterError):
         verify_denominator_positive(6)
+
+
+def test_threshold_grids_match_fraction_oracles():
+    for k in range(7, 61):
+        assert verify_double_star_threshold(k) == oracles.fraction_double_star_threshold(k)
+        assert verify_denominator_positive(k) == oracles.scan_denominator_positive(k)
+
+
+def _in_squaring_filter(k, x, y):
+    # x + y <= k - sqrt(k) - 2 iff s = k - x - y - 2 has s >= 0, s^2 >= k.
+    s = k - x - y - 2
+    return s >= 0 and s * s >= k
+
+
+def test_small_degree_sum_rows_equal_squaring_filter():
+    for k in range(7, 121):
+        walked = [(x, y) for x, ys in _small_degree_sum_rows(k) for y in ys]
+        filtered = [(x, y) for x in range(1, k) for y in range(1, k)
+                    if _in_squaring_filter(k, x, y)]
+        assert walked == filtered, k
+    # Further out, row by row: s falls as y grows, so each row of the filter
+    # is a prefix 1..m of y, fixed by its last member and the next y.
+    for k in range(121, 501):
+        rows = dict(_small_degree_sum_rows(k))
+        assert list(rows) == sorted(rows)
+        for x in range(1, k):
+            m = len(rows.get(x, ()))
+            assert rows.get(x, range(1, 1)) == range(1, m + 1)
+            assert m == 0 or _in_squaring_filter(k, x, m), (k, x)
+            assert m == k - 1 or not _in_squaring_filter(k, x, m + 1), (k, x)
+
+
+def test_integer_pair_test_matches_fraction_bound():
+    # Every pair the bound accepts, inside the grid's range or not.
+    outcomes = set()
+    below_outside = 0
+    for k in range(7, 81):
+        inside = {(x, y) for x, ys in _small_degree_sum_rows(k) for y in ys}
+        for x in range(1, k):
+            for y in range(1, k):
+                try:
+                    BoundParams.create(k, x + 1, y + 1)
+                except DomainError:
+                    continue
+                meets = degree_pair_bound(k, x + 1, y + 1) >= Fraction(2, k)
+                assert _row_meets_two_over_k(k, x, (y,)) == meets, (k, x, y)
+                outcomes.add(meets)
+                below_outside += not meets and (x, y) not in inside and k < 30
+    assert outcomes == {True, False}
+    assert below_outside == 1786
+
+
+def test_integer_pair_test_sign_of_denominator():
+    # Outside the bound's domain the denominator can be negative or zero;
+    # the cross-multiplication still agrees with the fraction.
+    negative = 0
+    for k in range(7, 13):
+        for x in range(1, 2 * k):
+            for y in range(1, 2 * k):
+                a, b = k - x - 1, k - y - 1
+                c = a - y
+                num, den = 4 * a * b - c * c, 2 * a * b * (k + 1) - k * c * c
+                if den == 0:
+                    continue
+                negative += den < 0
+                assert (_row_meets_two_over_k(k, x, (y,))
+                        == (Fraction(num, den) >= Fraction(2, k))), (k, x, y)
+    assert negative > 0
+    # (k, x, y) = (8, 5, 5) zeroes the denominator; like the bound at
+    # (8, 6, 6), the pair test raises BoundParams' DomainError.
+    with pytest.raises(DomainError):
+        degree_pair_bound(8, 6, 6)
+    with pytest.raises(DomainError):
+        _row_meets_two_over_k(8, 5, (5,))
 
 
 def test_denominator_boundary_instances():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiarbor import cuts as cuts_module
 from equiarbor import equiarboreal as equiarboreal_module
 from equiarbor import survey as survey_module
 from equiarbor.catalog import (
@@ -226,3 +227,21 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
     # Facts do not outlive their entry.
     survey([entry, entry])
     assert inverted.count(WeightedNetwork.from_graph(host)) == 3
+
+
+def test_survey_entry_runs_each_max_flow_once(monkeypatch):
+    flows = []
+    real = cuts_module._max_flow
+
+    def counting(g, s, t):
+        flows.append((g, s, t))
+        return real(g, s, t)
+
+    monkeypatch.setattr(cuts_module, "_max_flow", counting)
+    host = generate("petersen")
+    report = survey([GraphCatalogEntry("Petersen", host)])
+    assert report.entries[0].lambda_value == 3
+    # The minimum-cut enumeration runs one flow from vertex 0 to each other
+    # vertex; the entry's lambda and colour class 1, the host, reuse it.
+    assert sorted((s, t) for g, s, t in flows if g == host) == [
+        (0, t) for t in range(1, host.vertex_count)]

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
 from equiarbor.schemes import (
+    AssociationScheme,
     colour_class,
     distance_table,
     format_scheme_table,
     parse_scheme_table,
     scheme_from_distance_partition,
-    scheme_from_relation,
     verify_scheme,
     verify_godsil_theorems,
 )
@@ -202,7 +202,10 @@ def test_scheme_table_text_roundtrip():
     text = format_scheme_table(scheme)
     assert text.splitlines()[0] == "5 2"
     table = parse_scheme_table(text)
-    assert scheme_from_relation(table) == scheme
+    check = verify_scheme(table)
+    assert check.valid
+    assert AssociationScheme(len(table), check.tensor.class_count,
+                             tuple(map(tuple, table))) == scheme
 
 
 def test_scheme_table_rejects_bad_shapes():
