@@ -6,7 +6,8 @@ Every scalar is an exact rational; there is no floating point anywhere in a
 computation path, so equality checks in the verification suites are exact.
 """
 
-from .equiarboreal import EquiarborealVerdict, check_equiarboreal, godsil_bound_check
+from .cuts import godsil_bound_check
+from .equiarboreal import EquiarborealVerdict, check_equiarboreal
 from .errors import EquiarborError
 from .exactalg import Rational, RationalMatrix, determinant, solve
 from .graphs import Graph, generate, identify_vertices, parse_graph6

@@ -83,11 +83,6 @@ def load_manifest(text: str) -> list[GraphCatalogEntry]:
     return [entry_from_manifest(item) for item in data]
 
 
-def load_manifest_file(path: str) -> list[GraphCatalogEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_manifest(fh.read())
-
-
 _DEFAULT_ENTRIES: list[tuple] = [
     # (name, family, params, expected_regularity, negative_control)
     ("K4", "complete", (4,), 3, False),

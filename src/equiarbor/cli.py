@@ -20,7 +20,7 @@ import sys
 from typing import Sequence, TextIO
 
 from . import bounds, catalog, cuts, matching, schemes, survey, transform
-from .equiarboreal import check_equiarboreal, godsil_bound_check
+from .equiarboreal import check_equiarboreal
 from .errors import ConnectivityError, EquiarborError, PreconditionError
 from .exactalg import format_rational
 from .graphs import Graph, fact_scope, generate, parse_edge_list, parse_graph6
@@ -70,7 +70,7 @@ def _cmd_analyze(args, stdout, stderr) -> int:
     witness = None
     bound = None
     if verdict.is_equiarboreal:
-        result = godsil_bound_check(g)
+        result = cuts.godsil_bound_check(g)
         bound = format_rational(result.bound)
     else:
         e1, e2, v1, v2 = verdict.witness
@@ -272,10 +272,10 @@ def _cmd_survey(args, stdout, stderr) -> int:
         if not isinstance(items, list):
             raise EquiarborError("manifest must be a JSON array")
         report = survey.survey_manifest(
-            items, jobs=args.jobs, deterministic=args.deterministic,
+            items, deterministic=args.deterministic,
             enumeration_limit=args.enumeration_limit)
     else:
-        report = survey.survey(catalog.default_catalog(), jobs=args.jobs,
+        report = survey.survey(catalog.default_catalog(),
                                deterministic=args.deterministic,
                                enumeration_limit=args.enumeration_limit)
     if args.format == "text":
@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp from reports")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="ignored; surveys run their entries in order")
     parser.add_argument("--enumeration-limit", type=int,
                         default=cuts.DEFAULT_ENUMERATION_LIMIT,
                         help="largest vertex count whose minimum cuts are "

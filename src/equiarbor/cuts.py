@@ -13,15 +13,19 @@ A cut is trivial when one side is a single vertex.  The star prohibitions
 are tested on the literal induced-subgraph wording: the closed neighborhood
 of a candidate centre must induce exactly a star (which additionally rules
 out parallel crossing edges at the centre).
+
+The spanning-tree lower bound lambda >= m/(n-1) on equiarboreal graphs is
+checked here too, beside the max-flow lambda it compares against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from fractions import Fraction
+from typing import Iterator, Mapping, NamedTuple
 
 from .equiarboreal import check_equiarboreal
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     ScaleError,
     VerificationError,
 )
-from .graphs import Graph, known_fact, memoized
+from .graphs import Graph, _adjacency, _components, known_fact, memoized
 
 Edge = tuple[int, int]
 
@@ -249,55 +253,8 @@ class CutClassification:
     min_degree_in_cut_graph: int
 
 
-def _cut_graph_degrees(cut: EdgeCut) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for (u, v) in cut.crossing:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
-def _cut_graph_components(cut: EdgeCut) -> list[set[int]]:
-    adj: dict[int, set[int]] = {}
-    for (u, v) in cut.crossing:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = {start}
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
-
-
-def _induces_star(cut: EdgeCut, centre: int, deg: dict[int, int]) -> bool:
-    """Does the closed neighborhood of ``centre`` induce a star in the cut
-    graph?  Parallel crossing edges or edges among the neighbors disqualify
-    it (the induced subgraph would not be a star)."""
-    nbrs: dict[int, int] = {}
-    for (u, v) in cut.crossing:
-        if u == centre:
-            nbrs[v] = nbrs.get(v, 0) + 1
-        elif v == centre:
-            nbrs[u] = nbrs.get(u, 0) + 1
-    if any(m != 1 for m in nbrs.values()):
-        return False
-    nbr_set = set(nbrs)
-    for (u, v) in cut.crossing:
-        if u in nbr_set and v in nbr_set:
-            return False
-    return True
+def _cut_graph_degrees(cut: EdgeCut) -> Counter[int]:
+    return Counter(v for edge in cut.crossing for v in edge)
 
 
 def classify_cut(g: Graph, cut: EdgeCut) -> CutClassification:
@@ -306,41 +263,27 @@ def classify_cut(g: Graph, cut: EdgeCut) -> CutClassification:
     if recomputed.crossing != cut.crossing or recomputed.side_b != cut.side_b:
         raise ParameterError("crossing set does not match the bipartition")
     deg = _cut_graph_degrees(cut)
+    adj = _adjacency(g.vertex_count, cut.crossing)
     a1 = {v for v in deg if v in cut.side_a}
     b1 = {v for v in deg if v in cut.side_b}
     size = cut.size
 
-    comps = _cut_graph_components(cut)
-    k2_free = True
-    for comp in comps:
-        if len(comp) == 2:
-            u, v = sorted(comp)
-            if sum(1 for e in cut.crossing if set(e) == {u, v}) == 1:
-                k2_free = False
-                break
+    # In a two-vertex component every crossing edge at u joins u to v, so
+    # deg[u] is the multiplicity of uv.
+    comps = _components(sorted(deg), adj)
+    k2_free = not any(len(comp) == 2 and deg[min(comp)] == 1 for comp in comps)
 
-    sx_free: dict[int, bool] = {}
-    for x in range(3, size + 2):
-        violated = False
-        for u in sorted(deg):
-            if deg[u] != x - 1:
-                continue
-            if not _induces_star(cut, u, deg):
-                continue
-            leaf_nbrs = {b if a == u else a
-                         for (a, b) in cut.crossing if u in (a, b)}
-            if any(deg[v] == 1 for v in leaf_nbrs):
-                violated = True
-                break
-        sx_free[x] = not violated
+    # The cut graph is bipartite, so no edge joins two neighbours of a
+    # centre u: its closed neighbourhood induces a star exactly when no
+    # crossing edge at u is parallel, i.e. when u has deg[u] neighbours.
+    # Such a star of order deg[u] + 1 with a degree-1 leaf is forbidden.
+    stars = {deg[u] + 1 for u in deg
+             if len(adj[u]) == deg[u] and any(deg[v] == 1 for v in adj[u])}
+    sx_free = {x: x not in stars for x in range(3, size + 2)}
 
-    sxy_free: dict[tuple[int, int], bool] = {}
     degree_pairs = {(deg[u], deg[v]) for (u, v) in cut.crossing}
-    for x in range(1, size):
-        for y in range(1, size):
-            if x + y > size:
-                continue
-            sxy_free[(x, y)] = (x + 1, y + 1) not in degree_pairs
+    sxy_free = {(x, y): (x + 1, y + 1) not in degree_pairs
+                for x in range(1, size) for y in range(1, size - x + 1)}
 
     return CutClassification(
         is_trivial=cut.is_trivial,
@@ -471,3 +414,26 @@ def verify_degree_connectivity(
         nontrivial_min_cut_count=nontrivial_count,
         counterexamples=tuple(counterexamples),
     )
+
+
+# ---------------------------------------------------------------------------
+# The spanning-tree lower bound on lambda
+
+
+class GodsilBoundResult(NamedTuple):
+    bound: Fraction
+    lam: int
+    holds: bool
+
+
+def godsil_bound_check(g: Graph) -> GodsilBoundResult:
+    """Check the spanning-tree lower bound lambda >= m/(n-1) on a connected
+    equiarboreal graph."""
+    verdict = check_equiarboreal(g)
+    if not verdict.is_equiarboreal:
+        raise PreconditionError(
+            "the bound's hypothesis needs an equiarboreal graph; "
+            f"witness {verdict.witness}")
+    bound = Fraction(g.edge_count, g.vertex_count - 1)
+    lam = edge_connectivity(g)
+    return GodsilBoundResult(bound, lam, lam >= bound)

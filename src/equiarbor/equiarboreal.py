@@ -1,4 +1,4 @@
-"""Equiarboreality decisions and the spanning-tree edge-connectivity bound.
+"""Equiarboreality decisions.
 
 A connected graph is equiarboreal when every edge has the same effective
 resistance across its endpoints (equivalently, lies in the same number of
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import ConnectivityError, ParameterError, PreconditionError, VerificationError
+from .errors import ConnectivityError, ParameterError, VerificationError
 from .graphs import Graph, memoized
 from .resistance import WeightedNetwork, resistance_matrix
 
@@ -65,24 +64,3 @@ def check_equiarboreal(g: Graph) -> EquiarborealVerdict:
         raise VerificationError(
             f"common edge resistance {first_val} != (n-1)/m = {expected}")
     return EquiarborealVerdict(True, first_val, None)
-
-
-class GodsilBoundResult(NamedTuple):
-    bound: Fraction
-    lam: int
-    holds: bool
-
-
-def godsil_bound_check(g: Graph) -> GodsilBoundResult:
-    """Check the spanning-tree lower bound lambda >= m/(n-1) on a connected
-    equiarboreal graph."""
-    verdict = check_equiarboreal(g)
-    if not verdict.is_equiarboreal:
-        raise PreconditionError(
-            "the bound's hypothesis needs an equiarboreal graph; "
-            f"witness {verdict.witness}")
-    from .cuts import edge_connectivity  # local import to avoid a cycle
-
-    bound = Fraction(g.edge_count, g.vertex_count - 1)
-    lam = edge_connectivity(g)
-    return GodsilBoundResult(bound, lam, lam >= bound)

@@ -63,8 +63,9 @@ class DomainError(EquiarborError):
 
 
 class ScaleError(EquiarborError):
-    """Exhaustive enumeration was requested above the configured size
-    limit; use the max-flow path instead."""
+    """Work was requested above a size limit: exhaustive enumeration above
+    the enumeration limit (use the max-flow path instead), or a generated
+    graph above the vertex limit or the edge budget."""
 
 
 class VerificationError(EquiarborError):

@@ -6,7 +6,7 @@ fraction-free (Bareiss 1968) elimination over Python ints: each row is
 scaled by the lcm of its denominators, the first row with a nonzero entry
 pivots each column, and every update divides exactly by the previous pivot,
 so identical inputs always produce identical elimination traces.  Solves
-are checked by multiplying back, inverses by an integer residual identity.
+and inverses are checked by one integer residual identity.
 
 Matrices are immutable; every function here is pure.
 """
@@ -123,7 +123,8 @@ def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int, list[list
     rows below the pivot, which is all a determinant needs.  Jordan mode
     updates every other row, leaving ``det(PA) * A^-1 B`` in the returned
     rows.  Returns ``(sign of P, det(PA), rows)``; raises
-    ``SingularSystemError`` when a column has no pivot.
+    ``SingularSystemError`` when a column has no pivot.  Rows are replaced,
+    never edited in place, so a shallow copy of ``rows`` keeps ``[A | B]``.
     """
     n = len(rows)
     sign, prev = 1, 1
@@ -161,11 +162,27 @@ def determinant(m: RationalMatrix) -> Rational:
     return Fraction(sign * det, math.prod(scales))
 
 
+def _check_residual(scaled: Sequence[list[int]], det: int,
+                    det_x: Sequence[list[int]], what: str) -> None:
+    """Raise ``VerificationError`` unless ``(D A) (det X) == det (D B)``,
+    where ``scaled`` holds the rows of ``[D A | D B]`` before elimination
+    and ``det_x`` the rows of ``det * X`` that elimination left."""
+    n = len(scaled)
+    for i, row in enumerate(scaled):
+        residual = [-det * v for v in row[n:]]
+        for a_ik, x_row in zip(row[:n], det_x):
+            if a_ik:
+                residual = [r + a_ik * y for r, y in zip(residual, x_row)]
+        if any(residual):
+            raise VerificationError(f"{what} residual check failed in row {i}")
+
+
 def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...]:
     """Solve ``a @ x == b`` exactly.
 
-    Pivot choice is the first row with a nonzero pivot; the result is
-    verified by multiplying back before it is returned.
+    Pivot choice is the first row with a nonzero pivot; the integer identity
+    ``(D A) (det * x) == det * (D b)``, D the row scales, is checked before
+    the result is returned.
     """
     if not a.is_square:
         raise DimensionError(f"solve with a {a.rows}x{a.cols} coefficient matrix")
@@ -173,12 +190,10 @@ def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...
     if len(b) != n:
         raise DimensionError(f"rhs length {len(b)} != {n}")
     rows, _ = _scaled_rows(a, [(Fraction(v),) for v in b])
-    _, det, scaled_x = _eliminate(rows, jordan=True)
-    x = tuple(Fraction(row[0], det) for row in scaled_x)
-    for i in range(n):
-        if sum(a.entry(i, j) * x[j] for j in range(n)) != Fraction(b[i]):
-            raise SingularSystemError("back-substitution check failed")
-    return x
+    scaled = list(rows)
+    _, det, det_x = _eliminate(rows, jordan=True)
+    _check_residual(scaled, det, det_x, "solve")
+    return tuple(Fraction(row[0], det) for row in det_x)
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
@@ -192,27 +207,11 @@ def invert(m: RationalMatrix) -> RationalMatrix:
         raise DimensionError(f"inverse of a {m.rows}x{m.cols} matrix")
     n = m.rows
     unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows, scales = _scaled_rows(m, unit)
-    scaled_a = [row[:n] for row in rows]
+    rows, _ = _scaled_rows(m, unit)
+    scaled = list(rows)
     _, det, det_inv = _eliminate(rows, jordan=True)
-    for i, row in enumerate(scaled_a):
-        residual = [0] * n
-        residual[i] = -det * scales[i]
-        for a_ik, inv_row in zip(row, det_inv):
-            if a_ik:
-                residual = [r + a_ik * y for r, y in zip(residual, inv_row)]
-        if any(residual):
-            raise VerificationError(f"inverse residual check failed in row {i}")
+    _check_residual(scaled, det, det_inv, "inverse")
     return RationalMatrix(n, n, tuple(Fraction(v, det) for row in det_inv for v in row))
-
-
-def matvec(m: RationalMatrix, v: Sequence[Rational | int]) -> tuple[Rational, ...]:
-    if len(v) != m.cols:
-        raise DimensionError(f"vector length {len(v)} != {m.cols}")
-    return tuple(
-        sum((m.entry(i, j) * Fraction(v[j]) for j in range(m.cols)), Fraction(0))
-        for i in range(m.rows)
-    )
 
 
 def rationals(values: Iterable[Rational | int | str]) -> tuple[Rational, ...]:

@@ -33,7 +33,7 @@ from contextvars import ContextVar
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import ConnectivityError, Graph6ParseError, ParameterError
+from .errors import ConnectivityError, Graph6ParseError, ParameterError, ScaleError
 
 Edge = tuple[int, int]
 
@@ -44,10 +44,42 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _adjacency(n: int, pairs: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
+    """The sorted distinct neighbours of each vertex ``0..n-1`` of the
+    undirected pairs; a pair may repeat."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def _components(vertices: Iterable[int],
+                adj: Sequence[Sequence[int]]) -> list[frozenset[int]]:
+    """Connected components reachable from ``vertices`` along ``adj``,
+    each listed once, by depth-first search.  With ``vertices`` increasing,
+    the components come ordered by their least vertex."""
+    seen: set[int] = set()
+    comps = []
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
 class Graph:
     """Immutable undirected multigraph with integer edge multiplicities."""
 
-    __slots__ = ("_n", "_edges", "_degrees")
+    __slots__ = ("_n", "_edges", "_degrees", "_adj")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Edge | tuple[int, int, int]] = ()):
@@ -75,6 +107,7 @@ class Graph:
             degrees[u] += m
             degrees[v] += m
         self._degrees = tuple(degrees)
+        self._adj: tuple[tuple[int, ...], ...] | None = None  # built on first use
 
     @property
     def vertex_count(self) -> int:
@@ -108,13 +141,7 @@ class Graph:
         return self._degrees[u]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        out = []
-        for (a, b) in self._edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return tuple(sorted(out))
+        return self._neighbour_table()[u] if 0 <= u < self._n else ()
 
     @property
     def is_simple(self) -> bool:
@@ -128,27 +155,12 @@ class Graph:
         return k if all(d == k for d in self._degrees) else None
 
     def components(self) -> list[frozenset[int]]:
-        seen = [False] * self._n
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for (u, v) in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        comps = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = {start}
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        return comps
+        return _components(range(self._n), self._neighbour_table())
+
+    def _neighbour_table(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            self._adj = _adjacency(self._n, self._edges)
+        return self._adj
 
     def is_connected(self) -> bool:
         if self._n <= 1:
@@ -228,59 +240,79 @@ def _triangular_prism() -> Graph:
 def _hamming(d: int, q: int) -> Graph:
     if d < 1 or q < 2:
         raise ParameterError("hamming(d, q) needs d >= 1 and q >= 2")
-    n = q ** d
     # Vertex v encodes the digit string of v in base q, most significant
-    # digit first, which is exactly lexicographic order on strings.
-    def digits(v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(d):
-            out.append(v % q)
-            v //= q
-        return tuple(reversed(out))
-
-    words = [digits(v) for v in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if sum(1 for a, b in zip(words[u], words[v]) if a != b) == 1:
-                edges.append((u, v))
-    return Graph(n, edges)
+    # digit first, which is exactly lexicographic order on strings.  Raising
+    # the digit of place value p from a to b > a lists each edge once.
+    return Graph(q ** d, ((v, v + (b - v // p % q) * p)
+                          for v in range(q ** d) for p in (q ** i for i in range(d))
+                          for b in range(v // p % q + 1, q)))
 
 
 def _johnson(n: int, k: int) -> Graph:
     if n < 1 or k < 1 or k > n:
         raise ParameterError(f"johnson({n}, {k}) needs 1 <= k <= n")
     subsets = [frozenset(c) for c in combinations(range(n), k)]
-    edges = []
-    for i in range(len(subsets)):
-        for j in range(i + 1, len(subsets)):
-            if len(subsets[i] & subsets[j]) == k - 1:
-                edges.append((i, j))
-    return Graph(len(subsets), edges)
+    index = {s: i for i, s in enumerate(subsets)}
+    # Swapping a point a of s for a larger point b outside s lists each
+    # edge once.
+    return Graph(len(subsets), ((i, index[s - {a} | {b}])
+                                for i, s in enumerate(subsets)
+                                for b in range(n) if b not in s
+                                for a in s if a < b))
 
+
+def _hamming_size(d: int, q: int) -> tuple[int, int]:
+    n = q ** min(d, 18)  # q >= 2, so q**18 is already above the vertex limit
+    return n, n * d * (q - 1) // 2
+
+
+def _johnson_size(n: int, k: int) -> tuple[int, int]:
+    # C(n, i) grows with i up to n/2, so the product stops once it passes
+    # the vertex limit.  J(n, n) has one vertex, but that vertex is built as
+    # a set of all n points, so the ground set counts against the limit too.
+    count = 1
+    for i in range(1, min(k, n - k) + 1):
+        count = count * (n - i + 1) // i
+        if count > _GRAPH6_MAX_N:
+            break
+    return max(count, n), count * k * (n - k) // 2
+
+
+#: Edge budget of a generated graph; the vertex limit is graph6's.
+_MAX_GENERATED_EDGES = 10 ** 6
 
 _FAMILIES = {
-    "complete": (_complete, 1),
-    "complete_bipartite": (_complete_bipartite, 2),
-    "cycle": (_cycle, 1),
-    "star": (_star, 1),
-    "double_star": (_double_star, 2),
-    "hypercube": (_hypercube, 1),
-    "petersen": (_petersen, 0),
-    "triangular_prism": (_triangular_prism, 0),
-    "hamming": (_hamming, 2),
-    "johnson": (_johnson, 2),
+    # name: (builder, arity, (vertices, edges) from the parameters)
+    "complete": (_complete, 1, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (_complete_bipartite, 2, lambda m, n: (m + n, m * n)),
+    "cycle": (_cycle, 1, lambda n: (n, n)),
+    "star": (_star, 1, lambda n: (n, n - 1)),
+    "double_star": (_double_star, 2, lambda m, n: (m + n + 2, m + n + 1)),
+    "hypercube": (_hypercube, 1, lambda d: _hamming_size(d, 2)),
+    "petersen": (_petersen, 0, lambda: (10, 15)),
+    "triangular_prism": (_triangular_prism, 0, lambda: (6, 9)),
+    "hamming": (_hamming, 2, _hamming_size),
+    "johnson": (_johnson, 2, _johnson_size),
 }
 
 
 def generate(family: str, params: Sequence[int] = ()) -> Graph:
-    """Build the canonical labeled member of a generator family."""
+    """Build the canonical labeled member of a generator family.  A member
+    above the graph6 vertex limit or the edge budget raises ``ScaleError``
+    before any edge is built."""
     if family not in _FAMILIES:
         raise ParameterError(f"unknown family {family!r}; "
                              f"known: {sorted(_FAMILIES)}")
-    fn, arity = _FAMILIES[family]
+    fn, arity, size = _FAMILIES[family]
     if len(params) != arity:
         raise ParameterError(f"{family} takes {arity} parameter(s), got {len(params)}")
+    # Every builder rejects a parameter below 1; the closed forms assume none.
+    if all(p >= 1 for p in params):
+        n, m = size(*params)
+        if n > _GRAPH6_MAX_N or m > _MAX_GENERATED_EDGES:
+            raise ScaleError(
+                f"{family} {list(params)} is above the generator limits of "
+                f"{_GRAPH6_MAX_N} vertices and {_MAX_GENERATED_EDGES} edges")
     return fn(*params)
 
 

@@ -30,13 +30,17 @@ from .errors import (
     SingularSystemError,
 )
 from .exactalg import RationalMatrix, Rational, format_rational, parse_rational
-from .graphs import _GRAPH6_MAX_N, Graph, identify_vertices, require_connected
+from .graphs import (
+    _GRAPH6_MAX_N,
+    Graph,
+    _adjacency,
+    _components,
+    _norm_edge,
+    identify_vertices,
+    require_connected,
+)
 
 Pair = tuple[int, int]
-
-
-def _norm(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
 
 
 class WeightedNetwork:
@@ -57,7 +61,7 @@ class WeightedNetwork:
             c = Fraction(c)
             if c == 0:
                 continue
-            key = _norm(u, v)
+            key = _norm_edge(u, v)
             if key in cond:
                 raise ParameterError(f"duplicate conductance entry for {key}")
             cond[key] = c
@@ -87,7 +91,7 @@ class WeightedNetwork:
             if r == 0:
                 raise ParameterError(
                     f"zero resistance on {u}-{v}: identify the vertices instead")
-            key = _norm(u, v)
+            key = _norm_edge(u, v)
             cond[key] = cond.get(key, Fraction(0)) + 1 / r
         return cls(vertex_count,
                    {k: c for k, c in cond.items() if c != 0},
@@ -112,7 +116,7 @@ class WeightedNetwork:
     def conductance(self, u: int, v: int) -> Fraction:
         if u == v:
             return Fraction(0)
-        return self._cond.get(_norm(u, v), Fraction(0))
+        return self._cond.get(_norm_edge(u, v), Fraction(0))
 
     def resistance_of_edge(self, u: int, v: int) -> Fraction | None:
         c = self.conductance(u, v)
@@ -123,13 +127,7 @@ class WeightedNetwork:
         return sorted(self._cond.items())
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        out = []
-        for (a, b) in self._cond:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return tuple(sorted(out))
+        return _adjacency(self._n, self._cond)[u] if 0 <= u < self._n else ()
 
     def with_resistance(self, u: int, v: int, r: Rational | None
                         ) -> "WeightedNetwork":
@@ -137,7 +135,7 @@ class WeightedNetwork:
         if u == v:
             raise ParameterError("cannot set a loop resistance")
         cond = dict(self._cond)
-        key = _norm(u, v)
+        key = _norm_edge(u, v)
         cond.pop(key, None)
         if r is not None:
             r = Fraction(r)
@@ -150,27 +148,7 @@ class WeightedNetwork:
         return {k: c for k, c in self._cond.items() if w not in k}
 
     def components(self) -> list[frozenset[int]]:
-        adj: list[list[int]] = [[] for _ in range(self._n)]
-        for (u, v) in self._cond:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * self._n
-        comps = []
-        for s in range(self._n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = {s}
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        return comps
+        return _components(range(self._n), _adjacency(self._n, self._cond))
 
     def is_connected(self) -> bool:
         return self._n <= 1 or len(self.components()) == 1
@@ -198,19 +176,8 @@ def spanning_tree_count(g: Graph) -> int:
     n = g.vertex_count
     if n == 0:
         raise ParameterError("spanning trees of the empty graph are undefined")
-    if n == 1:
-        return 1
-    size = n - 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for (u, v), m in g.edge_items():
-        for x in (u, v):
-            if x != 0:
-                rows[x - 1][x - 1] += m
-        if u != 0 and v != 0:
-            rows[u - 1][v - 1] -= m
-            rows[v - 1][u - 1] -= m
-    det = exactalg.determinant(RationalMatrix.from_rows(rows))
-    return int(det)
+    lap, _ = _reduced_laplacian(WeightedNetwork.from_graph(g), range(n), 0)
+    return int(exactalg.determinant(lap))
 
 
 def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .cuts import edge_connectivity
 from .equiarboreal import check_equiarboreal
 from .errors import ParameterError, VerificationError
 from .graphs import Graph, require_connected
@@ -150,7 +151,6 @@ def distance_table(g: Graph) -> list[list[int]]:
     """All-pairs graph distances by BFS; requires a connected graph."""
     require_connected(g, "distance table")
     n = g.vertex_count
-    adj = [g.neighbors(v) for v in range(n)]
     table = [[0] * n for _ in range(n)]
     for s in range(n):
         dist = [-1] * n
@@ -158,7 +158,7 @@ def distance_table(g: Graph) -> list[list[int]]:
         queue = deque([s])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for y in g.neighbors(x):
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -231,14 +231,10 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
     component and skipped for connectivity, matching the theorems'
     connectedness hypothesis.
     """
-    from .cuts import edge_connectivity  # local import to avoid a cycle
-
     reports = []
     for i in range(1, s.class_count + 1):
         g = colour_class(s, i)
         k = g.is_regular()
-        if k is None:
-            raise VerificationError(f"colour class {i} of a valid scheme is not regular")
         if g.is_connected():
             verdict = check_equiarboreal(g)
             lam = edge_connectivity(g)

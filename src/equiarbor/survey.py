@@ -3,11 +3,11 @@
 Each entry gets the equiarboreality check, the degree-connectivity verdict
 when its hypotheses hold, the distance-partition scheme check with the
 colour-class theorems when a scheme exists, and the perfect-matching
-corollary on even orders.  Entries process independently (optionally in a
-thread pool); report order always follows the manifest.  Each entry runs in
-its own fact scope, so its equiarboreal verdict, lambda and minimum cuts are
-computed once, and the distance-1 colour class of a distance-regular graph,
-which equals the graph, reuses them.
+corollary on even orders.  Entries run one at a time in manifest order, and
+a failing entry does not stop the others.  Each entry runs in its own fact
+scope, so its equiarboreal verdict, lambda and minimum cuts are computed
+once, and the distance-1 colour class of a distance-regular graph, which
+equals the graph, reuses them.
 
 Entry status: "failed" if any applicable check produced a counterexample,
 "skipped" if the degree-connectivity hypotheses did not apply (negative
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -214,49 +213,34 @@ def _safe_survey_entry(entry: GraphCatalogEntry,
                        "skipped", "skipped", note, "failed")
 
 
+def _timestamp(deterministic: bool) -> Optional[str]:
+    return None if deterministic else time.strftime("%Y-%m-%dT%H:%M:%S")
+
+
 def survey(catalog: Sequence[GraphCatalogEntry],
-           jobs: int = 1,
            deterministic: bool = True,
            enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> SurveyReport:
-    """Run every verification over the catalog; entry order follows the
-    manifest regardless of completion order."""
-    if jobs < 1:
-        jobs = 1
-    if jobs == 1 or len(catalog) <= 1:
-        entries = [_safe_survey_entry(e, enumeration_limit) for e in catalog]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(
-                lambda e: _safe_survey_entry(e, enumeration_limit), catalog))
-    timestamp = None if deterministic else time.strftime("%Y-%m-%dT%H:%M:%S")
-    return SurveyReport(tuple(entries), timestamp)
+    """Run every verification over the catalog, one entry at a time in
+    catalog order."""
+    entries = tuple(_safe_survey_entry(e, enumeration_limit) for e in catalog)
+    return SurveyReport(entries, _timestamp(deterministic))
 
 
 def survey_manifest(items: Sequence[dict],
-                    jobs: int = 1,
                     deterministic: bool = True,
                     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
                     ) -> SurveyReport:
     """Like :func:`survey`, but loads entries itself: an unreadable entry is
     recorded as failed with a note and the run continues."""
-    loaded: list[tuple[str, GraphCatalogEntry | None, str | None]] = []
-    for item in items:
-        name = item.get("name") if isinstance(item, dict) else None
-        name = name if isinstance(name, str) else "<unnamed>"
-        try:
-            loaded.append((name, entry_from_manifest(item), None))
-        except EquiarborError as exc:
-            loaded.append((name, None, str(exc)))
-    good = [entry for _, entry, _ in loaded if entry is not None]
-    good_report = survey(good, jobs=jobs, deterministic=deterministic,
-                         enumeration_limit=enumeration_limit)
-    good_iter = iter(good_report.entries)
     entries = []
-    for name, entry, error in loaded:
-        if entry is None:
-            entries.append(SurveyEntry(name, None, None, None, None,
-                                       "skipped", "skipped",
-                                       f"unreadable entry: {error}", "failed"))
+    for item in items:
+        try:
+            entry = entry_from_manifest(item)
+        except EquiarborError as exc:
+            name = item.get("name") if isinstance(item, dict) else None
+            entries.append(SurveyEntry(name if isinstance(name, str) else "<unnamed>",
+                                       None, None, None, None, "skipped", "skipped",
+                                       f"unreadable entry: {exc}", "failed"))
         else:
-            entries.append(next(good_iter))
-    return SurveyReport(tuple(entries), good_report.timestamp)
+            entries.append(_safe_survey_entry(entry, enumeration_limit))
+    return SurveyReport(tuple(entries), _timestamp(deterministic))

@@ -16,9 +16,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from equiarbor.bounds import degree_pair_bound
 from equiarbor.cuts import EdgeCut, cut_from_side
-from equiarbor.errors import SingularSystemError
+from equiarbor.errors import DimensionError, SingularSystemError
+from equiarbor.exactalg import RationalMatrix
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork
 from equiarbor.schemes import (
@@ -274,6 +277,16 @@ def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     return x
 
 
+def matvec(m: RationalMatrix, v: list[Fraction | int]) -> tuple[Fraction, ...]:
+    """The product ``m @ v`` over ``Fraction``, for multiplying results back."""
+    if len(v) != m.cols:
+        raise DimensionError(f"vector length {len(v)} != {m.cols}")
+    return tuple(
+        sum((m.entry(i, j) * Fraction(v[j]) for j in range(m.cols)), Fraction(0))
+        for i in range(m.rows)
+    )
+
+
 def fraction_invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
     """Gauss-Jordan elimination of ``[a | I]`` over ``Fraction`` with the
     first-nonzero pivot rule."""
@@ -296,6 +309,16 @@ def fraction_invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
 
 # ---------------------------------------------------------------------------
 # Random instances (always seeded by the caller)
+
+
+@st.composite
+def multigraphs(draw, min_vertices: int = 1, max_vertices: int = 12) -> Graph:
+    """Hypothesis strategy: a multigraph with up to 24 edge entries of
+    multiplicity 1..3, often disconnected."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                      st.integers(1, 3)), max_size=24))
+    return Graph(n, [(u, v, m) for u, v, m in entries if u != v])
 
 
 def random_connected_graph(rng: random.Random, n: int,

@@ -98,13 +98,6 @@ def test_survey_empty_catalog():
     assert report.failed == 0
 
 
-def test_survey_concurrent_matches_sequential():
-    catalog = default_catalog()
-    sequential = survey(catalog, jobs=1)
-    threaded = survey(catalog, jobs=4)
-    assert sequential.to_json() == threaded.to_json()
-
-
 def test_survey_deterministic_flag_controls_timestamp():
     catalog = default_catalog()[:2]
     with_stamp = survey(catalog, deterministic=False)

@@ -4,8 +4,9 @@ import random
 import re
 from fractions import Fraction
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equiarbor import cuts as cuts_module
@@ -309,6 +310,23 @@ def test_star_predicates_against_naive_reimplementation():
         assert dict(cls.strongly_sx_free) == sx
         assert dict(cls.strongly_sxy_free) == sxy
         trials += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.multigraphs(min_vertices=2), st.data())
+def test_classification_on_multigraphs(g, data):
+    side = data.draw(st.sets(st.integers(0, g.vertex_count - 1),
+                             min_size=1, max_size=g.vertex_count - 1))
+    cut = cut_from_side(g, side)
+    assume(cut.crossing)
+    cls = classify_cut(g, cut)
+    cut_graph = nx.MultiGraph(list(cut.crossing))
+    single_edge_k2 = any(len(comp) == 2 and cut_graph.number_of_edges(*comp) == 1
+                         for comp in nx.connected_components(cut_graph))
+    assert cls.k2_component_free is not single_edge_k2
+    sx, sxy = _naive_star_predicates(cut)
+    assert dict(cls.strongly_sx_free) == sx
+    assert dict(cls.strongly_sxy_free) == sxy
 
 
 def test_classify_rejects_stale_crossing():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from equiarbor.equiarboreal import check_equiarboreal, godsil_bound_check
+from equiarbor.cuts import godsil_bound_check
+from equiarbor.equiarboreal import check_equiarboreal
 from equiarbor.errors import ConnectivityError, ParameterError, PreconditionError
 from equiarbor.graphs import Graph, generate
 from equiarbor.resistance import tree_ratio_resistance

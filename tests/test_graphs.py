@@ -1,15 +1,19 @@
 """Multigraph core: generators, graph6 codec, identification."""
 
+import io
 import random
 import threading
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiarbor.errors import EquiarborError, Graph6ParseError, ParameterError
+from equiarbor.errors import EquiarborError, Graph6ParseError, ParameterError, ScaleError
 from equiarbor import equiarboreal as equiarboreal_module
+from equiarbor import graphs as graphs_module
+from equiarbor.cli import run_command
 from equiarbor.equiarboreal import check_equiarboreal
 from equiarbor.graphs import (
     Graph,
@@ -22,6 +26,7 @@ from equiarbor.graphs import (
     parse_edge_list,
     parse_graph6,
 )
+from equiarbor.resistance import WeightedNetwork
 
 import oracles
 
@@ -77,6 +82,59 @@ def test_hamming_2_3_matches_rooks_graph():
             du, dv = divmod(u, 3), divmod(v, 3)
             expected = sum(1 for a, b in zip(du, dv) if a != b) == 1
             assert g.has_edge(u, v) == expected
+
+
+def test_hamming_and_johnson_match_their_definitions():
+    # H(d, q): base-q strings in lexicographic order, adjacent at Hamming
+    # distance 1.  J(n, k): k-subsets in lexicographic order, adjacent when
+    # they meet in k - 1 points.
+    for d in range(1, 5):
+        for q in range(2, 6):
+            words = list(product(range(q), repeat=d))
+            assert generate("hamming", (d, q)).edge_items() == [
+                ((u, v), 1) for u, v in combinations(range(len(words)), 2)
+                if sum(a != b for a, b in zip(words[u], words[v])) == 1]
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            subsets = [set(c) for c in combinations(range(n), k)]
+            assert generate("johnson", (n, k)).edge_items() == [
+                ((i, j), 1) for i, j in combinations(range(len(subsets)), 2)
+                if len(subsets[i] & subsets[j]) == k - 1]
+
+
+def test_generator_size_is_checked_before_building(monkeypatch):
+    built = []
+    for family, (_, arity, size) in list(graphs_module._FAMILIES.items()):
+        def stub(*params, family=family):
+            built.append((family, params))
+            return Graph(1)
+        monkeypatch.setitem(graphs_module._FAMILIES, family, (stub, arity, size))
+
+    generate("complete", (1414,))                 # 998,991 edges
+    generate("cycle", (258047,))                  # the graph6 vertex limit
+    generate("hamming", (16, 2))                  # 65,536 vertices, 524,288 edges
+    generate("johnson", (258047, 258047))         # one vertex
+    assert [family for family, _ in built] == ["complete", "cycle", "hamming", "johnson"]
+    for family, params in [("complete", (1415,)), ("cycle", (258048,)),
+                           ("hypercube", (17,)), ("hamming", (40, 2)),
+                           ("johnson", (60, 30)), ("johnson", (258048, 258048)),
+                           ("hypercube", (10 ** 9,)), ("hamming", (10 ** 9, 10 ** 9)),
+                           ("complete_bipartite", (1, 10 ** 6 + 1))]:
+        with pytest.raises(ScaleError):
+            generate(family, params)
+    err = io.StringIO()
+    assert run_command(["analyze", "--family", "complete", "--params", "5000"],
+                       io.StringIO(), err) == 2
+    assert "generator limits" in err.getvalue()
+    assert len(built) == 4
+
+
+def test_generator_parameter_errors_win_over_size():
+    # A parameter below 1 is the builder's to reject, however large the rest.
+    for family, params in [("hamming", (10 ** 9, 1)), ("johnson", (10 ** 9, 0)),
+                           ("complete_bipartite", (0, 10 ** 9))]:
+        with pytest.raises(ParameterError):
+            generate(family, params)
 
 
 def test_johnson_degree_formula():
@@ -220,6 +278,22 @@ def test_identify_preserves_multiplicity_minus_loops():
         loops = sum(m for (u, v), m in g.edge_items()
                     if mapping[u] == mapping[v])
         assert merged.edge_count == g.edge_count - loops
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.multigraphs())
+def test_components_and_neighbours_agree_with_networkx(g):
+    multigraph = nx.MultiGraph()
+    multigraph.add_nodes_from(range(g.vertex_count))
+    multigraph.add_edges_from(g.edge_list())
+    expected = sorted(map(frozenset, nx.connected_components(multigraph)), key=min)
+    net = WeightedNetwork.from_graph(g)
+    assert g.components() == expected
+    assert net.components() == expected
+    for u in range(-1, g.vertex_count + 1):      # no neighbours out of range
+        scan = tuple(sorted(b if a == u else a for (a, b), _ in g.edge_items()
+                            if u in (a, b)))
+        assert g.neighbors(u) == net.neighbors(u) == scan
 
 
 # ---------------------------------------------------------------------------
