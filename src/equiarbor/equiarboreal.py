@@ -2,8 +2,12 @@
 
 A connected graph is equiarboreal when every edge has the same effective
 resistance across its endpoints (equivalently, lies in the same number of
-spanning trees).  When that holds the common value must be (n-1)/m; the
-analyzer asserts that identity instead of assuming it.
+spanning trees).  The check compares the edges' integer resistance
+numerators over one determinant (see ``resistance``) and builds
+``Fraction``s only for the reported value and witness.  When all are equal
+the common value must be (n-1)/m by the Foster sum, so the common numerator
+must satisfy ``num * m == det * (n - 1)``; the analyzer checks that integer
+identity instead of assuming it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ConnectivityError, ParameterError, VerificationError
 from .graphs import Graph, memoized
-from .resistance import WeightedNetwork, resistance_matrix
+from .resistance import _edge_numerators, _grounded_adjugate
 
 Edge = tuple[int, int]
 
@@ -33,34 +37,30 @@ class EquiarborealVerdict:
             raise ParameterError("negative verdict must carry a witness")
 
 
-def edge_resistances(g: Graph) -> list[tuple[Edge, Fraction]]:
-    """Per-edge resistances from one Laplacian factorization, in
-    lexicographic edge order (distinct edges; multiplicity does not change
-    the endpoint resistance)."""
-    if g.edge_count == 0:
-        raise ParameterError("graph has no edges")
-    if not g.is_connected():
-        raise ConnectivityError("equiarboreality is defined for connected graphs")
-    omega = resistance_matrix(WeightedNetwork.from_graph(g))
-    return [((u, v), omega[u][v]) for (u, v), _ in g.edge_items()]
-
-
 @memoized
 def check_equiarboreal(g: Graph) -> EquiarborealVerdict:
-    """Compare all edge resistances exactly.
+    """Compare all edge resistances exactly, as integer numerators over one
+    determinant (multiplicity does not change the endpoint resistance).
 
     On success the common value is checked against (n-1)/m, which follows
     from the Foster sum; a mismatch would mean the solver is broken, so it
     raises rather than reporting a verdict.
     """
-    per_edge = edge_resistances(g)
-    first_edge, first_val = per_edge[0]
-    for edge, val in per_edge[1:]:
-        if val != first_val:
-            return EquiarborealVerdict(False, None,
-                                       (first_edge, edge, first_val, val))
-    expected = Fraction(g.vertex_count - 1, g.edge_count)
-    if first_val != expected:
+    if g.edge_count == 0:
+        raise ParameterError("graph has no edges")
+    if not g.is_connected():
+        raise ConnectivityError("equiarboreality is defined for connected graphs")
+    items = g.edge_items()
+    det, m = _grounded_adjugate(items, g.vertex_count)
+    edges = [e for e, _ in items]
+    nums = _edge_numerators(m, edges)
+    first = nums[0]
+    for edge, num in zip(edges, nums):
+        if num != first:
+            witness = (edges[0], edge, Fraction(first, det), Fraction(num, det))
+            return EquiarborealVerdict(False, None, witness)
+    n, e = g.vertex_count, g.edge_count
+    if first * e != det * (n - 1):
         raise VerificationError(
-            f"common edge resistance {first_val} != (n-1)/m = {expected}")
-    return EquiarborealVerdict(True, first_val, None)
+            f"common edge resistance {Fraction(first, det)} != (n-1)/m = {Fraction(n - 1, e)}")
+    return EquiarborealVerdict(True, Fraction(first, det), None)

@@ -6,7 +6,9 @@ fraction-free (Bareiss 1968) elimination over Python ints: each row is
 scaled by the lcm of its denominators, the first row with a nonzero entry
 pivots each column, and every update divides exactly by the previous pivot,
 so identical inputs always produce identical elimination traces.  Solves
-and inverses are checked by one integer residual identity.
+and inverses, and the resistance layer's integer Laplacians, go through
+:func:`integer_solve`, which checks the integer residual identity
+``(D A)(det A^-1 B) == det (D B)`` before it returns ``det A^-1 B``.
 
 Matrices are immutable; every function here is pure.
 """
@@ -177,6 +179,20 @@ def _check_residual(scaled: Sequence[list[int]], det: int,
             raise VerificationError(f"{what} residual check failed in row {i}")
 
 
+def integer_solve(rows: Sequence[list[int]], what: str) -> tuple[int, list[list[int]]]:
+    """Solve ``A X = B`` from the integer rows of ``[D A | D B]``, D any
+    nonzero diagonal row scaling; the rows are left unchanged.
+
+    Returns ``(det, det X)``, det = det(P D A) for the pivot permutation P,
+    once ``(D A)(det X) == det (D B)`` holds; otherwise raises
+    ``VerificationError`` naming ``what``.  Raises ``SingularSystemError``
+    when A is singular.
+    """
+    _, det, det_x = _eliminate(list(rows), jordan=True)
+    _check_residual(rows, det, det_x, what)
+    return det, det_x
+
+
 def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...]:
     """Solve ``a @ x == b`` exactly.
 
@@ -190,9 +206,7 @@ def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...
     if len(b) != n:
         raise DimensionError(f"rhs length {len(b)} != {n}")
     rows, _ = _scaled_rows(a, [(Fraction(v),) for v in b])
-    scaled = list(rows)
-    _, det, det_x = _eliminate(rows, jordan=True)
-    _check_residual(scaled, det, det_x, "solve")
+    det, det_x = integer_solve(rows, "solve")
     return tuple(Fraction(row[0], det) for row in det_x)
 
 
@@ -208,9 +222,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     n = m.rows
     unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     rows, _ = _scaled_rows(m, unit)
-    scaled = list(rows)
-    _, det, det_inv = _eliminate(rows, jordan=True)
-    _check_residual(scaled, det, det_inv, "inverse")
+    det, det_inv = integer_solve(rows, "inverse")
     return RationalMatrix(n, n, tuple(Fraction(v, det) for row in det_inv for v in row))
 
 

@@ -9,21 +9,29 @@ them, and the solver simply reports a singular network if a reduced system
 degenerates.
 
 Resistance is computed by grounding one probe vertex and solving the
-reduced conductance-Laplacian system for a unit injected current.  For an
-unweighted connected graph the result equals the ratio of spanning-tree
-counts of the edge-identified graph and the graph itself; that tree-ratio
-path is kept as an independent oracle, not the default.
+reduced conductance-Laplacian system for a unit injected current.  The
+Laplacian is built over the integers, each row scaled by the lcm of its
+conductance denominators (1 for a graph).  Its integer inverse
+``M = det L^-1`` gives the resistance across (u, v) as the integer
+numerator ``M[u][u] + M[v][v] - 2 M[u][v]`` over ``det``; ``Fraction``s
+are built only for values handed out.  For an unweighted connected graph
+the result equals the ratio of spanning-tree counts of the edge-identified
+graph and the graph itself; that tree-ratio path is kept as an independent
+oracle, not the default.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import exactalg
 from .errors import (
     ConnectivityError,
+    DimensionError,
     InfiniteResistanceError,
     ParameterError,
     SingularNetworkError,
@@ -176,8 +184,8 @@ def spanning_tree_count(g: Graph) -> int:
     n = g.vertex_count
     if n == 0:
         raise ParameterError("spanning trees of the empty graph are undefined")
-    lap, _ = _reduced_laplacian(WeightedNetwork.from_graph(g), range(n), 0)
-    return int(exactalg.determinant(lap))
+    rows, _, _ = _reduced_laplacian(g.edge_items(), range(n), 0)
+    return int(exactalg.determinant(RationalMatrix.from_rows(rows)))
 
 
 def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:
@@ -196,26 +204,62 @@ def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Laplacian solves
+# Laplacian solves over the integers
 
 
-def _reduced_laplacian(net: WeightedNetwork, vertices: Sequence[int],
-                       grounded: int) -> tuple[RationalMatrix, dict[int, int]]:
+def _reduced_laplacian(items: Sequence[tuple[Pair, Rational | int]],
+                       vertices: Sequence[int], grounded: int
+                       ) -> tuple[list[list[int]], list[int], dict[int, int]]:
+    """Integer rows ``D L`` of the conductance Laplacian on ``vertices``
+    (whole components) with ``grounded`` deleted, for (pair, conductance)
+    ``items``; D scales each row by the lcm of its conductance denominators.
+    Returns the rows, the scales and each vertex's row index.  A matrix
+    over ``exactalg.SIZE_LIMIT`` is refused before anything is built."""
     idx = [x for x in vertices if x != grounded]
-    pos = {x: i for i, x in enumerate(idx)}
     size = len(idx)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    vset = set(vertices)
-    for (a, b), c in net.edge_items():
-        if a not in vset or b not in vset:
-            continue
+    if size > exactalg.SIZE_LIMIT:
+        raise DimensionError(f"matrix exceeds the {exactalg.SIZE_LIMIT} soft size limit")
+    pos = {x: i for i, x in enumerate(idx)}
+    scales = [1] * size
+    for (a, b), c in items:
         for x in (a, b):
-            if x != grounded:
-                rows[pos[x]][pos[x]] += c
-        if a != grounded and b != grounded:
-            rows[pos[a]][pos[b]] -= c
-            rows[pos[b]][pos[a]] -= c
-    return RationalMatrix.from_rows(rows) if size else RationalMatrix(0, 0, ()), pos
+            i = pos.get(x)
+            if i is not None:
+                scales[i] = math.lcm(scales[i], c.denominator)
+    rows = [[0] * size for _ in range(size)]
+    for (a, b), c in items:
+        for x, y in ((a, b), (b, a)):
+            i = pos.get(x)
+            if i is not None:
+                w = c.numerator * (scales[i] // c.denominator)
+                rows[i][i] += w
+                j = pos.get(y)
+                if j is not None:
+                    rows[i][j] -= w
+    return rows, scales, pos
+
+
+def _grounded_adjugate(items: Sequence[tuple[Pair, Rational | int]], n: int
+                       ) -> tuple[int, list[list[int]]]:
+    """``(det, M)`` with ``M = det L^-1`` over the integers, L the Laplacian
+    of vertices ``0..n-1`` grounded at ``n - 1``; M is n x n, its grounded
+    row and column zero, so ``_edge_numerators`` can index it directly."""
+    rows, scales, _ = _reduced_laplacian(items, range(n), n - 1)
+    size = len(rows)
+    for i, s in enumerate(scales):
+        rows[i] += [0] * size
+        rows[i][size + i] = s
+    try:
+        det, m = exactalg.integer_solve(rows, "inverse")
+    except SingularSystemError as exc:
+        raise SingularNetworkError("reduced system is singular") from exc
+    return det, [row + [0] for row in m] + [[0] * n]
+
+
+def _edge_numerators(m: Sequence[Sequence[int]], pairs: Iterable[Pair]) -> list[int]:
+    """``M[u][u] + M[v][v] - 2 M[u][v]`` per pair: the resistance across it
+    times the determinant M was scaled by."""
+    return [m[u][u] + m[v][v] - 2 * m[u][v] for u, v in pairs]
 
 
 def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
@@ -230,48 +274,35 @@ def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
     if v not in comp:
         raise InfiniteResistanceError(
             f"vertices {u} and {v} lie in different components")
-    vertices = sorted(comp)
-    lap, pos = _reduced_laplacian(net, vertices, grounded=v)
-    rhs = [Fraction(0)] * lap.rows
-    rhs[pos[u]] = Fraction(1)
+    rows, scales, pos = _reduced_laplacian(net.edge_items(), sorted(comp), grounded=v)
+    p = pos[u]
+    for i, row in enumerate(rows):
+        row.append(scales[p] if i == p else 0)
     try:
-        x = exactalg.solve(lap, rhs)
+        det, det_x = exactalg.integer_solve(rows, "solve")
     except SingularSystemError as exc:
         raise SingularNetworkError(
             f"reduced system is singular for probe pair ({u}, {v})") from exc
-    return x[pos[u]]
+    return Fraction(det_x[p][0], det)
 
 
 def resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:
     """All pairwise resistances from a single factorization.
 
-    Grounds the last vertex and inverts the reduced Laplacian once;
-    Omega(u, v) = M[u][u] + M[v][v] - 2 M[u][v] with the grounded row and
-    column read as zero.
+    Grounds the last vertex and inverts the reduced Laplacian once over the
+    integers; Omega(u, v) = (M[u][u] + M[v][v] - 2 M[u][v]) / det for
+    M = det L^-1, with the grounded row and column read as zero.
     """
     n = net.vertex_count
     if n == 0:
         return []
     if not net.is_connected():
         raise ConnectivityError("resistance matrix needs a connected network")
-    g = n - 1
-    lap, pos = _reduced_laplacian(net, list(range(n)), grounded=g)
-    try:
-        inv = exactalg.invert(lap) if lap.rows else lap
-    except SingularSystemError as exc:
-        raise SingularNetworkError("reduced system is singular") from exc
-
-    def m(a: int, b: int) -> Fraction:
-        if a == g or b == g:
-            return Fraction(0)
-        return inv.entry(pos[a], pos[b])
-
+    det, m = _grounded_adjugate(net.edge_items(), n)
+    pairs = list(combinations(range(n), 2))
     out = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            val = m(a, a) + m(b, b) - 2 * m(a, b)
-            out[a][b] = val
-            out[b][a] = val
+    for (a, b), num in zip(pairs, _edge_numerators(m, pairs)):
+        out[a][b] = out[b][a] = Fraction(num, det)
     return out
 
 
@@ -283,11 +314,10 @@ def foster_sum(g: Graph) -> Fraction:
     """Sum of edge resistances counting multiplicity; equals n - 1 on any
     connected graph."""
     require_connected(g, "foster sum")
-    omega = resistance_matrix(WeightedNetwork.from_graph(g))
-    total = Fraction(0)
-    for (u, v), m in g.edge_items():
-        total += m * omega[u][v]
-    return total
+    items = g.edge_items()
+    det, m = _grounded_adjugate(items, g.vertex_count)
+    nums = _edge_numerators(m, (e for e, _ in items))
+    return Fraction(sum(mult * num for (_, mult), num in zip(items, nums)), det)
 
 
 def w_sum(net: WeightedNetwork, u: int) -> Fraction:

@@ -4,10 +4,12 @@ Everything here deliberately avoids the package's computation paths:
 spanning trees by deletion-contraction, connectivity and cuts by exhaustive
 bipartitions, matchings by exhaustive search, distances by BFS over plain
 adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
-elimination over ``Fraction``, scheme intersection numbers by counting z
-for every (i, j, k) and pair, the bound grids by filtering the whole (x, y)
-square and comparing ``Fraction`` values.  Agreement between these and the
-package is the point of the tests importing them.
+elimination over ``Fraction``, resistances and the equiarboreal verdict
+from a ``Fraction`` Laplacian and those solves and inverses, scheme
+intersection numbers by counting z for every (i, j, k) and pair, the bound
+grids by filtering the whole (x, y) square and comparing ``Fraction``
+values.  Agreement between these and the package is the point of the tests
+importing them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from hypothesis import strategies as st
 
 from equiarbor.bounds import degree_pair_bound
 from equiarbor.cuts import EdgeCut, cut_from_side
-from equiarbor.errors import DimensionError, SingularSystemError
+from equiarbor.equiarboreal import EquiarborealVerdict
+from equiarbor.errors import (
+    ConnectivityError,
+    DimensionError,
+    InfiniteResistanceError,
+    SingularNetworkError,
+    SingularSystemError,
+)
 from equiarbor.exactalg import RationalMatrix
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork
@@ -305,6 +314,84 @@ def fraction_invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
                 factor = aug[r][col]
                 aug[r] = [rv - factor * cv for rv, cv in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def fraction_reduced_laplacian(net: WeightedNetwork, vertices: list[int],
+                               grounded: int) -> list[list[Fraction]]:
+    """The ``Fraction`` conductance Laplacian on ``vertices`` (a union of
+    components) with ``grounded`` deleted, rows and columns in vertex order."""
+    idx = [x for x in vertices if x != grounded]
+    pos = {x: i for i, x in enumerate(idx)}
+    rows = [[Fraction(0)] * len(idx) for _ in idx]
+    for (a, b), c in net.edge_items():
+        for x, y in ((a, b), (b, a)):
+            if x in pos:
+                rows[pos[x]][pos[x]] += c
+                if y in pos:
+                    rows[pos[x]][pos[y]] -= c
+    return rows
+
+
+def _component(net: WeightedNetwork, u: int) -> set[int]:
+    adj: dict[int, set[int]] = {x: set() for x in range(net.vertex_count)}
+    for (a, b), _ in net.edge_items():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = {u}, [u]
+    while stack:
+        for y in adj[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    return seen
+
+
+def fraction_resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:
+    """All pairwise resistances over ``Fraction``: invert the Laplacian
+    grounded at the last vertex with ``fraction_invert``, then form the n^2
+    pair sums M[u][u] + M[v][v] - 2 M[u][v], the grounded row and column
+    read as zero.  The reference for ``resistance_matrix``."""
+    n = net.vertex_count
+    if n == 0:
+        return []
+    if len(_component(net, 0)) != n:
+        raise ConnectivityError("resistance matrix needs a connected network")
+    try:
+        inv = fraction_invert(fraction_reduced_laplacian(net, list(range(n)), n - 1))
+    except SingularSystemError as exc:
+        raise SingularNetworkError("reduced system is singular") from exc
+    m = [row + [Fraction(0)] for row in inv] + [[Fraction(0)] * n]
+    return [[m[a][a] + m[b][b] - 2 * m[a][b] for b in range(n)] for a in range(n)]
+
+
+def fraction_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
+    """Ground v in u's component and solve for a unit current injected at u
+    with ``fraction_solve``.  The reference for ``resistance``."""
+    comp = _component(net, u)
+    if v not in comp:
+        raise InfiniteResistanceError(
+            f"vertices {u} and {v} lie in different components")
+    rows = fraction_reduced_laplacian(net, sorted(comp), v)
+    idx = [x for x in sorted(comp) if x != v]
+    rhs = [Fraction(int(x == u)) for x in idx]
+    try:
+        x = fraction_solve(rows, rhs)
+    except SingularSystemError as exc:
+        raise SingularNetworkError(
+            f"reduced system is singular for probe pair ({u}, {v})") from exc
+    return x[idx.index(u)]
+
+
+def fraction_check_equiarboreal(g: Graph) -> EquiarborealVerdict:
+    """Every edge resistance as a ``Fraction`` from
+    ``fraction_resistance_matrix``, compared with the first edge's; the
+    reference for ``check_equiarboreal`` on connected graphs with edges."""
+    omega = fraction_resistance_matrix(WeightedNetwork.from_graph(g))
+    edges = [e for e, _ in g.edge_items()]
+    first = omega[edges[0][0]][edges[0][1]]
+    for u, v in edges:
+        if omega[u][v] != first:
+            return EquiarborealVerdict(False, None, (edges[0], (u, v), first, omega[u][v]))
+    return EquiarborealVerdict(True, first, None)
 
 
 # ---------------------------------------------------------------------------

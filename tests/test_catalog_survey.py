@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiarbor import cuts as cuts_module
-from equiarbor import equiarboreal as equiarboreal_module
+from equiarbor import exactalg as exactalg_module
 from equiarbor import survey as survey_module
 from equiarbor.catalog import (
     GraphCatalogEntry,
@@ -18,7 +18,7 @@ from equiarbor.catalog import (
 )
 from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
-from equiarbor.resistance import WeightedNetwork
+from equiarbor.resistance import _reduced_laplacian
 from equiarbor.survey import survey
 
 
@@ -202,24 +202,25 @@ def test_survey_records_an_internal_error_and_continues(monkeypatch):
 
 def test_survey_entry_inverts_each_graph_once(monkeypatch):
     inverted = []
-    real = equiarboreal_module.resistance_matrix
+    real = exactalg_module.integer_solve
 
-    def counting(net):
-        inverted.append(net)
-        return real(net)
+    def counting(rows, what):
+        inverted.append([row[:len(rows)] for row in rows])
+        return real(rows, what)
 
-    monkeypatch.setattr(equiarboreal_module, "resistance_matrix", counting)
+    monkeypatch.setattr(exactalg_module, "integer_solve", counting)
     host = generate("petersen")
+    host_laplacian, _, _ = _reduced_laplacian(host.edge_items(), range(10), 9)
     entry = GraphCatalogEntry("Petersen", host)
     report = survey([entry])
     assert report.entries[0].status == "passed"
     # The host (entry verdict, degree-connectivity hypothesis, colour class
     # 1) and colour class 2, the complement.
-    assert inverted.count(WeightedNetwork.from_graph(host)) == 1
+    assert inverted.count(host_laplacian) == 1
     assert len(inverted) == 2
     # Facts do not outlive their entry.
     survey([entry, entry])
-    assert inverted.count(WeightedNetwork.from_graph(host)) == 3
+    assert inverted.count(host_laplacian) == 3
 
 
 def test_survey_entry_runs_each_max_flow_once(monkeypatch):

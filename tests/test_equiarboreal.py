@@ -3,12 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equiarbor import equiarboreal as equiarboreal_module
+from equiarbor import exactalg
 from equiarbor.cuts import godsil_bound_check
 from equiarbor.equiarboreal import check_equiarboreal
-from equiarbor.errors import ConnectivityError, ParameterError, PreconditionError
+from equiarbor.errors import (
+    ConnectivityError,
+    ParameterError,
+    PreconditionError,
+    VerificationError,
+)
+from equiarbor.exactalg import RationalMatrix
 from equiarbor.graphs import Graph, generate
-from equiarbor.resistance import tree_ratio_resistance
+from equiarbor.resistance import WeightedNetwork, tree_ratio_resistance
+
+import oracles
 
 
 def test_petersen_is_equiarboreal():
@@ -67,6 +79,60 @@ def test_check_requires_connected_graph_with_edges():
         check_equiarboreal(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ParameterError):
         check_equiarboreal(Graph(2))
+
+
+@st.composite
+def connected_multigraphs(draw) -> Graph:
+    """An ``oracles.multigraphs`` draw joined up by a random spanning tree."""
+    g = draw(oracles.multigraphs(min_vertices=2))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, g.vertex_count)]
+    return Graph(g.vertex_count, [(u, v, m) for (u, v), m in g.edge_items()] + tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_multigraphs())
+def test_verdict_equals_fraction_oracle(g):
+    verdict = check_equiarboreal(g)
+    assert verdict == oracles.fraction_check_equiarboreal(g)
+    if verdict.is_equiarboreal:
+        (u, v), _ = g.edge_items()[0]
+        assert verdict.omega == tree_ratio_resistance(g, u, v)
+    else:
+        edge_a, edge_b, val_a, val_b = verdict.witness
+        assert val_a == tree_ratio_resistance(g, *edge_a)
+        assert val_b == tree_ratio_resistance(g, *edge_b)
+
+
+def test_check_builds_no_network_and_no_rational_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the check built a WeightedNetwork or a RationalMatrix")
+
+    monkeypatch.setattr(WeightedNetwork, "__init__", refuse)
+    monkeypatch.setattr(RationalMatrix, "__init__", refuse)
+    assert check_equiarboreal(generate("petersen")).omega == Fraction(3, 5)
+    assert not check_equiarboreal(generate("triangular_prism")).is_equiarboreal
+
+
+def test_corrupt_adjugate_fails_the_residual_check(monkeypatch):
+    eliminate = exactalg._eliminate
+
+    def corrupted(rows, jordan):
+        sign, det, det_inv = eliminate(rows, jordan)
+        det_inv[1][0] += 1
+        return sign, det, det_inv
+
+    monkeypatch.setattr(exactalg, "_eliminate", corrupted)
+    with pytest.raises(VerificationError, match="inverse residual check failed in row 0"):
+        check_equiarboreal(generate("petersen"))
+
+
+def test_equal_but_wrong_numerators_fail_the_foster_identity(monkeypatch):
+    numerators = equiarboreal_module._edge_numerators
+    monkeypatch.setattr(equiarboreal_module, "_edge_numerators",
+                        lambda m, pairs: [num + 1 for num in numerators(m, pairs)])
+    with pytest.raises(VerificationError,
+                       match=r"common edge resistance 1201/2000 != \(n-1\)/m = 3/5"):
+        check_equiarboreal(generate("petersen"))
 
 
 def test_godsil_bound_values():

@@ -162,23 +162,11 @@ def test_solve_and_invert_equal_fraction_oracle(system):
     _assert_matches_oracle(*system)
 
 
-def _reduced_laplacian(net, grounded):
-    idx = [x for x in range(net.vertex_count) if x != grounded]
-    pos = {x: i for i, x in enumerate(idx)}
-    rows = [[Fraction(0)] * len(idx) for _ in idx]
-    for (a, b), c in net.edge_items():
-        for x, y in ((a, b), (b, a)):
-            if x != grounded:
-                rows[pos[x]][pos[x]] += c
-                if y != grounded:
-                    rows[pos[x]][pos[y]] -= c
-    return rows
-
-
 @pytest.mark.parametrize("entry", default_catalog(), ids=lambda e: e.name)
 def test_catalog_reduced_laplacians_equal_fraction_oracle(entry):
     net = WeightedNetwork.from_graph(entry.graph)
-    rows = _reduced_laplacian(net, net.vertex_count - 1)
+    n = net.vertex_count
+    rows = oracles.fraction_reduced_laplacian(net, list(range(n)), n - 1)
     rhs = [Fraction(i % 3, 1 + i % 4) for i in range(len(rows))]
     _assert_matches_oracle(rows, rhs)
 
@@ -194,7 +182,7 @@ NEGATIVE_NETWORKS.append(WeightedNetwork.from_resistances(
 def test_negative_network_reduced_laplacians_equal_fraction_oracle(net):
     # The double stars' centre edge carries the negative resistance -1/(mn).
     for grounded in range(net.vertex_count):
-        rows = _reduced_laplacian(net, grounded)
+        rows = oracles.fraction_reduced_laplacian(net, list(range(net.vertex_count)), grounded)
         rhs = [Fraction(1, i + 1) for i in range(len(rows))]
         _assert_matches_oracle(rows, rhs)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiarbor.errors import EquiarborError, Graph6ParseError, ParameterError, ScaleError
-from equiarbor import equiarboreal as equiarboreal_module
+from equiarbor import exactalg as exactalg_module
 from equiarbor import graphs as graphs_module
 from equiarbor.cli import run_command
 from equiarbor.equiarboreal import check_equiarboreal
@@ -365,13 +365,13 @@ def test_facts_are_cached_only_inside_a_scope():
 
 def test_library_calls_outside_a_scope_recompute(monkeypatch):
     inverted = []
-    real = equiarboreal_module.resistance_matrix
+    real = exactalg_module.integer_solve
 
-    def counting(net):
-        inverted.append(net)
-        return real(net)
+    def counting(rows, what):
+        inverted.append([row[:len(rows)] for row in rows])
+        return real(rows, what)
 
-    monkeypatch.setattr(equiarboreal_module, "resistance_matrix", counting)
+    monkeypatch.setattr(exactalg_module, "integer_solve", counting)
     g = generate("petersen")
     assert check_equiarboreal(g) == check_equiarboreal(g)
     assert len(inverted) == 2

@@ -1,14 +1,18 @@
 """Resistance engine: spanning trees, Laplacian solves, Foster sums."""
 
+import io
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equiarbor.cli import run_command
 from equiarbor.errors import (
     ConnectivityError,
+    DimensionError,
     EquiarborError,
     InfiniteResistanceError,
     ParameterError,
@@ -17,6 +21,7 @@ from equiarbor.errors import (
 from equiarbor.graphs import Graph, generate, identify_vertices
 from equiarbor.resistance import (
     WeightedNetwork,
+    _reduced_laplacian,
     dump_network,
     foster_sum,
     network_from_json_dict,
@@ -131,6 +136,53 @@ def test_singular_network_with_negative_edges():
         resistance_matrix(net)
 
 
+@st.composite
+def rational_networks(draw) -> WeightedNetwork:
+    """Up to 6 vertices and 12 resistor entries, each a nonzero rational in
+    [-4, 4], so parallel entries may cancel and reduced systems may be
+    singular."""
+    n = draw(st.integers(1, 6))
+    resistances = st.fractions(-4, 4, max_denominator=6).filter(bool)
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                      resistances), max_size=12))
+    return WeightedNetwork.from_resistances(n, [e for e in entries if e[0] != e[1]])
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except EquiarborError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_networks())
+@example(WeightedNetwork.from_resistances(3, [(0, 1, 1), (0, 2, 1), (1, 2, -2)]))
+def test_resistances_equal_fraction_oracle(net):
+    assert (_outcome(resistance_matrix, net)
+            == _outcome(oracles.fraction_resistance_matrix, net))
+    for u, v in permutations(range(net.vertex_count), 2):
+        assert (_outcome(resistance, net, u, v)
+                == _outcome(oracles.fraction_resistance, net, u, v))
+
+
+class _UnreadItems(list):
+    def __iter__(self):
+        pytest.fail("the Laplacian builder read its edge items")
+
+
+def test_over_limit_laplacian_is_refused_before_it_is_built():
+    rows, scales, _ = _reduced_laplacian([], range(513), 512)
+    assert len(rows) == len(scales) == 512
+    with pytest.raises(DimensionError, match="matrix exceeds the 512 soft size limit"):
+        _reduced_laplacian(_UnreadItems(), range(514), 513)
+    err = io.StringIO()
+    assert run_command(["analyze", "--family", "complete", "--params", "600"],
+                       io.StringIO(), err) == 2
+    assert err.getvalue() == "error: matrix exceeds the 512 soft size limit\n"
+
+
 def test_parallel_merge_and_cancellation():
     net = WeightedNetwork.from_resistances(2, [(0, 1, 2), (0, 1, 2)])
     assert net.resistance_of_edge(0, 1) == 1
@@ -165,6 +217,8 @@ def test_foster_sum_values():
     assert foster_sum(generate("complete", (4,))) == 3
     assert foster_sum(generate("petersen")) == 9
     assert foster_sum(generate("cycle", (6,))) == 5
+    # Parallel edges count once per copy.
+    assert foster_sum(Graph(3, [(0, 1, 2), (1, 2), (0, 2, 3)])) == 2
 
 
 def test_foster_sum_disconnected():
