@@ -6,12 +6,13 @@ where format is one of ``generator`` (payload ``{"family", "params"}``),
 multigraph text format).  Optional keys: ``expected_regularity`` (checked at
 load time) and ``negative_control`` (the entry is expected to violate the
 equiarboreality hypothesis; the survey reports it as a documented skip, not
-a failure).
+a failure).  The built-in catalog is itself a list of manifest items,
+:func:`default_manifest`, so it passes the same loader and checks as a
+manifest file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,13 +77,6 @@ def entry_from_manifest(item) -> GraphCatalogEntry:
     )
 
 
-def load_manifest(text: str) -> list[GraphCatalogEntry]:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ParameterError("manifest must be a JSON array")
-    return [entry_from_manifest(item) for item in data]
-
-
 _DEFAULT_ENTRIES: list[tuple] = [
     # (name, family, params, expected_regularity, negative_control)
     ("K4", "complete", (4,), 3, False),
@@ -112,20 +106,8 @@ SCHEME_SOURCE_NAMES = (
 )
 
 
-def default_catalog() -> list[GraphCatalogEntry]:
-    entries = []
-    for name, family, params, reg, neg in _DEFAULT_ENTRIES:
-        entries.append(GraphCatalogEntry(
-            name=name,
-            graph=generate(family, params),
-            expected_regularity=reg,
-            provenance="generator",
-            negative_control=neg,
-        ))
-    return entries
-
-
-def default_manifest_json() -> str:
+def default_manifest() -> list[dict]:
+    """The built-in catalog as manifest items."""
     items = []
     for name, family, params, reg, neg in _DEFAULT_ENTRIES:
         item: dict = {
@@ -138,4 +120,9 @@ def default_manifest_json() -> str:
         if neg:
             item["negative_control"] = True
         items.append(item)
-    return json.dumps(items, indent=2) + "\n"
+    return items
+
+
+def default_catalog() -> list[GraphCatalogEntry]:
+    """The built-in catalog, loaded like any manifest."""
+    return [entry_from_manifest(item) for item in default_manifest()]

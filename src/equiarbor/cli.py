@@ -103,13 +103,29 @@ def _cut_to_json(cut: cuts.EdgeCut) -> dict:
 
 def _cmd_cut(args, stdout, stderr) -> int:
     g = _graph_from_args(args)
-    exit_code = 0
-    if args.enumerate or args.classify:
+    listed = args.enumerate or args.classify
+    if listed:
         min_cuts = cuts.minimum_cuts(g, args.enumeration_limit)
-        payload: dict = {"lambda": min_cuts[0].size,
-                         "cuts": [_cut_to_json(c) for c in min_cuts]}
-    else:
-        payload = {"lambda": cuts.edge_connectivity(g)}
+    elif g.vertex_count < 2:
+        cuts.edge_connectivity(g)  # raises its error before the theorem check can
+    exit_code = 0
+    try:
+        report = cuts.verify_degree_connectivity(g, args.enumeration_limit)
+        theorem = {
+            "applicable": True,
+            "k": report.k,
+            "lambdaEqualsDegree": report.lambda_equals_degree,
+            "passed": report.passed,
+            "counterexamples": list(report.counterexamples),
+        }
+        if not report.passed:
+            exit_code = 1
+    except (PreconditionError, ConnectivityError) as exc:
+        theorem = {"applicable": False, "reason": str(exc)}
+    # After the theorem check, lambda reads the max-flows it already ran.
+    payload: dict = {"lambda": min_cuts[0].size if listed else cuts.edge_connectivity(g)}
+    if listed:
+        payload["cuts"] = [_cut_to_json(c) for c in min_cuts]
     if args.classify:
         classifications = []
         for c in min_cuts:
@@ -126,19 +142,7 @@ def _cmd_cut(args, stdout, stderr) -> int:
                                     in sorted(cls.strongly_sxy_free.items())},
             })
         payload["classifications"] = classifications
-    try:
-        report = cuts.verify_degree_connectivity(g, args.enumeration_limit)
-        payload["theorem"] = {
-            "applicable": True,
-            "k": report.k,
-            "lambdaEqualsDegree": report.lambda_equals_degree,
-            "passed": report.passed,
-            "counterexamples": list(report.counterexamples),
-        }
-        if not report.passed:
-            exit_code = 1
-    except (PreconditionError, ConnectivityError) as exc:
-        payload["theorem"] = {"applicable": False, "reason": str(exc)}
+    payload["theorem"] = theorem
     _emit(args, payload, stdout)
     return exit_code
 
@@ -271,13 +275,10 @@ def _cmd_survey(args, stdout, stderr) -> int:
             items = json.load(fh)
         if not isinstance(items, list):
             raise EquiarborError("manifest must be a JSON array")
-        report = survey.survey_manifest(
-            items, deterministic=args.deterministic,
-            enumeration_limit=args.enumeration_limit)
     else:
-        report = survey.survey(catalog.default_catalog(),
-                               deterministic=args.deterministic,
-                               enumeration_limit=args.enumeration_limit)
+        items = catalog.default_manifest()
+    report = survey.survey(items, deterministic=args.deterministic,
+                           enumeration_limit=args.enumeration_limit)
     if args.format == "text":
         for e in report.entries:
             print(f"{e.graph_name}: {e.status} (main={e.main_theorem}, "
@@ -299,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp from reports")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="ignored; surveys run their entries in order")
     parser.add_argument("--enumeration-limit", type=int,
                         default=cuts.DEFAULT_ENUMERATION_LIMIT,
                         help="largest vertex count whose minimum cuts are "

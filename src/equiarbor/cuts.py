@@ -382,8 +382,10 @@ def verify_degree_connectivity(
                     f"non-trivial cut of {cut.size} edges at degree {k}: "
                     f"sides {sorted(cut.side_a)}")
                 continue
+            if k < 4:
+                continue  # no cut-graph prohibition applies below degree 4
             cls = classify_cut(g, cut)
-            if k >= 4 and not cls.k2_component_free:
+            if not cls.k2_component_free:
                 counterexamples.append(
                     f"cut {sorted(cut.side_a)} has a K2 component")
             if k >= 7:

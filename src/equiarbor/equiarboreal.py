@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConnectivityError, ParameterError, VerificationError
+from .exactalg import _check_size
 from .graphs import Graph, memoized
 from .resistance import _edge_numerators, _grounded_adjugate
 
@@ -48,6 +49,7 @@ def check_equiarboreal(g: Graph) -> EquiarborealVerdict:
     """
     if g.edge_count == 0:
         raise ParameterError("graph has no edges")
+    _check_size(g.vertex_count - 1)  # before the adjacency is built
     if not g.is_connected():
         raise ConnectivityError("equiarboreality is defined for connected graphs")
     items = g.edge_items()

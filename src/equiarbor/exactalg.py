@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionError, SingularSystemError, VerificationError
 
@@ -29,6 +29,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 #: Soft size limit for dense matrices; beyond desk scale is a non-goal.
 SIZE_LIMIT = 512
+
+
+def _check_size(size: int) -> None:
+    """Refuse a matrix dimension above :data:`SIZE_LIMIT`."""
+    if size > SIZE_LIMIT:
+        raise DimensionError(f"matrix exceeds the {SIZE_LIMIT} soft size limit")
 
 
 def format_rational(value: Rational) -> str:
@@ -66,8 +72,7 @@ class RationalMatrix:
             raise DimensionError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if self.rows > SIZE_LIMIT or self.cols > SIZE_LIMIT:
-            raise DimensionError(f"matrix exceeds the {SIZE_LIMIT} soft size limit")
+        _check_size(max(self.rows, self.cols))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational | int]]) -> "RationalMatrix":
@@ -225,10 +230,3 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     det, det_inv = integer_solve(rows, "inverse")
     return RationalMatrix(n, n, tuple(Fraction(v, det) for row in det_inv for v in row))
 
-
-def rationals(values: Iterable[Rational | int | str]) -> tuple[Rational, ...]:
-    """Coerce a mixed iterable to exact rationals (strings via the parser)."""
-    out: list[Rational] = []
-    for v in values:
-        out.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
-    return tuple(out)

@@ -173,7 +173,8 @@ class Graph:
         return self._n == other._n and self._edges == other._edges
 
     def __hash__(self) -> int:
-        return hash((self._n, frozenset(self._edges.items())))
+        # Cheap and consistent with __eq__, which decides equality.
+        return hash((self._n, self._degrees))
 
     def __repr__(self) -> str:
         return f"Graph({self._n}, {self.edge_items()})"

@@ -31,7 +31,6 @@ from typing import Iterable, Mapping, Sequence
 from . import exactalg
 from .errors import (
     ConnectivityError,
-    DimensionError,
     InfiniteResistanceError,
     ParameterError,
     SingularNetworkError,
@@ -217,8 +216,7 @@ def _reduced_laplacian(items: Sequence[tuple[Pair, Rational | int]],
     over ``exactalg.SIZE_LIMIT`` is refused before anything is built."""
     idx = [x for x in vertices if x != grounded]
     size = len(idx)
-    if size > exactalg.SIZE_LIMIT:
-        raise DimensionError(f"matrix exceeds the {exactalg.SIZE_LIMIT} soft size limit")
+    exactalg._check_size(size)
     pos = {x: i for i, x in enumerate(idx)}
     scales = [1] * size
     for (a, b), c in items:

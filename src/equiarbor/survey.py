@@ -1,13 +1,16 @@
 """The batch survey: run the full verification suite over a catalog.
 
-Each entry gets the equiarboreality check, the degree-connectivity verdict
-when its hypotheses hold, the distance-partition scheme check with the
+:func:`survey` is the one entry point.  It takes manifest items (see
+``catalog``), from a manifest file or the built-in
+``catalog.default_manifest()``, and loads each with the same checks.  Each
+entry gets the equiarboreality check, the degree-connectivity verdict when
+its hypotheses hold, the distance-partition scheme check with the
 colour-class theorems when a scheme exists, and the perfect-matching
 corollary on even orders.  Entries run one at a time in manifest order, and
-a failing entry does not stop the others.  Each entry runs in its own fact
-scope, so its equiarboreal verdict, lambda and minimum cuts are computed
-once, and the distance-1 colour class of a distance-regular graph, which
-equals the graph, reuses them.
+an unreadable or failing entry does not stop the others.  Each entry runs
+in its own fact scope, so its equiarboreal verdict, lambda and minimum cuts
+are computed once, and the distance-1 colour class of a distance-regular
+graph, which equals the graph, reuses them.
 
 Entry status: "failed" if any applicable check produced a counterexample,
 "skipped" if the degree-connectivity hypotheses did not apply (negative
@@ -200,8 +203,14 @@ def _survey_entry(entry: GraphCatalogEntry,
                        "; ".join(notes), status)
 
 
-def _safe_survey_entry(entry: GraphCatalogEntry,
-                       enumeration_limit: int) -> SurveyEntry:
+def _survey_item(item, enumeration_limit: int) -> SurveyEntry:
+    try:
+        entry = entry_from_manifest(item)
+    except EquiarborError as exc:
+        name = item.get("name") if isinstance(item, dict) else None
+        return SurveyEntry(name if isinstance(name, str) else "<unnamed>",
+                           None, None, None, None, "skipped", "skipped",
+                           f"unreadable entry: {exc}", "failed")
     try:
         with fact_scope():
             return _survey_entry(entry, enumeration_limit)
@@ -213,34 +222,12 @@ def _safe_survey_entry(entry: GraphCatalogEntry,
                        "skipped", "skipped", note, "failed")
 
 
-def _timestamp(deterministic: bool) -> Optional[str]:
-    return None if deterministic else time.strftime("%Y-%m-%dT%H:%M:%S")
-
-
-def survey(catalog: Sequence[GraphCatalogEntry],
+def survey(items: Sequence[dict],
            deterministic: bool = True,
            enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> SurveyReport:
-    """Run every verification over the catalog, one entry at a time in
-    catalog order."""
-    entries = tuple(_safe_survey_entry(e, enumeration_limit) for e in catalog)
-    return SurveyReport(entries, _timestamp(deterministic))
-
-
-def survey_manifest(items: Sequence[dict],
-                    deterministic: bool = True,
-                    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
-                    ) -> SurveyReport:
-    """Like :func:`survey`, but loads entries itself: an unreadable entry is
-    recorded as failed with a note and the run continues."""
-    entries = []
-    for item in items:
-        try:
-            entry = entry_from_manifest(item)
-        except EquiarborError as exc:
-            name = item.get("name") if isinstance(item, dict) else None
-            entries.append(SurveyEntry(name if isinstance(name, str) else "<unnamed>",
-                                       None, None, None, None, "skipped", "skipped",
-                                       f"unreadable entry: {exc}", "failed"))
-        else:
-            entries.append(_safe_survey_entry(entry, enumeration_limit))
-    return SurveyReport(tuple(entries), _timestamp(deterministic))
+    """Load and verify the manifest items one at a time, in order.  An
+    unreadable item or a failing entry is recorded as failed with a note,
+    and the run continues."""
+    entries = tuple(_survey_item(item, enumeration_limit) for item in items)
+    timestamp = None if deterministic else time.strftime("%Y-%m-%dT%H:%M:%S")
+    return SurveyReport(entries, timestamp)

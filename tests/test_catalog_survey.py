@@ -12,14 +12,19 @@ from equiarbor import survey as survey_module
 from equiarbor.catalog import (
     GraphCatalogEntry,
     default_catalog,
-    default_manifest_json,
+    default_manifest,
     entry_from_manifest,
-    load_manifest,
 )
 from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
 from equiarbor.resistance import _reduced_laplacian
 from equiarbor.survey import survey
+
+
+def generated(name, family, *params, **extra):
+    """A manifest item for a generator family member."""
+    return {"name": name, "format": "generator",
+            "payload": {"family": family, "params": list(params)}, **extra}
 
 
 def test_default_catalog_contents():
@@ -34,7 +39,9 @@ def test_default_catalog_contents():
 
 
 def test_default_manifest_roundtrip():
-    loaded = load_manifest(default_manifest_json())
+    loaded = [entry_from_manifest(item)
+              for item in json.loads(json.dumps(default_manifest()))]
+    assert loaded == default_catalog()
     assert [e.name for e in loaded] == [e.name for e in default_catalog()]
     assert all(a.graph == b.graph
                for a, b in zip(loaded, default_catalog()))
@@ -46,7 +53,7 @@ def test_manifest_alternate_formats():
          "expected_regularity": 3},
         {"name": "path", "format": "edge-list", "payload": "3 2\n0 1\n1 2\n"},
     ])
-    entries = load_manifest(manifest)
+    entries = [entry_from_manifest(item) for item in json.loads(manifest)]
     assert entries[0].graph == generate("complete", (4,))
     assert entries[0].provenance == "graph6"
     assert entries[1].graph.edge_count == 2
@@ -58,7 +65,7 @@ def test_manifest_regularity_mismatch():
          "expected_regularity": 4},
     ])
     with pytest.raises(ParameterError):
-        load_manifest(manifest)
+        entry_from_manifest(json.loads(manifest)[0])
 
 
 def test_entry_provenance_validation():
@@ -67,7 +74,7 @@ def test_entry_provenance_validation():
 
 
 def test_survey_default_catalog_passes():
-    report = survey(default_catalog())
+    report = survey(default_manifest())
     assert report.failed == 0
     summary = report.summary
     assert summary["total"] == len(default_catalog())
@@ -99,7 +106,7 @@ def test_survey_empty_catalog():
 
 
 def test_survey_deterministic_flag_controls_timestamp():
-    catalog = default_catalog()[:2]
+    catalog = default_manifest()[:2]
     with_stamp = survey(catalog, deterministic=False)
     without = survey(catalog, deterministic=True)
     assert with_stamp.timestamp is not None
@@ -109,15 +116,13 @@ def test_survey_deterministic_flag_controls_timestamp():
 
 def test_survey_handles_unexpectedly_passing_negative_control():
     # A negative control that is actually equiarboreal must fail the run.
-    entry = GraphCatalogEntry("fake-control", generate("cycle", (5,)),
-                              negative_control=True)
-    report = survey([entry])
+    report = survey([generated("fake-control", "cycle", 5, negative_control=True)])
     assert report.failed == 1
     assert report.entries[0].status == "failed"
 
 
 def test_survey_rational_serialization():
-    report = survey([GraphCatalogEntry("Petersen", generate("petersen"))])
+    report = survey([generated("Petersen", "petersen")])
     data = report.to_json_dict()
     assert data["entries"][0]["omega"] == "3/5"
     assert data["entries"][0]["lambda"] == 3
@@ -128,9 +133,9 @@ def test_survey_report_validates_against_published_schema():
 
     from equiarbor.survey import SURVEY_REPORT_SCHEMA
 
-    report = survey(default_catalog())
+    report = survey(default_manifest())
     jsonschema.validate(report.to_json_dict(), SURVEY_REPORT_SCHEMA)
-    stamped = survey(default_catalog()[:1], deterministic=False)
+    stamped = survey(default_manifest()[:1], deterministic=False)
     jsonschema.validate(stamped.to_json_dict(), SURVEY_REPORT_SCHEMA)
 
 
@@ -193,9 +198,8 @@ def test_survey_records_an_internal_error_and_continues(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(survey_module, "check_equiarboreal", check)
-    report = survey([GraphCatalogEntry("C5", generate("cycle", (5,))),
-                     GraphCatalogEntry("C6", broken),
-                     GraphCatalogEntry("C7", generate("cycle", (7,)))])
+    report = survey([generated("C5", "cycle", 5), generated("C6", "cycle", 6),
+                     generated("C7", "cycle", 7)])
     assert [e.status for e in report.entries] == ["passed", "failed", "passed"]
     assert report.entries[1].notes == "internal error: RuntimeError: injected"
 
@@ -211,7 +215,7 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
     monkeypatch.setattr(exactalg_module, "integer_solve", counting)
     host = generate("petersen")
     host_laplacian, _, _ = _reduced_laplacian(host.edge_items(), range(10), 9)
-    entry = GraphCatalogEntry("Petersen", host)
+    entry = generated("Petersen", "petersen")
     report = survey([entry])
     assert report.entries[0].status == "passed"
     # The host (entry verdict, degree-connectivity hypothesis, colour class
@@ -233,7 +237,7 @@ def test_survey_entry_runs_each_max_flow_once(monkeypatch):
 
     monkeypatch.setattr(cuts_module, "_max_flow", counting)
     host = generate("petersen")
-    report = survey([GraphCatalogEntry("Petersen", host)])
+    report = survey([generated("Petersen", "petersen")])
     assert report.entries[0].lambda_value == 3
     # The minimum-cut enumeration runs one flow from vertex 0 to each other
     # vertex; the entry's lambda and colour class 1, the host, reuse it.

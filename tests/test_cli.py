@@ -7,6 +7,8 @@ import pytest
 
 from equiarbor import cuts as cuts_module
 from equiarbor import schemes as schemes_module
+from equiarbor import survey as survey_module
+from equiarbor.catalog import default_manifest
 from equiarbor.cli import run_command
 from equiarbor.graphs import generate
 from equiarbor.resistance import WeightedNetwork, dump_network
@@ -100,6 +102,59 @@ def test_cut_enumerate_error_exits(tmp_path, monkeypatch, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_plain_cut_runs_its_max_flows_once(monkeypatch):
+    flows = []
+    real = cuts_module._max_flow
+
+    def counting(g, s, t):
+        flows.append((s, t))
+        return real(g, s, t)
+
+    monkeypatch.setattr(cuts_module, "_max_flow", counting)
+    code, out, _ = run(["cut", "--family", "petersen"])
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["lambda", "theorem"]
+    assert data["lambda"] == 3
+    assert data["theorem"]["passed"] is True
+    # The theorem check's minimum-cut enumeration; lambda reuses its flows.
+    assert flows == [(0, t) for t in range(1, 10)]
+
+
+def test_plain_cut_below_two_vertices_and_disconnected(tmp_path):
+    code, out, err = run(["cut", "--family", "complete", "--params", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: edge connectivity needs at least 2 vertices\n"
+    path = tmp_path / "disconnected.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+    code, out, _ = run(["cut", str(path)])
+    assert code == 0
+    assert json.loads(out) == {
+        "lambda": 0,
+        "theorem": {"applicable": False,
+                    "reason": "degree-connectivity check needs a connected graph"}}
+
+
+def test_cut_classifies_each_cut_once_below_degree_four(monkeypatch):
+    calls = []
+    real = cuts_module.classify_cut
+
+    def counting(g, cut):
+        calls.append(cut)
+        return real(g, cut)
+
+    monkeypatch.setattr(cuts_module, "classify_cut", counting)
+    code, out, _ = run(["cut", "--family", "cycle", "--params", "12",
+                        "--enumerate", "--classify"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["classifications"]) == 66
+    assert data["theorem"]["passed"] is True
+    # No cut-graph prohibition applies at degree 2, so the theorem check
+    # classifies none of the 54 non-trivial cuts.
+    assert len(calls) == 66
 
 
 def test_scheme_verifies_the_table_once(monkeypatch):
@@ -267,6 +322,29 @@ def test_survey_records_malformed_entries_and_completes(tmp_path):
     assert (data["summary"]["failed"], data["summary"]["passed"]) == (4, 1)
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+def test_survey_makes_one_survey_call(tmp_path, monkeypatch, from_file):
+    monkeypatch.delenv("EQUIARBOR_CATALOG", raising=False)
+    calls = []
+    real = survey_module.survey
+
+    def counting(items, *args, **kwargs):
+        calls.append(items)
+        return real(items, *args, **kwargs)
+
+    monkeypatch.setattr(survey_module, "survey", counting)
+    argv = ["--deterministic", "survey"]
+    want = default_manifest()
+    if from_file:
+        want = want[:2]
+        (tmp_path / "cat.json").write_text(json.dumps(want))
+        argv.append(str(tmp_path / "cat.json"))
+    code, out, _ = run(argv)
+    assert code == 0
+    assert calls == [want]
+    assert json.loads(out)["summary"]["total"] == len(want)
+
+
 def test_survey_reruns_are_byte_identical():
     _, first, _ = run(["--deterministic", "survey"])
     _, second, _ = run(["--deterministic", "survey"])
@@ -312,6 +390,8 @@ def test_usage_errors_exit_two():
     code, _, _ = run(["fxy", "5", "1"])
     assert code == 2
     code, _, _ = run([])
+    assert code == 2
+    code, _, _ = run(["--jobs", "2", "survey"])  # removed; surveys run in order
     assert code == 2
 
 

@@ -1,5 +1,6 @@
 """Equiarboreality verdicts and the spanning-tree connectivity bound."""
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 
 from equiarbor import equiarboreal as equiarboreal_module
 from equiarbor import exactalg
+from equiarbor import graphs as graphs_module
+from equiarbor.cli import run_command
 from equiarbor.cuts import godsil_bound_check
 from equiarbor.equiarboreal import check_equiarboreal
 from equiarbor.errors import (
     ConnectivityError,
+    DimensionError,
     ParameterError,
     PreconditionError,
     VerificationError,
@@ -147,3 +151,18 @@ def test_godsil_bound_values():
 def test_godsil_bound_requires_equiarboreal():
     with pytest.raises(PreconditionError):
         godsil_bound_check(generate("triangular_prism"))
+
+
+def test_over_limit_graph_is_refused_before_its_adjacency_is_built(monkeypatch):
+    def refuse(n, pairs):
+        pytest.fail("the adjacency of an over-limit graph was built")
+
+    monkeypatch.setattr(graphs_module, "_adjacency", refuse)
+    err = io.StringIO()
+    assert run_command(["analyze", "--family", "complete", "--params", "600"],
+                       io.StringIO(), err) == 2
+    assert err.getvalue() == "error: matrix exceeds the 512 soft size limit\n"
+    # A disconnected graph above the limit reports the limit, not its
+    # connectivity.
+    with pytest.raises(DimensionError, match="matrix exceeds the 512 soft size limit"):
+        check_equiarboreal(Graph(600, [(0, 1)]))
