@@ -21,7 +21,7 @@ from typing import Sequence, TextIO
 
 from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal
-from .errors import ConnectivityError, EquiarborError, PreconditionError
+from .errors import ConnectivityError, DimensionError, EquiarborError, PreconditionError
 from .exactalg import format_rational
 from .graphs import Graph, fact_scope, generate, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
@@ -110,7 +110,7 @@ def _cmd_cut(args, stdout, stderr) -> int:
         cuts.edge_connectivity(g)  # raises its error before the theorem check can
     exit_code = 0
     try:
-        report = cuts.verify_degree_connectivity(g, args.enumeration_limit)
+        report = cuts.verify_degree_connectivity(g)
         theorem = {
             "applicable": True,
             "k": report.k,
@@ -120,7 +120,7 @@ def _cmd_cut(args, stdout, stderr) -> int:
         }
         if not report.passed:
             exit_code = 1
-    except (PreconditionError, ConnectivityError) as exc:
+    except (PreconditionError, ConnectivityError, DimensionError) as exc:
         theorem = {"applicable": False, "reason": str(exc)}
     # After the theorem check, lambda reads the max-flows it already ran.
     payload: dict = {"lambda": min_cuts[0].size if listed else cuts.edge_connectivity(g)}
@@ -244,6 +244,8 @@ def _cmd_verify(args, stdout, stderr) -> int:
     if args.what != "claims":
         raise EquiarborError(f"unknown verify target {args.what!r}")
     lo, hi = _parse_k_range(args.k_range)
+    if max(lo, 3) > hi:
+        raise EquiarborError(f"--k-range {lo}..{hi} checks no degree k >= 3")
     per_k = []
     all_ok = True
     for k in range(max(lo, 3), hi + 1):
@@ -277,8 +279,7 @@ def _cmd_survey(args, stdout, stderr) -> int:
             raise EquiarborError("manifest must be a JSON array")
     else:
         items = catalog.default_manifest()
-    report = survey.survey(items, deterministic=args.deterministic,
-                           enumeration_limit=args.enumeration_limit)
+    report = survey.survey(items, deterministic=args.deterministic)
     if args.format == "text":
         for e in report.entries:
             print(f"{e.graph_name}: {e.status} (main={e.main_theorem}, "
@@ -302,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the timestamp from reports")
     parser.add_argument("--enumeration-limit", type=int,
                         default=cuts.DEFAULT_ENUMERATION_LIMIT,
-                        help="largest vertex count whose minimum cuts are "
-                             "enumerated; larger graphs get lambda by "
-                             "max-flow only")
+                        help="largest vertex count whose minimum cuts "
+                             "cut --enumerate/--classify lists")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="equiarboreality analysis")

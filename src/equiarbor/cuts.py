@@ -3,9 +3,10 @@ classification of the bipartite graph spanned by a cut's crossing edges.
 
 Edge connectivity runs n-1 max-flow computations from a fixed source.  The
 minimum cuts are read off the same flows' residual graphs (Picard &
-Queyranne 1980), behind a size limit: the work grows with the number of
-minimum cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every
-enumerated cut is recounted from the graph and checked against lambda.
+Queyranne 1980), each once: the work grows with the number of minimum
+cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every side is
+recounted from the graph and checked against lambda.  The enumeration limit
+caps only the cut list of ``minimum_cuts``.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -25,7 +26,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .equiarboreal import check_equiarboreal
 from .errors import (
@@ -132,11 +133,13 @@ def edge_connectivity(g: Graph) -> int:
     return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
 
 
-def _reach(residual: list[dict[int, int]], start: int, forward: bool) -> int:
-    """Bitmask of the vertices that ``start`` reaches along residual arcs,
-    or, with ``forward`` false, of the vertices that reach ``start``."""
-    seen = 1 << start
-    stack = [start]
+def _reach(residual: list[dict[int, int]], starts: Iterable[int],
+           forward: bool) -> int:
+    """Bitmask of the vertices that some vertex of ``starts`` reaches along
+    residual arcs, or, with ``forward`` false, of the vertices that reach
+    one of ``starts``."""
+    stack = list(starts)
+    seen = sum(1 << v for v in stack)
     while stack:
         y = stack.pop()
         for z, c in residual[y].items():
@@ -147,16 +150,20 @@ def _reach(residual: list[dict[int, int]], start: int, forward: bool) -> int:
 
 
 def _closed_sides(residual: list[dict[int, int]], t: int) -> Iterator[int]:
-    """Bitmasks of the vertex sets that contain 0, omit t and are closed
-    under residual arcs: the source sides of every minimum 0-t cut
-    (Picard & Queyranne 1980).
+    """Bitmasks of the vertex sets that contain 0..t-1, omit t and are
+    closed under residual arcs: the source sides of the minimum 0-t cuts
+    (Picard & Queyranne 1980) whose least far-side vertex is t.  Over all
+    t with a minimum flow, each minimum cut is found exactly once.
 
     Each branch either adds a free vertex with everything it reaches or
     drops it with everything that reaches it, so every leaf is a distinct
     closed set and the work is proportional to the output."""
-    reach = functools.cache(functools.partial(_reach, residual))
+    side = _reach(residual, range(t), True)
+    if side >> t & 1:
+        return  # 0..t-1 reach t: no minimum cut has t as least far vertex
+    reach = functools.cache(lambda v, forward: _reach(residual, (v,), forward))
     everything = (1 << len(residual)) - 1
-    stack = [(reach(0, True), everything & ~(reach(0, True) | reach(t, False)))]
+    stack = [(side, everything & ~(side | reach(t, False)))]
     while stack:
         side, free = stack.pop()
         if not free:
@@ -168,33 +175,48 @@ def _closed_sides(residual: list[dict[int, int]], t: int) -> Iterator[int]:
         stack.append((grown, free & ~grown))
 
 
-@memoized
-def _minimum_cut_sides(g: Graph) -> tuple[int, frozenset[int]]:
-    """lambda(G) and the bitmask of side A, the side holding vertex 0, of
-    every minimum cut of a connected graph.
+def _vertices(side: int) -> list[int]:
+    return [v for v in range(side.bit_length()) if side >> v & 1]
 
-    A minimum cut separates 0 from every vertex t on its far side, so it is
-    a minimum 0-t cut for each t whose max flow is lambda.  Only the current
-    residual is kept; sides gathered for a flow value above lambda are
-    dropped once a smaller flow shows up."""
+
+@memoized
+def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """lambda(G) and the bitmask of side A, the side holding vertex 0, of
+    every minimum cut of a connected graph, sorted by (|A|, lexicographic A).
+
+    A minimum cut is found at the flow to the least vertex on its far side.
+    Only the current residual is kept; sides gathered for a flow value above
+    lambda are dropped once a smaller flow shows up.  A side that does not
+    cross lambda edges means the residual closure went wrong."""
     n = g.vertex_count
     most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
     lam: int | None = None
-    sides: set[int] = set()
+    sides: list[int] = []
     for t in range(1, n):
         flow, residual = _max_flow(g, 0, t)
         if lam is None or flow < lam:
-            lam, sides = flow, set()
+            lam, sides = flow, []
         elif flow > lam:
             continue
         for side in _closed_sides(residual, t):
             if len(sides) > most:
                 break
-            sides.add(side)
+            sides.append(side)
     if len(sides) > most:
         raise VerificationError(
             f"more than n(n-1)/2 = {most} minimum cuts enumerated")
-    return lam, frozenset(sides)
+    items = g.edge_items()
+    for side in sides:
+        lone = 1 if side == 1 else ((1 << n) - 1) ^ side
+        if lone & (lone - 1) == 0:  # a vertex star crosses its vertex's degree
+            size = g.degree(lone.bit_length() - 1)
+        else:
+            size = sum(m for (u, v), m in items if (side >> u ^ side >> v) & 1)
+        if size != lam:
+            raise VerificationError(
+                f"enumerated cut of size {size} disagrees with max-flow lambda {lam}")
+    sides.sort(key=lambda side: (side.bit_count(), _vertices(side)))
+    return lam, tuple(sides)
 
 
 def cuts_up_to(g: Graph, max_size: int,
@@ -225,17 +247,7 @@ def minimum_cuts(g: Graph,
         raise ScaleError(
             f"{g.vertex_count} vertices exceed the enumeration limit {limit}; "
             "use edge_connectivity instead")
-    lam, sides = _minimum_cut_sides(g)
-    cuts = [cut_from_side(g, (v for v in range(g.vertex_count) if side >> v & 1))
-            for side in sides]
-    cuts.sort(key=lambda c: (len(c.side_a), sorted(c.side_a)))
-    # Recount every crossing set from the graph itself: a side that is not
-    # a minimum cut means the residual closure went wrong.
-    off = next((c for c in cuts if c.size != lam), None)
-    if off is not None:
-        raise VerificationError(
-            f"enumerated cut of size {off.size} disagrees with max-flow lambda {lam}")
-    return cuts
+    return [cut_from_side(g, _vertices(side)) for side in _minimum_cut_sides(g)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +318,6 @@ class DegreeConnectivityReport:
     lam: int
     lambda_equals_degree: bool
     parity_ok: bool | None  # None when k is odd
-    enumerated: bool
-    nontrivial_min_cut_count: int | None
     counterexamples: tuple[str, ...]
 
     @property
@@ -328,21 +338,19 @@ def _small_degree_sum_rows(k: int) -> list[tuple[int, range]]:
     return [(x, range(1, top - x + 1)) for x in range(1, top)]
 
 
-def verify_degree_connectivity(
-        g: Graph,
-        enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> DegreeConnectivityReport:
+def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
     """Verify that a connected regular equiarboreal graph has edge
     connectivity equal to its degree, plus every structural cut property
     that applies at its degree.
 
-    Up to ``enumeration_limit`` vertices every minimum cut is enumerated
-    and checked: a minimum cut below k, any non-trivial cut of k edges at
-    k >= 11, and any non-trivial minimum cut violating the applicable
-    cut-graph prohibitions is flagged as a counterexample.  When lambda = k
-    the minimum cuts are all the cuts of at most k edges; when lambda < k
-    (impossible under the preconditions, by the main theorem) only the
-    minimum cuts are listed.
+    Every minimum cut is checked, within the matrix limit of the
+    equiarboreal precondition: a minimum cut below k, any non-trivial cut
+    of k edges at k >= 11, and any non-trivial minimum cut violating the
+    prohibitions that apply at 4 <= k <= 10 is flagged as a counterexample.
+    When lambda = k the minimum cuts are all the cuts of at most k edges;
+    when lambda < k (impossible under the preconditions, by the main
+    theorem) only the minimum cuts are listed.  Below degree 4 with
+    lambda = k no cut property applies, so only lambda is computed.
     """
     if not g.is_connected():
         raise ConnectivityError("degree-connectivity check needs a connected graph")
@@ -354,9 +362,11 @@ def verify_degree_connectivity(
         raise PreconditionError(
             f"graph is not equiarboreal; witness {verdict.witness}")
 
-    enumerated = g.vertex_count <= enumeration_limit
-    cuts = minimum_cuts(g, enumeration_limit) if enumerated else []
-    lam = cuts[0].size if enumerated else edge_connectivity(g)
+    if k >= 4:
+        lam, sides = _minimum_cut_sides(g)
+    else:
+        lam = edge_connectivity(g)
+        sides = _minimum_cut_sides(g)[1] if lam < k else ()
     counterexamples: list[str] = []
     if lam != k:
         counterexamples.append(f"lambda = {lam} != degree {k}")
@@ -366,54 +376,43 @@ def verify_degree_connectivity(
         if not parity_ok:
             counterexamples.append(f"even degree {k} but odd lambda {lam}")
 
-    nontrivial_count: int | None = None
-    if enumerated:
-        nontrivial = [c for c in cuts if not c.is_trivial]
-        nontrivial_count = len(nontrivial)
-        for cut in cuts:
-            if cut.size < k:
-                counterexamples.append(
-                    f"cut of size {cut.size} < {k}: sides {sorted(cut.side_a)}")
-        for cut in nontrivial:
-            if cut.size < k:
-                continue  # already flagged above
+    if lam < k:
+        counterexamples.extend(
+            f"cut of size {lam} < {k}: sides {_vertices(side)}" for side in sides)
+    elif k >= 4:
+        for side in sides:
+            if side.bit_count() in (1, g.vertex_count - 1):
+                continue  # trivial cuts are allowed
+            a = _vertices(side)
             if k >= 11:
                 counterexamples.append(
-                    f"non-trivial cut of {cut.size} edges at degree {k}: "
-                    f"sides {sorted(cut.side_a)}")
+                    f"non-trivial cut of {lam} edges at degree {k}: sides {a}")
                 continue
-            if k < 4:
-                continue  # no cut-graph prohibition applies below degree 4
-            cls = classify_cut(g, cut)
+            cls = classify_cut(g, cut_from_side(g, a))
             if not cls.k2_component_free:
-                counterexamples.append(
-                    f"cut {sorted(cut.side_a)} has a K2 component")
+                counterexamples.append(f"cut {a} has a K2 component")
             if k >= 7:
                 for x, ys in _small_degree_sum_rows(k):
                     counterexamples.extend(
-                        f"cut {sorted(cut.side_a)} contains the forbidden "
+                        f"cut {a} contains the forbidden "
                         f"double star for degrees ({x + 1}, {y + 1})"
                         for y in ys if not cls.strongly_sxy_free.get((x, y), True))
             if k >= 8:
                 if cls.min_degree_in_cut_graph < 2:
-                    counterexamples.append(
-                        f"cut {sorted(cut.side_a)} has a degree-1 vertex")
+                    counterexamples.append(f"cut {a} has a degree-1 vertex")
                 least = 2 * _floor_k_minus_sqrt_k(k) - 2
-                if cut.size < least:
+                if lam < least:
                     counterexamples.append(
-                        f"non-trivial cut of {cut.size} < {least} edges")
+                        f"non-trivial cut of {lam} < {least} edges")
                 if not all(cls.strongly_sx_free.values()):
                     counterexamples.append(
-                        f"cut {sorted(cut.side_a)} contains a forbidden "
-                        "pendant star")
+                        f"cut {a} contains a forbidden pendant star")
 
     return DegreeConnectivityReport(
         k=k,
         lam=lam,
         lambda_equals_degree=lam == k,
         parity_ok=parity_ok,
-        enumerated=enumerated,
-        nontrivial_min_cut_count=nontrivial_count,
         counterexamples=tuple(counterexamples),
     )
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .catalog import GraphCatalogEntry, entry_from_manifest
-from .cuts import DEFAULT_ENUMERATION_LIMIT, edge_connectivity, verify_degree_connectivity
+from .cuts import edge_connectivity, verify_degree_connectivity
 from .equiarboreal import check_equiarboreal
 from .errors import EquiarborError
 from .exactalg import format_rational
@@ -136,8 +136,7 @@ class SurveyReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _survey_entry(entry: GraphCatalogEntry,
-                  enumeration_limit: int) -> SurveyEntry:
+def _survey_entry(entry: GraphCatalogEntry) -> SurveyEntry:
     g = entry.graph
     notes: list[str] = []
     if entry.negative_control:
@@ -163,7 +162,7 @@ def _survey_entry(entry: GraphCatalogEntry,
 
     main = "skipped"
     if regularity is not None and verdict.is_equiarboreal:
-        report = verify_degree_connectivity(g, enumeration_limit)
+        report = verify_degree_connectivity(g)
         lam = report.lam
         main = "pass" if report.passed else "fail"
         if not report.passed:
@@ -203,7 +202,7 @@ def _survey_entry(entry: GraphCatalogEntry,
                        "; ".join(notes), status)
 
 
-def _survey_item(item, enumeration_limit: int) -> SurveyEntry:
+def _survey_item(item) -> SurveyEntry:
     try:
         entry = entry_from_manifest(item)
     except EquiarborError as exc:
@@ -213,7 +212,7 @@ def _survey_item(item, enumeration_limit: int) -> SurveyEntry:
                            f"unreadable entry: {exc}", "failed")
     try:
         with fact_scope():
-            return _survey_entry(entry, enumeration_limit)
+            return _survey_entry(entry)
     except EquiarborError as exc:
         note = f"error: {exc}"
     except Exception as exc:  # a defect must not abort the other entries
@@ -222,12 +221,10 @@ def _survey_item(item, enumeration_limit: int) -> SurveyEntry:
                        "skipped", "skipped", note, "failed")
 
 
-def survey(items: Sequence[dict],
-           deterministic: bool = True,
-           enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> SurveyReport:
+def survey(items: Sequence[dict], deterministic: bool = True) -> SurveyReport:
     """Load and verify the manifest items one at a time, in order.  An
     unreadable item or a failing entry is recorded as failed with a note,
     and the run continues."""
-    entries = tuple(_survey_item(item, enumeration_limit) for item in items)
+    entries = tuple(_survey_item(item) for item in items)
     timestamp = None if deterministic else time.strftime("%Y-%m-%dT%H:%M:%S")
     return SurveyReport(entries, timestamp)

@@ -137,6 +137,20 @@ def test_plain_cut_below_two_vertices_and_disconnected(tmp_path):
                     "reason": "degree-connectivity check needs a connected graph"}}
 
 
+def test_cut_above_the_matrix_limit_keeps_lambda():
+    # lambda needs only max-flows; the theorem's equiarboreal precondition
+    # needs a matrix above the limit, so the theorem is not applicable.
+    code, out, err = run(["cut", "--family", "cycle", "--params", "514"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "lambda": 2,
+        "theorem": {"applicable": False,
+                    "reason": "matrix exceeds the 512 soft size limit"}}
+    code, out, err = run(["analyze", "--family", "cycle", "--params", "514"])
+    assert (code, out) == (2, "")
+    assert err == "error: matrix exceeds the 512 soft size limit\n"
+
+
 def test_cut_classifies_each_cut_once_below_degree_four(monkeypatch):
     calls = []
     real = cuts_module.classify_cut
@@ -251,6 +265,23 @@ def test_verify_claims_small_range():
     assert [e["k"] for e in data["perK"]] == [7, 8, 9]
     assert all(e["doubleStarThreshold"] and e["denominatorPositivity"]
                and e["reducedNetworkGrid"] for e in data["perK"])
+
+
+@pytest.mark.parametrize("k_range, ks", [("7..7", [7]), ("3..6", [3, 4, 5, 6])])
+def test_verify_claims_short_ranges(k_range, ks):
+    code, out, err = run(["verify", "claims", "--k-range", k_range])
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert [e["k"] for e in data["perK"]] == ks
+    assert err == f"verify claims {k_range}: PASS\n"
+
+
+@pytest.mark.parametrize("k_range", ["40..7", "1..2"])
+def test_verify_claims_empty_range_exits_two(k_range):
+    code, out, err = run(["verify", "claims", "--k-range", k_range])
+    assert (code, out) == (2, "")
+    assert err == f"error: --k-range {k_range} checks no degree k >= 3\n"
 
 
 def test_survey_default_exit_zero(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from equiarbor.errors import (
     ScaleError,
     VerificationError,
 )
-from equiarbor.graphs import Graph, generate
+from equiarbor.graphs import Graph, fact_scope, generate, known_fact
 
 import oracles
 
@@ -151,6 +151,37 @@ def test_minimum_cuts_doubled_petersen():
     cuts = minimum_cuts(doubled)
     assert len(cuts) == 10 and all(c.size == 6 for c in cuts)
     assert {c.side_a for c in cuts} == set(oracles.brute_force_min_cut_sides(doubled))
+
+
+def _closed_side_count(g: Graph) -> int:
+    """How many sides the closure walk yields over the minimum flows."""
+    flows = [cuts_module._max_flow(g, 0, t) for t in range(1, g.vertex_count)]
+    lam = min(flow for flow, _ in flows)
+    return sum(len(list(cuts_module._closed_sides(residual, t)))
+               for t, (flow, residual) in enumerate(flows, 1) if flow == lam)
+
+
+@pytest.mark.parametrize("family,params,count", [
+    ("cycle", (4,), 6),
+    ("cycle", (6,), 15),
+    ("cycle", (30,), 435),
+    ("petersen", (), 10),
+    ("johnson", (6, 3), 20),
+])
+def test_each_minimum_cut_is_found_once(family, params, count):
+    g = generate(family, params)
+    assert _closed_side_count(g) == count
+    assert len(cuts_module._minimum_cut_sides(g)[1]) == count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2 ** 32))
+def test_each_minimum_cut_is_found_once_on_random_multigraphs(n, seed):
+    rng = random.Random(seed)
+    simple = oracles.random_connected_graph(rng, n)
+    g = Graph(n, [(u, v, rng.choice((1, 1, 1, 2, 3)))
+                  for (u, v), _ in simple.edge_items()])
+    assert _closed_side_count(g) == len(oracles.brute_force_min_cut_sides(g))
 
 
 @pytest.mark.parametrize("family,params,message", [
@@ -358,13 +389,6 @@ def test_degree_connectivity_catalog(family, params, k):
         assert report.parity_ok is True
     else:
         assert report.parity_ok is None
-    assert report.enumerated
-
-
-def test_degree_connectivity_counts_nontrivial_cuts():
-    # Every pair of non-adjacent cycle edges is a non-trivial 2-cut.
-    report = verify_degree_connectivity(generate("cycle", (6,)))
-    assert report.nontrivial_min_cut_count == 9
 
 
 def test_degree_connectivity_below_degree_reports_minimum_cuts(monkeypatch):
@@ -379,18 +403,44 @@ def test_degree_connectivity_below_degree_reports_minimum_cuts(monkeypatch):
                         lambda graph: EquiarborealVerdict(True, Fraction(9, 20), None))
     report = verify_degree_connectivity(g)
     assert (report.k, report.lam, report.parity_ok) == (4, 2, True)
-    assert report.enumerated
-    assert report.nontrivial_min_cut_count == 1
     assert report.counterexamples == (
         "lambda = 2 != degree 4",
         "cut of size 2 < 4: sides [0, 1, 2, 3, 4]",
     )
 
 
-def test_degree_connectivity_above_limit_uses_max_flow_only():
-    report = verify_degree_connectivity(generate("cycle", (30,)))
-    assert (report.lam, report.enumerated, report.passed) == (2, False, True)
-    assert report.nontrivial_min_cut_count is None
+def test_degree_connectivity_reports_every_minimum_cut_above_24_vertices(monkeypatch):
+    # A ring of five K5 minus the edge 0-1, block i's vertex 1 joined to
+    # block i+1's vertex 0: 25 vertices, 4-regular, and lambda = 2, whose
+    # minimum cuts are the 10 pairs of ring edges.  Each separates the arc
+    # of blocks a..b (1 <= a <= b <= 4) from the blocks holding vertex 0.
+    k5e = [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+    g = Graph(25, [(5 * i + u, 5 * i + v) for i in range(5) for (u, v) in k5e]
+              + [(5 * i + 1, 5 * ((i + 1) % 5)) for i in range(5)])
+    assert g.is_regular() == 4
+    monkeypatch.setattr(cuts_module, "check_equiarboreal",
+                        lambda graph: EquiarborealVerdict(True, Fraction(12, 25), None))
+    report = verify_degree_connectivity(g)
+    assert (report.k, report.lam, report.parity_ok) == (4, 2, True)
+    sides = sorted((sorted(set(range(25)) - set(range(5 * a, 5 * b + 5)))
+                    for a in range(1, 5) for b in range(a, 5)),
+                   key=lambda side: (len(side), side))
+    assert report.counterexamples == ("lambda = 2 != degree 4",) + tuple(
+        f"cut of size 2 < 4: sides {side}" for side in sides)
+    assert len(report.counterexamples) == 11
+
+
+@pytest.mark.parametrize("family,params", [
+    ("hypercube", (5,)), ("complete", (30,)), ("johnson", (7, 3))])
+def test_degree_connectivity_reads_minimum_cuts_above_24_vertices(family, params):
+    g = generate(family, params)
+    with fact_scope():
+        report = verify_degree_connectivity(g)
+        assert report.passed and report.lam == report.k
+        # Every minimum cut of these graphs is a vertex star.
+        lam, sides = known_fact(cuts_module._minimum_cut_sides, g)
+    assert lam == report.k
+    assert len(sides) == g.vertex_count
 
 
 def test_degree_connectivity_preconditions():
