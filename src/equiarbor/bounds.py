@@ -11,16 +11,20 @@ closed-form resistance across the chosen edge,
 with a = k-x, b = k-y, c = k-x-y+1, which lower-bounds the common edge
 resistance of any equiarboreal host.  Everything here is verified two ways:
 the closed form against a literal nodal solve of the network, and the grid
-inequalities over every integer pair they quantify, each compared by integer
-cross-multiplication.  The range x + y <= k - sqrt(k) - 2 is walked
-directly with the root rounded by ``math.isqrt``, never through floats.
+inequalities (the 2/k threshold and the positive denominator) for every
+integer pair they quantify by an algebraic certificate.  Two polynomial
+identities in (k, x, y) are checked once per process on a product grid
+that proves them; each degree k then needs a few integer comparisons,
+with the range x + y <= k - sqrt(k) - 2 bounded by ``math.isqrt``, never
+through floats.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import exactalg
 from .errors import (
@@ -30,7 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .exactalg import Rational, RationalMatrix
-from .cuts import EdgeCut, _cut_graph_degrees, _small_degree_sum_rows, cut_from_side
+from .cuts import EdgeCut, _cut_graph_degrees, _floor_k_minus_sqrt_k, cut_from_side
 from .graphs import Graph
 from .resistance import WeightedNetwork, resistance
 
@@ -178,25 +182,55 @@ def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive grid verifiers
+# Algebraic certificates for the grid inequalities
+#
+# In the shifted degrees X = x+1 and Y = y+1, with S = X+Y and s = k-S, the
+# bound's numerator N = 4ab - c^2 and denominator D = 2ab(k+1) - kc^2
+# (a = k-X, b = k-Y, c = k-S+1) satisfy two polynomial identities.  Each
+# side has degree <= 3 in k and <= 2 in X and in Y, so agreement on the
+# product grid {0..3} x {0..2} x {0..2} proves it (the product-set lemma
+# behind Schwartz 1980 and Zippel 1979).
 
 
-def _row_meets_two_over_k(k: int, x: int, ys: Iterable[int]) -> bool:
-    """Whether the shifted bound at (x+1, y+1) is at least 2/k for every y
-    in ys.  N/D >= 2/k is decided as N*k >= 2D, reversed when D < 0; a
-    vanishing D raises BoundParams' DomainError."""
-    a, k2 = k - x - 1, 2 * (k + 1)
-    for y in ys:
-        ab, c = a * (k - y - 1), a - y
-        num_k, den = (4 * ab - c * c) * k, k2 * ab - k * c * c
-        if den > 0:
-            if num_k < 2 * den:
-                return False
-        elif den == 0:
-            BoundParams.create(k, x + 1, y + 1)  # raises the DomainError
-        elif num_k > 2 * den:
-            return False
-    return True
+def _shifted_terms(k: int, X: int, Y: int) -> tuple[int, int]:
+    a, b, c = k - X, k - Y, k - X - Y + 1
+    return 4 * a * b - c * c, 2 * a * b * (k + 1) - k * c * c
+
+
+# (statement, left side, right side), each side a polynomial in (k, X, Y).
+_IDENTITIES = (
+    ("N*k - 2D = (k-1)(s^2-k) + (X-Y)^2",
+     lambda k, X, Y: _shifted_terms(k, X, Y)[0] * k - 2 * _shifted_terms(k, X, Y)[1],
+     lambda k, X, Y: (k - 1) * ((k - X - Y) ** 2 - k) + (X - Y) ** 2),
+    ("2D = (k-1)(2k^2+2k-S^2) - (k+1)(X-Y)^2",
+     lambda k, X, Y: 2 * _shifted_terms(k, X, Y)[1],
+     lambda k, X, Y: (k - 1) * (2 * k * k + 2 * k - (X + Y) ** 2)
+     - (k + 1) * (X - Y) ** 2),
+)
+
+
+@functools.cache
+def _check_identities() -> None:
+    """Both identities on the 36 points of the product grid, once per
+    process; a disagreement raises, so it also fires under ``python -O``."""
+    for statement, lhs, rhs in _IDENTITIES:
+        for k in range(4):
+            for X in range(3):
+                for Y in range(3):
+                    if lhs(k, X, Y) != rhs(k, X, Y):
+                        raise VerificationError(
+                            f"identity {statement} fails at (k, X, Y) = "
+                            f"({k}, {X}, {Y})")
+
+
+def _denominator_certified(k: int) -> bool:
+    # By the second identity, D over the pairs with X + Y = S is smallest at
+    # the most unbalanced one, (2, S-2), since X, Y >= 2 gives |X-Y| <= S-4.
+    # That smallest value is concave in S, so it is positive on 4 <= S <= k+1
+    # iff it is positive at both ends: 2D = 2(k-1)(k^2+k-8) at (2, 2) and
+    # 2D = 4(k+1)(k-2) at (2, k-1).
+    _check_identities()
+    return _shifted_terms(k, 2, 2)[1] > 0 and _shifted_terms(k, 2, k - 1)[1] > 0
 
 
 def verify_double_star_threshold(k: int) -> bool:
@@ -204,28 +238,29 @@ def verify_double_star_threshold(k: int) -> bool:
     at degrees (x+1, y+1) is at least 2/k.
 
     This is what rules out small double stars inside minimum-cut graphs.
-    The pairs are walked directly: x + y <= k - ceil(sqrt(k)) - 2 with the
-    root from ``math.isqrt``, and each bound is compared with 2/k by
-    integer cross-multiplication, so no fraction is built.
+    The range is x + y <= floor(k - sqrt(k)) - 2 with the root from
+    ``math.isqrt``, so every pair in it has s >= ceil(sqrt(k)), that is
+    s >= 0 and s^2 >= k.  There both terms of N*k - 2D = (k-1)(s^2-k) +
+    (X-Y)^2 are >= 0, and D > 0 by the positivity certificate (the range
+    has X, Y >= 2 and S <= k), so N/D >= 2/k.  O(1) per k after the
+    once-per-process identity check.
     """
     if k < 7:
         raise ParameterError(f"threshold grid is stated for k >= 7, got {k}")
-    return all(_row_meets_two_over_k(k, x, ys)
-               for x, ys in _small_degree_sum_rows(k))
+    s = k - _floor_k_minus_sqrt_k(k)  # the least s of the range
+    return s >= 0 and s * s >= k and _denominator_certified(k)
 
 
 def verify_denominator_positive(k: int) -> bool:
     """The shifted bound's denominator 2(k-x-1)(k-y-1)(k+1) - k(k-x-y-1)^2
-    is strictly positive for all x, y >= 1 with x + y <= k - 1."""
+    is strictly positive for all x, y >= 1 with x + y <= k - 1.
+
+    Certified from the second identity by the sign of D at two pairs:
+    O(1) per k after the once-per-process identity check.
+    """
     if k < 7:
         raise ParameterError(f"positivity grid is stated for k >= 7, got {k}")
-    for x in range(1, k - 1):
-        ax = 2 * (k - x - 1) * (k + 1)
-        for y in range(1, k - x):
-            c = k - x - y - 1
-            if ax * (k - y - 1) - k * c * c <= 0:
-                return False
-    return True
+    return _denominator_certified(k)
 
 
 # ---------------------------------------------------------------------------

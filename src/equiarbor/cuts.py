@@ -36,11 +36,12 @@ from .errors import (
     ScaleError,
     VerificationError,
 )
+from .exactalg import SIZE_LIMIT
 from .graphs import Graph, _adjacency, _components, known_fact, memoized
 
 Edge = tuple[int, int]
 
-DEFAULT_ENUMERATION_LIMIT = 24
+DEFAULT_ENUMERATION_LIMIT = SIZE_LIMIT  # the largest matrix the package builds
 
 
 @dataclass(frozen=True)

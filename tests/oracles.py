@@ -8,7 +8,9 @@ elimination over ``Fraction``, resistances and the equiarboreal verdict
 from a ``Fraction`` Laplacian and those solves and inverses, scheme
 intersection numbers by counting z for every (i, j, k) and pair, the bound
 grids by filtering the whole (x, y) square and comparing ``Fraction``
-values.  Agreement between these and the package is the point of the tests
+values, or by walking every pair of the range with integer
+cross-multiplication (the package proves the grids algebraically).
+Agreement between these and the package is the point of the tests
 importing them.
 """
 
@@ -17,11 +19,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from hypothesis import strategies as st
 
-from equiarbor.bounds import degree_pair_bound
-from equiarbor.cuts import EdgeCut, cut_from_side
+from equiarbor.bounds import BoundParams, degree_pair_bound
+from equiarbor.cuts import EdgeCut, _small_degree_sum_rows, cut_from_side
 from equiarbor.equiarboreal import EquiarborealVerdict
 from equiarbor.errors import (
     ConnectivityError,
@@ -262,6 +265,31 @@ def scan_denominator_positive(k: int) -> bool:
             if 2 * (k - x - 1) * (k - y - 1) * (k + 1) - k * c * c <= 0:
                 return False
     return True
+
+
+def row_meets_two_over_k(k: int, x: int, ys: Iterable[int]) -> bool:
+    """Whether the shifted bound at (x+1, y+1) is at least 2/k for every y
+    in ys.  N/D >= 2/k is decided as N*k >= 2D, reversed when D < 0; a
+    vanishing D raises BoundParams' DomainError."""
+    a, k2 = k - x - 1, 2 * (k + 1)
+    for y in ys:
+        ab, c = a * (k - y - 1), a - y
+        num_k, den = (4 * ab - c * c) * k, k2 * ab - k * c * c
+        if den > 0:
+            if num_k < 2 * den:
+                return False
+        elif den == 0:
+            BoundParams.create(k, x + 1, y + 1)  # raises the DomainError
+        elif num_k > 2 * den:
+            return False
+    return True
+
+
+def integer_double_star_threshold(k: int) -> bool:
+    """The double-star threshold grid walked pair by pair over the rows of
+    ``_small_degree_sum_rows``, each pair compared with 2/k by integer
+    cross-multiplication."""
+    return all(row_meets_two_over_k(k, x, ys) for x, ys in _small_degree_sum_rows(k))
 
 
 def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -1,14 +1,17 @@
 """The reduced-cut-network bound, its oracle identities, and grid checks."""
 
+import inspect
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiarbor import bounds
 from equiarbor.bounds import (
     BoundParams,
-    _row_meets_two_over_k,
     closed_form,
     cut_lower_bound,
     degree_pair_bound,
@@ -21,7 +24,7 @@ from equiarbor.bounds import (
     verify_double_star_threshold,
 )
 from equiarbor.cuts import _small_degree_sum_rows, cut_from_side
-from equiarbor.errors import DomainError, ParameterError, PreconditionError
+from equiarbor.errors import DomainError, ParameterError, PreconditionError, VerificationError
 from equiarbor.graphs import Graph, generate
 from equiarbor.resistance import WeightedNetwork, resistance
 
@@ -125,6 +128,98 @@ def test_threshold_grids_match_fraction_oracles():
         assert verify_denominator_positive(k) == oracles.scan_denominator_positive(k)
 
 
+def test_certificate_matches_integer_walk():
+    for k in range(7, 501):
+        assert verify_double_star_threshold(k) == oracles.integer_double_star_threshold(k), k
+        assert verify_denominator_positive(k) == oracles.scan_denominator_positive(k), k
+
+
+def test_shifted_terms_are_the_bound_numerator_and_denominator():
+    for k in range(7, 31):
+        for x, y in valid_degree_pairs(k):
+            p = BoundParams.create(k, x, y)
+            assert bounds._shifted_terms(k, x, y) == (p.numerator, p.denominator)
+
+
+def test_identity_grid_checks_every_identity_on_36_points(monkeypatch):
+    seen = []
+    monkeypatch.setattr(bounds, "_IDENTITIES", tuple(
+        (statement, lambda k, X, Y, lhs=lhs: seen.append((k, X, Y)) or lhs(k, X, Y), rhs)
+        for statement, lhs, rhs in bounds._IDENTITIES))
+    bounds._check_identities.cache_clear()
+    try:
+        bounds._check_identities()
+    finally:
+        bounds._check_identities.cache_clear()
+    assert len(bounds._IDENTITIES) == 2
+    assert len(seen) == 72 and len(set(seen)) == 36
+
+
+@pytest.mark.parametrize("which", [(0, 1), (0, 2), (1, 1), (1, 2)])
+def test_identity_check_catches_every_coefficient_change(monkeypatch, which):
+    # Add +1 or -1 to one coefficient k^i X^j Y^l of one side of one
+    # identity, for every monomial within the degree box: the check must
+    # raise, so the 36-point grid leaves no such change unseen.
+    identity, side = which
+    original = bounds._IDENTITIES
+    for i in range(4):
+        for j in range(3):
+            for l in range(3):
+                for delta in (1, -1):
+                    mutated = list(map(list, original))
+                    f = original[identity][side]
+                    mutated[identity][side] = (
+                        lambda k, X, Y, f=f, i=i, j=j, l=l, d=delta:
+                        f(k, X, Y) + d * k ** i * X ** j * Y ** l)
+                    monkeypatch.setattr(bounds, "_IDENTITIES", tuple(map(tuple, mutated)))
+                    bounds._check_identities.cache_clear()
+                    try:
+                        with pytest.raises(VerificationError):
+                            verify_double_star_threshold(7)
+                        with pytest.raises(VerificationError):
+                            verify_denominator_positive(7)
+                    finally:
+                        bounds._check_identities.cache_clear()
+    monkeypatch.undo()
+    assert verify_double_star_threshold(7) and verify_denominator_positive(7)
+
+
+def _mutant_bounds(monkeypatch, old: str, new: str) -> types.ModuleType:
+    """A fresh copy of ``equiarbor.bounds`` with one source fragment
+    replaced; the fragment must occur exactly once."""
+    source = inspect.getsource(bounds)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("equiarbor._mutant_bounds")
+    module.__package__ = "equiarbor"
+    # dataclasses resolve the module's string annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), bounds.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("old,new", [
+    # One coefficient of an identity side.
+    ("(k - 1) * ((k - X - Y) ** 2 - k)", "(k - 2) * ((k - X - Y) ** 2 - k)"),
+    ("+ (X - Y) ** 2)", "+ 2 * (X - Y) ** 2)"),
+    ("(2 * k * k + 2 * k - (X + Y) ** 2)", "(2 * k * k + 3 * k - (X + Y) ** 2)"),
+    ("- (k + 1) * (X - Y) ** 2", "- (k + 2) * (X - Y) ** 2"),
+    ("4 * a * b - c * c, 2 * a * b", "4 * a * b - c * c, 3 * a * b"),
+    # One endpoint or range comparison, flipped.
+    ("_shifted_terms(k, 2, 2)[1] > 0", "_shifted_terms(k, 2, 2)[1] <= 0"),
+    ("_shifted_terms(k, 2, k - 1)[1] > 0", "_shifted_terms(k, 2, k - 1)[1] <= 0"),
+    ("return s >= 0 and s * s >= k", "return s < 0 and s * s >= k"),
+    ("return s >= 0 and s * s >= k", "return s >= 0 and s * s < k"),
+])
+def test_certificate_mutation_is_caught(monkeypatch, old, new):
+    mutant = _mutant_bounds(monkeypatch, old, new)
+    try:
+        verdicts = [(mutant.verify_double_star_threshold(k),
+                     mutant.verify_denominator_positive(k)) for k in range(7, 41)]
+    except VerificationError:
+        return
+    assert not all(a and b for a, b in verdicts)
+
+
 def _in_squaring_filter(k, x, y):
     # x + y <= k - sqrt(k) - 2 iff s = k - x - y - 2 has s >= 0, s^2 >= k.
     s = k - x - y - 2
@@ -162,7 +257,7 @@ def test_integer_pair_test_matches_fraction_bound():
                 except DomainError:
                     continue
                 meets = degree_pair_bound(k, x + 1, y + 1) >= Fraction(2, k)
-                assert _row_meets_two_over_k(k, x, (y,)) == meets, (k, x, y)
+                assert oracles.row_meets_two_over_k(k, x, (y,)) == meets, (k, x, y)
                 outcomes.add(meets)
                 below_outside += not meets and (x, y) not in inside and k < 30
     assert outcomes == {True, False}
@@ -182,7 +277,7 @@ def test_integer_pair_test_sign_of_denominator():
                 if den == 0:
                     continue
                 negative += den < 0
-                assert (_row_meets_two_over_k(k, x, (y,))
+                assert (oracles.row_meets_two_over_k(k, x, (y,))
                         == (Fraction(num, den) >= Fraction(2, k))), (k, x, y)
     assert negative > 0
     # (k, x, y) = (8, 5, 5) zeroes the denominator; like the bound at
@@ -190,7 +285,7 @@ def test_integer_pair_test_sign_of_denominator():
     with pytest.raises(DomainError):
         degree_pair_bound(8, 6, 6)
     with pytest.raises(DomainError):
-        _row_meets_two_over_k(8, 5, (5,))
+        oracles.row_meets_two_over_k(8, 5, (5,))
 
 
 def test_denominator_boundary_instances():

@@ -88,9 +88,28 @@ def test_cut_enumerate_takes_lambda_from_the_cuts(monkeypatch):
     assert len(data["cuts"]) == 20
 
 
+@pytest.mark.parametrize("family, params, lam, count", [
+    ("johnson", ["7", "3"], 12, 35),
+    ("hypercube", ["5"], 5, 32),
+    ("hamming", ["2", "5"], 8, 25),
+])
+def test_cut_enumerate_classify_above_24_vertices(family, params, lam, count):
+    # The listing cap is the 512 matrix limit: every minimum cut is a
+    # vertex star, one per vertex.
+    code, out, _ = run(["cut", "--family", family, "--params", *params,
+                        "--enumerate", "--classify"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["lambda"] == lam
+    assert len(data["cuts"]) == count
+    assert all(min(len(c["sideA"]), len(c["sideB"])) == 1 for c in data["cuts"])
+    assert all(c["isTrivial"] for c in data["classifications"])
+    assert data["theorem"]["passed"] is True
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["cut", "--family", "cycle", "--params", "30", "--enumerate"],
-     "exceed the enumeration limit"),
+    (["--enumeration-limit", "24", "cut", "--family", "cycle", "--params", "30",
+      "--enumerate"], "exceed the enumeration limit"),
     (["--enumeration-limit", "8", "cut", "--family", "petersen", "--classify"],
      "exceed the enumeration limit"),
     (["cut", "disconnected.txt", "--enumerate"], "connected graph"),
