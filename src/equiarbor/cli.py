@@ -14,6 +14,7 @@ via the EQUIARBOR_CATALOG environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ from typing import Sequence, TextIO
 from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal
 from .errors import ConnectivityError, DimensionError, EquiarborError, PreconditionError
-from .exactalg import format_rational
-from .graphs import Graph, fact_scope, generate, parse_edge_list, parse_graph6
+from .exactalg import _check_size, format_rational
+from .graphs import Graph, fact_scope, generate, member_size, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
 
 ENV_CATALOG = "EQUIARBOR_CATALOG"
@@ -57,6 +58,8 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
 def _emit(args: argparse.Namespace, payload: dict, stdout: TextIO) -> None:
     if args.format == "text":
         for key, value in payload.items():
+            if isinstance(value, (list, dict)):
+                value = json.dumps(value, separators=(",", ":"))
             print(f"{key}: {value}", file=stdout)
     else:
         json.dump(payload, stdout, indent=2)
@@ -64,6 +67,12 @@ def _emit(args: argparse.Namespace, payload: dict, stdout: TextIO) -> None:
 
 
 def _cmd_analyze(args, stdout, stderr) -> int:
+    if args.family:
+        # The grounded Laplacian's size is known from the family's closed
+        # form, so an over-limit member is refused before it is built.
+        size = member_size(args.family, tuple(args.params or ()))
+        if size is not None:
+            _check_size(size[0] - 1)
     g = _graph_from_args(args)
     verdict = check_equiarboreal(g)
     lam = cuts.edge_connectivity(g) if g.vertex_count >= 2 else None
@@ -368,15 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser is built once per process; ``parse_args`` keeps no state
+#: between calls, each returning a fresh namespace.  ``build_parser`` is
+#: looked up at the first call, so a wrapper put on it still sees the build.
+_parser = functools.cache(lambda: build_parser())
+
+
 def run_command(argv: Sequence[str],
                 stdout: TextIO | None = None,
                 stderr: TextIO | None = None) -> int:
     """Execute one CLI invocation and return its exit status."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,6 +10,14 @@ and inverses, and the resistance layer's integer Laplacians, go through
 :func:`integer_solve`, which checks the integer residual identity
 ``(D A)(det A^-1 B) == det (D B)`` before it returns ``det A^-1 B``.
 
+When ``D A`` is symmetric, as every Laplacian is, :func:`integer_solve`
+first tries a pivot-free symmetric Bareiss pass: forward elimination on the
+upper triangle, fraction-free back substitution, and for an inverse only the
+entries with i >= j, mirrored.  A zero leading minor, which only negative
+conductances can produce, sends it back to the pivoted elimination from the
+untouched rows.  Where the symmetric pass succeeds the pivoted one would
+have swapped no rows, so both give the same ``det`` and ``det A^-1 B``.
+
 Matrices are immutable; every function here is pure.
 """
 
@@ -153,6 +161,67 @@ def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int, list[list
     return sign, prev, rows
 
 
+def _symmetric_eliminate(rows: Sequence[list[int]]
+                         ) -> tuple[int, list[list[int]]] | None:
+    """Pivot-free fraction-free elimination of ``[A | B]``, A symmetric.
+
+    The Bareiss entry ``a[i][j]`` after k steps is the leading k x k minor
+    bordered by row i and column j, so it stays symmetric: forward
+    elimination keeps only the upper triangle of A, reading ``a[i][k]`` as
+    ``a[k][i]``, and updates B alongside.  Back substitution is
+    fraction-free too: ``det * x`` is integral, so each row divides exactly
+    by its diagonal pivot.  When B is ``s I`` its eliminated rows stay lower
+    triangular and ``det A^-1 B`` is symmetric, so only the entries with
+    i >= j are computed and the rest mirrored.  Returns ``(det A, det A^-1
+    B)``, or None when a leading minor is zero and the diagonal cannot
+    pivot.  ``rows`` is left unchanged.
+    """
+    n = len(rows)
+    inverse = n > 0 and len(rows[0]) == 2 * n and all(
+        row[n + i] == rows[0][n] and not any(row[n:n + i]) and not any(row[n + i + 1:])
+        for i, row in enumerate(rows))
+    scale = rows[0][n] if inverse else 0
+    upper = [row[i:n] for i, row in enumerate(rows)]
+    # For an inverse, row i of B holds only its columns below the current
+    # step; its diagonal entry is ``scale * prev`` and the rest are zero.
+    rhs = [[] for _ in rows] if inverse else [row[n:] for row in rows]
+    prev = 1
+    for k in range(n):
+        pivot_row = upper[k]
+        pivot = pivot_row[0]
+        if not pivot:
+            return None
+        if inverse:
+            rhs[k].append(scale * prev)
+        b_k = rhs[k]
+        for i in range(k + 1, n):
+            f = pivot_row[i - k]
+            b_i = rhs[i] + [0] if inverse else rhs[i]
+            if f:
+                upper[i] = [(x * pivot - f * y) // prev
+                            for x, y in zip(upper[i], pivot_row[i - k:])]
+                rhs[i] = [(x * pivot - f * y) // prev for x, y in zip(b_i, b_k)]
+            else:
+                upper[i] = [x * pivot // prev for x in upper[i]]
+                rhs[i] = [x * pivot // prev for x in b_i]
+        prev = pivot
+    # upper[i] is now row i of the triangular factor and rhs[i] its right
+    # side, both as they stood when row i pivoted.
+    det_x: list[list[int]] = [[] for _ in rows]
+    for i in range(n - 1, -1, -1):
+        u = upper[i]
+        acc = [prev * b for b in rhs[i]]
+        for j in range(i + 1, n):
+            c = u[j - i]
+            if c:
+                acc = [a - c * y for a, y in zip(acc, det_x[j])]
+        det_x[i] = [a // u[0] for a in acc]
+    if inverse:
+        det_x = [row + [det_x[j][i] for j in range(i + 1, n)]
+                 for i, row in enumerate(det_x)]
+    return prev, det_x
+
+
 def determinant(m: RationalMatrix) -> Rational:
     """Exact determinant via fraction-free elimination.
 
@@ -193,7 +262,13 @@ def integer_solve(rows: Sequence[list[int]], what: str) -> tuple[int, list[list[
     ``VerificationError`` naming ``what``.  Raises ``SingularSystemError``
     when A is singular.
     """
-    _, det, det_x = _eliminate(list(rows), jordan=True)
+    n = len(rows)
+    symmetric = all(tuple(row[:n]) == col for row, col in zip(rows, zip(*rows)))
+    solved = _symmetric_eliminate(rows) if symmetric else None
+    if solved is None:
+        _, det, det_x = _eliminate(list(rows), jordan=True)
+    else:
+        det, det_x = solved
     _check_residual(rows, det, det_x, what)
     return det, det_x
 

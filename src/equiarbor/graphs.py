@@ -297,24 +297,34 @@ _FAMILIES = {
 }
 
 
-def generate(family: str, params: Sequence[int] = ()) -> Graph:
-    """Build the canonical labeled member of a generator family.  A member
-    above the graph6 vertex limit or the edge budget raises ``ScaleError``
-    before any edge is built."""
+def member_size(family: str, params: Sequence[int] = ()) -> tuple[int, int] | None:
+    """``(vertices, edges)`` of a generator family member from its closed
+    form, without building it; None when a parameter is below 1, which the
+    builder rejects.  Raises the errors ``generate`` raises before building:
+    an unknown family, a wrong parameter count, and ``ScaleError`` above the
+    graph6 vertex limit or the edge budget."""
     if family not in _FAMILIES:
         raise ParameterError(f"unknown family {family!r}; "
                              f"known: {sorted(_FAMILIES)}")
-    fn, arity, size = _FAMILIES[family]
+    _, arity, size = _FAMILIES[family]
     if len(params) != arity:
         raise ParameterError(f"{family} takes {arity} parameter(s), got {len(params)}")
     # Every builder rejects a parameter below 1; the closed forms assume none.
-    if all(p >= 1 for p in params):
-        n, m = size(*params)
-        if n > _GRAPH6_MAX_N or m > _MAX_GENERATED_EDGES:
-            raise ScaleError(
-                f"{family} {list(params)} is above the generator limits of "
-                f"{_GRAPH6_MAX_N} vertices and {_MAX_GENERATED_EDGES} edges")
-    return fn(*params)
+    if not all(p >= 1 for p in params):
+        return None
+    n, m = size(*params)
+    if n > _GRAPH6_MAX_N or m > _MAX_GENERATED_EDGES:
+        raise ScaleError(
+            f"{family} {list(params)} is above the generator limits of "
+            f"{_GRAPH6_MAX_N} vertices and {_MAX_GENERATED_EDGES} edges")
+    return n, m
+
+
+def generate(family: str, params: Sequence[int] = ()) -> Graph:
+    """Build the canonical labeled member of a generator family; see
+    ``member_size`` for what is refused before any edge is built."""
+    member_size(family, params)
+    return _FAMILIES[family][0](*params)
 
 
 # ---------------------------------------------------------------------------

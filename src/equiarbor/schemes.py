@@ -5,9 +5,15 @@ A scheme is stored as a total relation table mapping ordered point pairs to
 class indices 0..n, class 0 being the identity relation.  Verification
 checks the four axioms exhaustively: identity class, cover (every class
 attained), symmetry, and constancy of the intersection counts.  The last
-takes one histogram of (rel(x, z), rel(z, y)) over z per ordered pair
-(x, y), O(n^3) in all, and compares it with the histogram of the first pair
-of the same class.  On success the full intersection-number tensor is
+reads a pair's histogram of (rel(x, z), rel(z, y)) over z, |R_i(x) &
+R_j(y)| being entry (x, y) of A_i A_j (Bose-Mesner), and compares it with
+the histogram of the first pair of the same class.  A histogram costs
+O(min((n+1)^2, size)): (n+1)^2 popcounts of one bitmask per (point, class)
+when that is at most the point count, else one count over the points (a
+long cycle or path has one class per distance).  The pairs with x <= y
+decide validity (the histogram of (y, x) is the transpose, and the comment
+in ``verify_scheme`` shows why the transposes then agree too); only an
+invalid table is scanned over every ordered pair.  On success the full intersection-number tensor is
 returned; on failure the first violating tuple in scan order, intersection
 counts being scanned by (i, j, class, position in the class).
 
@@ -17,6 +23,7 @@ always regular; the extractor asserts that instead of assuming it.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,38 +120,94 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
                 return SchemeCheck(False, None,
                                    SchemeViolation("symmetry", (x, y)))
 
-    # Intersection numbers: the histogram of (rel(x, z), rel(z, y)) over z
-    # must be the same for every pair (x, y) of a class.  The table is
-    # symmetric by now, so column y is row y.  Each pair is compared with
-    # the first pair of its class, and the least mismatch by (i, j, class,
-    # position in the class) is reported.
-    firsts: list[Counter] = [Counter() for _ in range(n + 1)]
-    seen = [0] * (n + 1)
+    # Intersection numbers: entry (i, j) of a pair's histogram is
+    # |R_i(x) & R_j(y)|, entry (x, y) of A_i A_j (Bose-Mesner); the table is
+    # symmetric, so column y is row y.
+    # The histogram of (y, x) is the transpose of that of (x, y), so the
+    # pairs with x <= y decide validity: when each class k has one histogram
+    # H_k over them, counting triangles through the first point gives
+    # v_k H_k[i][j] = v_i H_i[k][j] and through the last point
+    # v_k H_k[i][j] = v_j H_j[i][k], with the valencies v read off the
+    # common diagonal H_0.  v_k H_k[i][j] is then symmetric in i, j and k,
+    # so every H_k equals its transpose and so does every pair with x > y.
+    width = n + 1
+    histogram = _pair_histograms(rel, width)
+    firsts: dict = {}
+    valid = True
+    for x in range(size):
+        for y in range(x, size):
+            hist = histogram(x, y)
+            if firsts.setdefault(rel[x][y], hist) != hist:
+                valid = False
+                break
+        if not valid:
+            break
+    if valid:
+        tensor = IntersectionTensor(n, tuple(
+            tuple(tuple(firsts[k][i * width + j] for k in range(width))
+                  for j in range(width))
+            for i in range(width)))
+        return SchemeCheck(True, tensor, None)
+
+    # Only an invalid table is scanned in full, in row-major order: each
+    # pair is compared with the first pair of its class, and the least
+    # mismatch by (i, j, class, position in the class) is reported.
+    firsts.clear()
+    seen = [0] * width
     least: Optional[tuple[int, int, int, int, int, int]] = None
     for x in range(size):
         for y in range(size):
             k = rel[x][y]
-            hist = Counter(zip(rel[x], rel[y]))
+            hist = histogram(x, y)
             position = seen[k]
             seen[k] += 1
-            if position == 0:
-                firsts[k] = hist
-            elif hist != firsts[k]:
-                first = firsts[k]
-                i, j = min(ij for ij in hist.keys() | first.keys()
-                           if hist[ij] != first[ij])
-                found = (i, j, k, position, x, y)
+            first = firsts.setdefault(k, hist)
+            if hist != first:
+                found = (*divmod(_first_difference(hist, first), width),
+                         k, position, x, y)
                 if least is None or found < least:
                     least = found
-    if least is not None:
-        i, j, _, _, x, y = least
-        return SchemeCheck(False, None,
-                           SchemeViolation("intersection", (i, j, x, y)))
+    i, j, _, _, x, y = least
+    return SchemeCheck(False, None, SchemeViolation("intersection", (i, j, x, y)))
 
-    tensor = IntersectionTensor(n, tuple(
-        tuple(tuple(firsts[k][i, j] for k in range(n + 1)) for j in range(n + 1))
-        for i in range(n + 1)))
-    return SchemeCheck(True, tensor, None)
+
+def _pair_histograms(rel: RelationTable, width: int):
+    """The counts of z by (rel(x, z), rel(y, z)), keyed by i * width + j, as
+    a function of the pair (x, y), at O(min(width^2, size)) per pair.
+
+    With width^2 <= size a histogram is the dense list of the width^2
+    popcounts |R_i(x) & R_j(y)| of one bitmask per (point, class); with
+    more classes (a long cycle or path, whose classes are its distances) it
+    counts the size keys of the pair into a sparse ``_SparseHistogram``, in
+    which an absent key counts 0.  One table uses only one of the two.
+    """
+    size = len(rel)
+    if width * width <= size:
+        masks = [[0] * width for _ in range(size)]
+        for x, row in enumerate(rel):
+            for z, k in enumerate(row):
+                masks[x][k] |= 1 << z
+        return lambda x, y: _popcount_histogram(masks[x], masks[y])
+    scaled = [[k * width for k in row] for row in rel]
+    return lambda x, y: _SparseHistogram(map(operator.add, scaled[x], rel[y]))
+
+
+def _popcount_histogram(masks_x: Sequence[int], masks_y: Sequence[int]) -> list[int]:
+    return [(a & b).bit_count() for a in masks_x for b in masks_y]
+
+
+class _SparseHistogram(Counter):
+    """Counts by key; an absent key counts 0.  Counting stores no zero
+    count, so plain dict equality, which runs in C, is exact."""
+
+    __eq__ = dict.__eq__
+    __ne__ = dict.__ne__
+
+
+def _first_difference(hist, first) -> int:
+    """The least key at which two histograms of one table differ."""
+    keys = hist.keys() | first.keys() if isinstance(hist, dict) else range(len(hist))
+    return min(ij for ij in keys if hist[ij] != first[ij])
 
 
 def distance_table(g: Graph) -> list[list[int]]:

@@ -16,7 +16,10 @@ importing them.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -420,6 +423,21 @@ def fraction_check_equiarboreal(g: Graph) -> EquiarborealVerdict:
         if omega[u][v] != first:
             return EquiarborealVerdict(False, None, (edges[0], (u, v), first, omega[u][v]))
     return EquiarborealVerdict(True, first, None)
+
+
+def mutant_module(monkeypatch, module: types.ModuleType, old: str, new: str
+                  ) -> types.ModuleType:
+    """A fresh copy of an ``equiarbor`` module with one source fragment
+    replaced, for mutation tests; the fragment must occur exactly once."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    name = module.__name__.rsplit(".", 1)[1]
+    mutant = types.ModuleType(f"equiarbor._mutant_{name}")
+    mutant.__package__ = "equiarbor"
+    # dataclasses resolve the module's string annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    return mutant
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,5 @@
 """The reduced-cut-network bound, its oracle identities, and grid checks."""
 
-import inspect
-import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -184,19 +181,6 @@ def test_identity_check_catches_every_coefficient_change(monkeypatch, which):
     assert verify_double_star_threshold(7) and verify_denominator_positive(7)
 
 
-def _mutant_bounds(monkeypatch, old: str, new: str) -> types.ModuleType:
-    """A fresh copy of ``equiarbor.bounds`` with one source fragment
-    replaced; the fragment must occur exactly once."""
-    source = inspect.getsource(bounds)
-    assert source.count(old) == 1, old
-    module = types.ModuleType("equiarbor._mutant_bounds")
-    module.__package__ = "equiarbor"
-    # dataclasses resolve the module's string annotations through sys.modules.
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(source.replace(old, new), bounds.__file__, "exec"), module.__dict__)
-    return module
-
-
 @pytest.mark.parametrize("old,new", [
     # One coefficient of an identity side.
     ("(k - 1) * ((k - X - Y) ** 2 - k)", "(k - 2) * ((k - X - Y) ** 2 - k)"),
@@ -211,7 +195,7 @@ def _mutant_bounds(monkeypatch, old: str, new: str) -> types.ModuleType:
     ("return s >= 0 and s * s >= k", "return s >= 0 and s * s < k"),
 ])
 def test_certificate_mutation_is_caught(monkeypatch, old, new):
-    mutant = _mutant_bounds(monkeypatch, old, new)
+    mutant = oracles.mutant_module(monkeypatch, bounds, old, new)
     try:
         verdicts = [(mutant.verify_double_star_threshold(k),
                      mutant.verify_denominator_positive(k)) for k in range(7, 41)]

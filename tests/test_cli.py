@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from equiarbor import cli as cli_module
 from equiarbor import cuts as cuts_module
+from equiarbor import graphs as graphs_module
 from equiarbor import schemes as schemes_module
 from equiarbor import survey as survey_module
 from equiarbor.catalog import default_manifest
@@ -443,6 +445,62 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _, _ = run(["--jobs", "2", "survey"])  # removed; surveys run in order
     assert code == 2
+
+
+def test_consecutive_calls_share_no_parser_state(capsys):
+    assert cli_module._parser() is cli_module._parser()
+    code, out, _ = run(["cut", "--enumerate", "--family", "petersen"])
+    assert code == 0 and "cuts" in json.loads(out)
+    code, out, _ = run(["cut", "--family", "petersen"])
+    assert code == 0 and "cuts" not in json.loads(out)
+    code, out, _ = run(["--format", "text", "analyze", "--family", "petersen"])
+    assert (code, out.splitlines()[0]) == (0, "equiarboreal: True")
+    code, out, _ = run(["analyze", "--family", "petersen"])
+    assert code == 0 and json.loads(out)["omega"] == "3/5"
+    assert run(["cut", "--no-such-flag"])[0] == 2
+    assert run(["fxy", "5", "1", "1"]) == (0, "3/7\n", "")
+
+
+def test_the_cached_parser_is_built_through_the_public_builder(monkeypatch):
+    # A wrapper put on build_parser, as a tracer does, sees the one build.
+    builds = []
+    original = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser",
+                        lambda: builds.append(1) or original())
+    cli_module._parser.cache_clear()
+    try:
+        assert run(["fxy", "5", "1", "1"])[0] == 0
+        assert run(["fxy", "5", "1", "1"])[0] == 0
+    finally:
+        cli_module._parser.cache_clear()
+    assert builds == [1]
+
+
+def test_text_format_prints_nested_values_as_json():
+    code, out, _ = run(["--format", "text", "analyze", "--family", "triangular_prism"])
+    assert code == 0
+    assert out == ("equiarboreal: False\n"
+                   "omega: None\n"
+                   'witness: {"edgeA":[0,1],"edgeB":[0,3],"valueA":"8/15","valueB":"3/5"}\n'
+                   "godsilBound: None\n"
+                   "lambda: 3\n")
+
+
+def test_analyze_refuses_an_over_limit_family_member_before_building_it(monkeypatch):
+    def refuse(*params):
+        pytest.fail("the over-limit member was built")
+
+    size = graphs_module._FAMILIES["complete"][2]
+    monkeypatch.setitem(graphs_module._FAMILIES, "complete", (refuse, 1, size))
+    code, out, err = run(["analyze", "--family", "complete", "--params", "1000"])
+    assert (code, out, err) == (2, "", "error: matrix exceeds the 512 soft size limit\n")
+    # Generator limits are still checked first.
+    code, _, err = run(["analyze", "--family", "complete", "--params", "300000"])
+    assert code == 2 and "above the generator limits" in err
+    monkeypatch.undo()
+    # matching and cut need no Laplacian, so they keep accepting such members.
+    code, out, _ = run(["matching", "--family", "star", "--params", "600"])
+    assert code == 0 and json.loads(out)["hasPerfect"] is False
 
 
 def test_missing_file_exits_two(tmp_path):

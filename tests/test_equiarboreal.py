@@ -118,14 +118,16 @@ def test_check_builds_no_network_and_no_rational_matrix(monkeypatch):
 
 
 def test_corrupt_adjugate_fails_the_residual_check(monkeypatch):
-    eliminate = exactalg._eliminate
+    # A grounded graph Laplacian is symmetric with positive leading minors,
+    # so the symmetric kernel always inverts it.
+    symmetric_eliminate = exactalg._symmetric_eliminate
 
-    def corrupted(rows, jordan):
-        sign, det, det_inv = eliminate(rows, jordan)
+    def corrupted(rows):
+        det, det_inv = symmetric_eliminate(rows)
         det_inv[1][0] += 1
-        return sign, det, det_inv
+        return det, det_inv
 
-    monkeypatch.setattr(exactalg, "_eliminate", corrupted)
+    monkeypatch.setattr(exactalg, "_symmetric_eliminate", corrupted)
     with pytest.raises(VerificationError, match="inverse residual check failed in row 0"):
         check_equiarboreal(generate("petersen"))
 

@@ -196,8 +196,9 @@ def test_invert_residual_check_catches_a_corrupt_adjugate(monkeypatch):
         return sign, det, det_inv
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
-    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
-    with pytest.raises(VerificationError):
+    # Not symmetric, so the pivoted kernel runs.
+    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-2, -1, 3]])
+    with pytest.raises(VerificationError, match="inverse residual check failed"):
         invert(m)
 
 
@@ -210,9 +211,55 @@ def test_solve_residual_check_catches_a_corrupt_entry(monkeypatch):
         return sign, det, det_x
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
+    # The rhs 1/2 scales row 0 by 2, so D A is not symmetric.
     m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
     with pytest.raises(VerificationError, match="solve residual check failed in row 0"):
         solve(m, [Fraction(1, 2), 0, 1])
+
+
+@pytest.mark.parametrize("stage", ["inverse", "solve"])
+def test_symmetric_kernel_corruption_fails_the_residual_check(monkeypatch, stage):
+    symmetric_eliminate = exactalg._symmetric_eliminate
+    reached = []
+
+    def corrupted(rows):
+        det, det_x = symmetric_eliminate(rows)
+        det_x[-1][0] += 1
+        reached.append(det)
+        return det, det_x
+
+    monkeypatch.setattr(exactalg, "_symmetric_eliminate", corrupted)
+    monkeypatch.setattr(exactalg, "_eliminate", None)
+    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    with pytest.raises(VerificationError, match=f"{stage} residual check failed in row 0"):
+        invert(m) if stage == "inverse" else solve(m, [1, 0, 1])
+    assert reached == [16]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+    st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_symmetric_kernel_equals_the_pivoted_kernel(case):
+    # Random symmetric integer matrices, singular ones and ones with zero
+    # leading minors included; B is s I or one column.
+    n, flat, s, b = case
+    a = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    for rows in ([row[:n] + [s * int(i == j) for j in range(n)] for i, row in enumerate(a)],
+                 [row[:n] + [v] for row, v in zip(a, b)]):
+        before = [list(row) for row in rows]
+        solved = exactalg._symmetric_eliminate(rows)
+        assert rows == before
+        try:
+            _, det, det_x = exactalg._eliminate(list(rows), jordan=True)
+        except SingularSystemError:
+            assert solved is None
+            with pytest.raises(SingularSystemError):
+                exactalg.integer_solve(rows, "test")
+            continue
+        if solved is not None:
+            assert solved == (det, det_x)
+        assert exactalg.integer_solve(rows, "test") == (det, det_x)
 
 
 def test_format_rational():

@@ -1,6 +1,7 @@
 """Resistance engine: spanning trees, Laplacian solves, Foster sums."""
 
 import io
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equiarbor import exactalg
 from equiarbor.cli import run_command
 from equiarbor.errors import (
     ConnectivityError,
@@ -17,6 +19,7 @@ from equiarbor.errors import (
     InfiniteResistanceError,
     ParameterError,
     SingularNetworkError,
+    VerificationError,
 )
 from equiarbor.graphs import Graph, generate, identify_vertices
 from equiarbor.resistance import (
@@ -165,6 +168,72 @@ def test_resistances_equal_fraction_oracle(net):
     for u, v in permutations(range(net.vertex_count), 2):
         assert (_outcome(resistance, net, u, v)
                 == _outcome(oracles.fraction_resistance, net, u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.multigraphs())
+def test_symmetric_kernel_inverts_multigraph_laplacians(g):
+    # A grounded Laplacian with positive conductances has positive leading
+    # minors, so the symmetric kernel runs and must equal the pivoted one.
+    net = WeightedNetwork.from_graph(g)
+    for comp in g.components():
+        vertices = sorted(comp)
+        rows, _, _ = _reduced_laplacian(net.edge_items(), vertices, vertices[-1])
+        rows = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+        _, det, det_inv = exactalg._eliminate(list(rows), jordan=True)
+        assert exactalg._symmetric_eliminate(rows) == (det, det_inv)
+        assert exactalg.integer_solve(rows, "inverse") == (det, det_inv)
+    assert (_outcome(resistance_matrix, net)
+            == _outcome(oracles.fraction_resistance_matrix, net))
+
+
+# A 4-cycle with resistances 1, -1, 1, 1: grounded at 3, vertex 0's
+# conductances cancel, so the first leading minor is zero.
+ZERO_MINOR_NETWORK = WeightedNetwork.from_resistances(
+    4, [(0, 1, 1), (0, 2, -1), (1, 3, 1), (2, 3, 1)])
+
+
+def test_zero_leading_minor_takes_the_pivoted_fallback(monkeypatch):
+    net = ZERO_MINOR_NETWORK
+    rows, _, _ = _reduced_laplacian(net.edge_items(), range(4), 3)
+    assert rows[0][0] == 0
+    assert exactalg._symmetric_eliminate([row + [0, 0, 0] for row in rows]) is None
+    eliminate = exactalg._eliminate
+    calls = []
+    monkeypatch.setattr(exactalg, "_eliminate",
+                        lambda rows, jordan: calls.append(len(rows)) or eliminate(rows, jordan))
+    omega = resistance_matrix(net)
+    assert calls == [3]
+    assert omega == oracles.fraction_resistance_matrix(net)
+    assert {omega[0][1], omega[0][2], omega[1][2]} == {Fraction(1, 2), Fraction(-3, 2), 0}
+    for u, v in permutations(range(4), 2):
+        assert resistance(net, u, v) == oracles.fraction_resistance(net, u, v)
+
+
+def test_corrupt_fallback_fails_the_residual_check(monkeypatch):
+    eliminate = exactalg._eliminate
+
+    def corrupted(rows, jordan):
+        sign, det, det_inv = eliminate(rows, jordan)
+        det_inv[2][1] += 1
+        return sign, det, det_inv
+
+    monkeypatch.setattr(exactalg, "_eliminate", corrupted)
+    with pytest.raises(VerificationError, match="inverse residual check failed in row 0"):
+        resistance_matrix(ZERO_MINOR_NETWORK)
+
+
+@pytest.mark.parametrize("family, params, omega, degree", [
+    ("hypercube", ["6"], "21/64", 6),
+    ("johnson", ["8", "3"], "11/84", 15),
+])
+def test_analyze_at_scale(family, params, omega, degree):
+    out = io.StringIO()
+    assert run_command(["analyze", "--family", family, "--params", *params],
+                       out, io.StringIO()) == 0
+    report = json.loads(out.getvalue())
+    assert report["equiarboreal"] is True
+    assert (report["omega"], report["lambda"]) == (omega, degree)
 
 
 class _UnreadItems(list):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiarbor import schemes
 from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
 from equiarbor.schemes import (
     AssociationScheme,
+    SchemeViolation,
     colour_class,
     distance_table,
     format_scheme_table,
@@ -71,6 +73,88 @@ def test_verify_scheme_matches_the_scan_oracle(seed, n, perturb):
 def test_verify_scheme_matches_the_scan_oracle_on_families(family, params):
     table = distance_table(generate(family, params))
     assert verify_scheme(table) == oracles.scan_verify_scheme(table)
+
+
+VALID_SCHEMES = {f"{family}{params}": distance_table(generate(family, params))
+                 for family, params in [("hypercube", (4,)), ("johnson", (6, 3)),
+                                        ("hamming", (2, 4))]}
+
+
+@st.composite
+def corrupted_schemes(draw):
+    """A valid scheme with one entry changed, or one entry and its mirror,
+    to any class index up to one past the largest.  Q4 has (n + 1)^2 > size
+    and so counts points; J(6,3) and H(2,4) take the popcount histograms."""
+    table = [row[:] for row in VALID_SCHEMES[draw(st.sampled_from(sorted(VALID_SCHEMES)))]]
+    x, y = draw(st.integers(0, len(table) - 1)), draw(st.integers(0, len(table) - 1))
+    table[x][y] = draw(st.integers(0, max(map(max, table)) + 1))
+    if draw(st.booleans()):
+        table[y][x] = table[x][y]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_schemes())
+def test_single_entry_corruption_matches_the_scan_oracle(table):
+    assert verify_scheme(table) == oracles.scan_verify_scheme(table)
+
+
+# Its least intersection violation, (i, j) = (1, 2) at the pair (2, 0), lies
+# below the diagonal: the witness scan must read every ordered pair.
+BELOW_DIAGONAL_WITNESS = [[0, 3, 2, 1], [3, 0, 1, 2], [2, 1, 0, 2], [1, 2, 2, 0]]
+
+
+def test_least_violation_below_the_diagonal():
+    check = verify_scheme(BELOW_DIAGONAL_WITNESS)
+    assert check.violation.details == (1, 2, 2, 0)
+    assert check == oracles.scan_verify_scheme(BELOW_DIAGONAL_WITNESS)
+
+
+def _path_table(n):
+    return [[abs(x - y) for y in range(n)] for x in range(n)]
+
+
+@pytest.mark.parametrize("table", [distance_table(generate("cycle", (21,))), _path_table(16)],
+                         ids=["C21", "P16"])
+def test_many_classes_match_the_scan_oracle(table):
+    assert verify_scheme(table) == oracles.scan_verify_scheme(table)
+
+
+def test_many_classes_count_points_instead_of_popcounts(monkeypatch):
+    # A long cycle or path has one class per distance, so (n + 1)^2
+    # popcounts per pair would cost more than counting its points.
+    def refuse(*_):
+        raise AssertionError("popcount histogram on a table with (n + 1)^2 > size")
+    monkeypatch.setattr(schemes, "_popcount_histogram", refuse)
+    cycle = verify_scheme(distance_table(generate("cycle", (120,))))
+    assert cycle.valid and cycle.tensor.class_count == 60
+    assert [cycle.tensor.p(1, 1, k) for k in range(4)] == [2, 0, 1, 0]
+    path = verify_scheme(_path_table(80))
+    assert path.violation == SchemeViolation("intersection", (1, 1, 1, 1))
+
+
+def _verdict(check):
+    return (check.valid, check.tensor and check.tensor.values,
+            check.violation and (check.violation.axiom, check.violation.details))
+
+
+@pytest.mark.parametrize("old,new", [
+    # The diagonal pairs, whose histograms carry the valencies, skipped.
+    ("for y in range(x, size):", "for y in range(x + 1, size):"),
+    # The witness scan restricted to the pairs with x <= y.
+    ("for y in range(size):\n            k = rel[x][y]",
+     "for y in range(x, size):\n            k = rel[x][y]"),
+])
+def test_scheme_kernel_mutation_is_caught(monkeypatch, old, new):
+    mutant = oracles.mutant_module(monkeypatch, schemes, old, new)
+    for table in [BELOW_DIAGONAL_WITNESS, *VALID_SCHEMES.values()]:
+        try:
+            got = _verdict(mutant.verify_scheme(table))
+        except LookupError:
+            return
+        if got != _verdict(oracles.scan_verify_scheme(table)):
+            return
+    pytest.fail("the mutant agreed with the scan oracle on every table")
 
 
 def test_scheme_from_distance_partition():
