@@ -1,12 +1,16 @@
 """Edge connectivity, minimum-cut enumeration, and structural
 classification of the bipartite graph spanned by a cut's crossing edges.
 
-Edge connectivity runs n-1 max-flow computations from a fixed source.  The
-minimum cuts are read off the same flows' residual graphs (Picard &
-Queyranne 1980), each once: the work grows with the number of minimum
-cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every side is
-recounted from the graph and checked against lambda.  The enumeration limit
-caps only the cut list of ``minimum_cuts``.
+Edge connectivity alone comes from maximum-adjacency orderings (Stoer &
+Wagner 1997) on dense integer rows when the graph fits the matrix limit,
+and above it from n-1 max-flow computations from a fixed source.  The
+minimum cuts always come from the flows: they are read off the residual
+graphs (Picard & Queyranne 1980), each once, so the work grows with the
+number of minimum cuts, at most n(n-1)/2, not with the 2^(n-1)
+bipartitions.  Every side is recounted from the graph and checked against
+lambda, and that lambda against the ordering's when the same scope
+computed the ordering first.  The enumeration limit caps only the cut list
+of ``minimum_cuts``.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -16,7 +20,7 @@ of a candidate centre must induce exactly a star (which additionally rules
 out parallel crossing edges at the centre).
 
 The spanning-tree lower bound lambda >= m/(n-1) on equiarboreal graphs is
-checked here too, beside the max-flow lambda it compares against.
+checked here too, beside the lambda it compares against.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def cut_from_side(g: Graph, side_a) -> EdgeCut:
 
 
 # ---------------------------------------------------------------------------
-# Edge connectivity and minimum cuts by max-flow
+# Edge connectivity and minimum cuts
 
 
 def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[dict[int, int]]]:
@@ -122,16 +126,61 @@ def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[dict[int, int]]]:
 
 
 @memoized
+def _ordering_lambda(g: Graph) -> int:
+    """lambda(G) of a multigraph by maximum-adjacency orderings
+    (Stoer & Wagner 1997) on dense integer rows.
+
+    Each phase orders the remaining vertices, each next one the most
+    strongly connected to those before it; the last one's connection is a
+    cut of the graph (the cut of the phase), and no cut separating the last
+    two vertices is smaller.  Merging the last vertex into the one before
+    it keeps every other cut, so the least cut of a phase is lambda.  The
+    first phase's cut and the last one's (vertex 0 against the rest) are
+    vertex stars, which the minimum degree already counts."""
+    n = g.vertex_count
+    rows = [[0] * n for _ in range(n)]
+    for (u, v), m in g.edge_items():
+        rows[u][v] = rows[v][u] = m
+    best = min(g.degree(v) for v in range(n))  # a vertex star is a cut
+    alive = list(range(n))
+    while len(alive) > 1:
+        rest = alive[1:]
+        first = rows[alive[0]]
+        connection = [first[v] for v in rest]
+        before = alive[0]
+        while len(rest) > 1:
+            i = connection.index(max(connection))
+            before = rest.pop(i)
+            del connection[i]
+            row = rows[before]
+            connection = [c + row[v] for c, v in zip(connection, rest)]
+        last = rest[0]
+        best = min(best, connection[0])
+        merged = rows[before] = [a + b for a, b in zip(rows[before], rows[last])]
+        alive.remove(last)
+        for v in alive:
+            rows[v][before] = merged[v]
+    return best
+
+
+@memoized
 def edge_connectivity(g: Graph) -> int:
-    """lambda(G); 0 for a disconnected graph."""
+    """lambda(G); 0 for a disconnected graph.
+
+    Read from the minimum cuts when they are already known; otherwise by
+    maximum-adjacency orderings when their n x n rows fit the matrix limit,
+    else by n-1 max-flows."""
     if g.vertex_count < 2:
         raise ParameterError("edge connectivity needs at least 2 vertices")
     if not g.is_connected():
         return 0
-    known = known_fact(_minimum_cut_sides, g)  # the same n-1 flows
+    known = known_fact(_minimum_cut_sides, g)
     if known is not None:
         return known[0]
-    return min(_max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
+    n = g.vertex_count
+    if n <= SIZE_LIMIT:
+        return _ordering_lambda(g)
+    return min(_max_flow(g, 0, t)[0] for t in range(1, n))
 
 
 def _reach(residual: list[dict[int, int]], starts: Iterable[int],
@@ -188,7 +237,9 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     A minimum cut is found at the flow to the least vertex on its far side.
     Only the current residual is kept; sides gathered for a flow value above
     lambda are dropped once a smaller flow shows up.  A side that does not
-    cross lambda edges means the residual closure went wrong."""
+    cross lambda edges means the residual closure went wrong, and a lambda
+    other than the one the orderings already found in this scope means one
+    of the two went wrong."""
     n = g.vertex_count
     most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
     lam: int | None = None
@@ -206,6 +257,10 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     if len(sides) > most:
         raise VerificationError(
             f"more than n(n-1)/2 = {most} minimum cuts enumerated")
+    ordered = known_fact(_ordering_lambda, g)
+    if ordered is not None and ordered != lam:
+        raise VerificationError(
+            f"max-flow lambda {lam} disagrees with maximum-adjacency lambda {ordered}")
     items = g.edge_items()
     for side in sides:
         lone = 1 if side == 1 else ((1 << n) - 1) ^ side

@@ -12,10 +12,12 @@ O(min((n+1)^2, size)): (n+1)^2 popcounts of one bitmask per (point, class)
 when that is at most the point count, else one count over the points (a
 long cycle or path has one class per distance).  The pairs with x <= y
 decide validity (the histogram of (y, x) is the transpose, and the comment
-in ``verify_scheme`` shows why the transposes then agree too); only an
-invalid table is scanned over every ordered pair.  On success the full intersection-number tensor is
-returned; on failure the first violating tuple in scan order, intersection
-counts being scanned by (i, j, class, position in the class).
+in ``_decide_scheme`` shows why the transposes then agree too), and the
+check stops at the first mismatch.  On success the full intersection-number
+tensor is returned; on failure the first violating tuple in scan order,
+intersection counts being scanned by (i, j, class, position in the class).
+Only that witness needs every ordered pair of an invalid table, so the
+distance-partition builder, which needs only the verdict, never scans them.
 
 Only symmetric schemes are supported.  Colour classes of a valid scheme are
 always regular; the extractor asserts that instead of assuming it.
@@ -98,6 +100,17 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
     z with rel(x, z) = i and rel(z, y) = j differs from the count of the
     class's first pair.
     """
+    check = _decide_scheme(rel)
+    if check.valid or check.violation is not None:
+        return check
+    return SchemeCheck(False, None, _intersection_witness(rel))
+
+
+def _decide_scheme(rel: RelationTable) -> SchemeCheck:
+    """``verify_scheme`` up to its first failure.  A failed
+    intersection-count constancy comes back with no violation: finding the
+    least one means scanning every ordered pair, which a caller that needs
+    only validity does not pay for."""
     size, n = _validate_table(rel)
 
     for x in range(size):
@@ -133,26 +146,28 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
     width = n + 1
     histogram = _pair_histograms(rel, width)
     firsts: dict = {}
-    valid = True
     for x in range(size):
         for y in range(x, size):
             hist = histogram(x, y)
             if firsts.setdefault(rel[x][y], hist) != hist:
-                valid = False
-                break
-        if not valid:
-            break
-    if valid:
-        tensor = IntersectionTensor(n, tuple(
-            tuple(tuple(firsts[k][i * width + j] for k in range(width))
-                  for j in range(width))
-            for i in range(width)))
-        return SchemeCheck(True, tensor, None)
+                return SchemeCheck(False, None, None)
+    tensor = IntersectionTensor(n, tuple(
+        tuple(tuple(firsts[k][i * width + j] for k in range(width))
+              for j in range(width))
+        for i in range(width)))
+    return SchemeCheck(True, tensor, None)
 
-    # Only an invalid table is scanned in full, in row-major order: each
-    # pair is compared with the first pair of its class, and the least
-    # mismatch by (i, j, class, position in the class) is reported.
-    firsts.clear()
+
+def _intersection_witness(rel: RelationTable) -> SchemeViolation:
+    """The least intersection-count violation of a table that passed the
+    identity, cover and symmetry checks but not constancy.  It is scanned
+    in full, in row-major order: each pair is compared with the first pair
+    of its class, and the least mismatch by (i, j, class, position in the
+    class) is reported."""
+    size = len(rel)
+    width = 1 + max(map(max, rel))
+    histogram = _pair_histograms(rel, width)
+    firsts: dict = {}
     seen = [0] * width
     least: Optional[tuple[int, int, int, int, int, int]] = None
     for x in range(size):
@@ -168,7 +183,7 @@ def verify_scheme(rel: RelationTable) -> SchemeCheck:
                 if least is None or found < least:
                     least = found
     i, j, _, _, x, y = least
-    return SchemeCheck(False, None, SchemeViolation("intersection", (i, j, x, y)))
+    return SchemeViolation("intersection", (i, j, x, y))
 
 
 def _pair_histograms(rel: RelationTable, width: int):
@@ -235,7 +250,7 @@ def scheme_from_distance_partition(g: Graph) -> Optional[AssociationScheme]:
     if not g.is_simple:
         raise ParameterError("distance partition needs a simple graph")
     table = distance_table(g)
-    check = verify_scheme(table)
+    check = _decide_scheme(table)  # validity only: no violation is reported
     if not check.valid:
         return None
     return AssociationScheme(g.vertex_count, check.tensor.class_count,

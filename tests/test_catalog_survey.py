@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from equiarbor import cuts as cuts_module
 from equiarbor import exactalg as exactalg_module
+from equiarbor import schemes as schemes_module
 from equiarbor import survey as survey_module
 from equiarbor.catalog import (
     GraphCatalogEntry,
@@ -16,7 +17,7 @@ from equiarbor.catalog import (
     entry_from_manifest,
 )
 from equiarbor.errors import EquiarborError, ParameterError
-from equiarbor.graphs import generate
+from equiarbor.graphs import Graph, generate, memoized
 from equiarbor.resistance import _reduced_laplacian
 from equiarbor.survey import survey
 
@@ -228,18 +229,42 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
 
 
 def test_survey_entry_runs_each_max_flow_once(monkeypatch):
-    flows = []
-    real = cuts_module._max_flow
+    flows, orderings = [], []
+    real_flow = cuts_module._max_flow
+    real_ordering = cuts_module._ordering_lambda.__wrapped__
 
-    def counting(g, s, t):
+    def counting_flow(g, s, t):
         flows.append((g, s, t))
-        return real(g, s, t)
+        return real_flow(g, s, t)
 
-    monkeypatch.setattr(cuts_module, "_max_flow", counting)
+    def counting_ordering(g):
+        orderings.append(g)
+        return real_ordering(g)
+
+    monkeypatch.setattr(cuts_module, "_max_flow", counting_flow)
+    monkeypatch.setattr(cuts_module, "_ordering_lambda", memoized(counting_ordering))
     host = generate("petersen")
+    complement = Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)
+                            if not host.has_edge(u, v)])
     report = survey([generated("Petersen", "petersen")])
     assert report.entries[0].lambda_value == 3
-    # The minimum-cut enumeration runs one flow from vertex 0 to each other
-    # vertex; the entry's lambda and colour class 1, the host, reuse it.
-    assert sorted((s, t) for g, s, t in flows if g == host) == [
-        (0, t) for t in range(1, host.vertex_count)]
+    # Degree 3 needs no minimum cut, so no flow runs.  One ordering gives
+    # lambda of the host, which the entry and colour class 1 share, and one
+    # that of colour class 2, the complement.
+    assert flows == []
+    assert orderings == [host, complement]
+
+
+def test_survey_decides_the_distance_partition_without_a_witness(monkeypatch):
+    # A tree or the prism is not distance-regular; the survey notes that
+    # from the first mismatching pair and never looks for the least one.
+    def refuse(rel):
+        raise AssertionError("the witness rescan ran")
+
+    monkeypatch.setattr(schemes_module, "_intersection_witness", refuse)
+    path = "40 39\n" + "".join(f"{v} {v + 1}\n" for v in range(39))
+    report = survey([{"name": "P40", "format": "edge-list", "payload": path},
+                     generated("S12", "star", 12),
+                     generated("Prism", "triangular_prism")])
+    for entry in report.entries:
+        assert "distance partition is not an association scheme" in entry.notes

@@ -126,22 +126,31 @@ def test_cut_enumerate_error_exits(tmp_path, monkeypatch, argv, message):
 
 
 def test_plain_cut_runs_its_max_flows_once(monkeypatch):
-    flows = []
-    real = cuts_module._max_flow
+    flows, orderings = [], []
+    real_flow = cuts_module._max_flow
+    real_ordering = cuts_module._ordering_lambda.__wrapped__
 
-    def counting(g, s, t):
+    def counting_flow(g, s, t):
         flows.append((s, t))
-        return real(g, s, t)
+        return real_flow(g, s, t)
 
-    monkeypatch.setattr(cuts_module, "_max_flow", counting)
+    def counting_ordering(g):
+        orderings.append(g)
+        return real_ordering(g)
+
+    monkeypatch.setattr(cuts_module, "_max_flow", counting_flow)
+    monkeypatch.setattr(cuts_module, "_ordering_lambda",
+                        graphs_module.memoized(counting_ordering))
     code, out, _ = run(["cut", "--family", "petersen"])
     assert code == 0
     data = json.loads(out)
-    assert list(data) == ["lambda", "theorem"]
-    assert data["lambda"] == 3
-    assert data["theorem"]["passed"] is True
-    # The theorem check's minimum-cut enumeration; lambda reuses its flows.
-    assert flows == [(0, t) for t in range(1, 10)]
+    assert data == {"lambda": 3,
+                    "theorem": {"applicable": True, "k": 3, "lambdaEqualsDegree": True,
+                                "passed": True, "counterexamples": []}}
+    # Degree 3 needs no minimum cut: the theorem check and the printed
+    # lambda share one maximum-adjacency ordering, and no flow runs.
+    assert flows == []
+    assert orderings == [generate("petersen")]
 
 
 def test_plain_cut_below_two_vertices_and_disconnected(tmp_path):

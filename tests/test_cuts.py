@@ -24,7 +24,8 @@ from equiarbor.errors import (
     ScaleError,
     VerificationError,
 )
-from equiarbor.graphs import Graph, fact_scope, generate, known_fact
+from equiarbor.graphs import Graph, fact_scope, generate, known_fact, memoized
+from equiarbor.schemes import colour_class, scheme_from_distance_partition
 
 import oracles
 
@@ -57,6 +58,81 @@ def test_edge_connectivity_against_brute_force():
     for _ in range(25):
         g = oracles.random_connected_graph(rng, rng.randint(2, 8))
         assert edge_connectivity(g) == oracles.brute_force_edge_connectivity(g)
+
+
+def _flow_lambda(g: Graph) -> int:
+    return min(cuts_module._max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.multigraphs(min_vertices=2))
+def test_ordering_lambda_matches_flows_and_brute_force(g):
+    lam = cuts_module._ordering_lambda(g)
+    assert lam == _flow_lambda(g)
+    assert lam == oracles.brute_force_edge_connectivity(g)
+
+
+@pytest.mark.parametrize("g,lam", [
+    # Lambda below the minimum degree, so only the cut of some phase finds
+    # it: the path 2-0-1-3 with its end edges doubled (the second phase's
+    # cut), two K4 joined by a bridge, two doubled triangles joined by three
+    # parallel edges, and three doubled edges.
+    (Graph(4, [(0, 1), (0, 2, 2), (1, 3, 2)]), 1),
+    (Graph(8, [(u, v) for b in (0, 4) for u in range(b, b + 4)
+               for v in range(u + 1, b + 4)] + [(3, 4)]), 1),
+    (Graph(6, [(0, 1, 2), (1, 2, 2), (0, 2, 2), (3, 4, 2), (4, 5, 2), (3, 5, 2),
+               (2, 3, 3)]), 3),
+    (Graph(6, [(0, 1, 2), (2, 3, 2), (4, 5, 2)]), 0),
+])
+def test_ordering_lambda_below_minimum_degree(g, lam):
+    assert cuts_module._ordering_lambda(g) == lam == _flow_lambda(g)
+
+
+def _colour_class(family, params, i):
+    return colour_class(scheme_from_distance_partition(generate(family, params)), i)
+
+
+def _path(n: int) -> Graph:
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _refuse(*args):
+    raise AssertionError("the other lambda path ran")
+
+
+@pytest.mark.parametrize("g,lam", [
+    (generate("complete", (30,)), 29),
+    (_colour_class("johnson", (7, 3), 2), 18),
+    (generate("cycle", (200,)), 2),
+    (_path(160), 1),
+    (generate("star", (200,)), 1),
+])
+def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
+    monkeypatch.setattr(cuts_module, "_max_flow", _refuse)
+    assert edge_connectivity(g) == lam
+
+
+def test_graph_above_the_matrix_limit_takes_the_flows(monkeypatch):
+    # The ordering's n x n rows are never built above the matrix limit.
+    monkeypatch.setattr(cuts_module, "_ordering_lambda", _refuse)
+    assert edge_connectivity(_path(600)) == 1
+
+
+@pytest.mark.parametrize("n,refused", [(10, "_max_flow"), (11, "_ordering_lambda")])
+def test_the_matrix_limit_alone_picks_the_lambda_path(monkeypatch, n, refused):
+    monkeypatch.setattr(cuts_module, "SIZE_LIMIT", 10)
+    monkeypatch.setattr(cuts_module, refused, _refuse)
+    assert edge_connectivity(generate("cycle", (n,))) == 2
+
+
+def test_flows_and_ordering_lambda_are_cross_checked(monkeypatch):
+    real = cuts_module._ordering_lambda.__wrapped__
+    monkeypatch.setattr(cuts_module, "_ordering_lambda",
+                        memoized(lambda g: real(g) - 1))
+    with fact_scope():
+        with pytest.raises(VerificationError, match=re.escape(
+                "max-flow lambda 3 disagrees with maximum-adjacency lambda 2")):
+            verify_degree_connectivity(generate("petersen"))
 
 
 def test_minimum_cuts_c4_exhaustive():
