@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .exactalg import Rational, RationalMatrix
+from .exactalg import Rational
 from .cuts import EdgeCut, _cut_graph_degrees, _floor_k_minus_sqrt_k, cut_from_side
 from .graphs import Graph
 from .resistance import WeightedNetwork, resistance
@@ -121,9 +121,9 @@ def interior_voltages(k: int, x: int, y: int) -> tuple[Fraction, Fraction]:
     """Voltages at U2 and V2 under a unit voltage from U1 to V1, from the
     exact solve of the two nodal equations."""
     p = BoundParams.create(k, x, y)
-    system = RationalMatrix.from_rows([[2 * p.a, -p.c], [-p.c, 2 * p.b]])
-    v_u2, v_v2 = exactalg.solve(system, [Fraction(p.a), Fraction(x - 1)])
-    return v_u2, v_v2
+    det, det_v = exactalg.integer_solve([[2 * p.a, -p.c, p.a], [-p.c, 2 * p.b, x - 1]],
+                                        "interior voltages")
+    return Fraction(det_v[0][0], det), Fraction(det_v[1][0], det)
 
 
 def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:

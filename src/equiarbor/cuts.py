@@ -2,11 +2,10 @@
 classification of the bipartite graph spanned by a cut's crossing edges.
 
 Edge connectivity alone comes from maximum-adjacency orderings (Stoer &
-Wagner 1997) on dense integer rows when the graph fits the matrix limit,
-and above it from n-1 max-flow computations from a fixed source.  The
-minimum cuts always come from the flows: they are read off the residual
-graphs (Picard & Queyranne 1980), each once, so the work grows with the
-number of minimum cuts, at most n(n-1)/2, not with the 2^(n-1)
+Wagner 1997) over per-vertex adjacency dicts, at every size.  Max-flows
+from a fixed source serve only the minimum cuts: those are read off the
+residual graphs (Picard & Queyranne 1980), each once, so the work grows
+with the number of minimum cuts, at most n(n-1)/2, not with the 2^(n-1)
 bipartitions.  Every side is recounted from the graph and checked against
 lambda, and that lambda against the ordering's when the same scope
 computed the ordering first.  The enumeration limit caps only the cut list
@@ -128,38 +127,40 @@ def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[dict[int, int]]]:
 @memoized
 def _ordering_lambda(g: Graph) -> int:
     """lambda(G) of a multigraph by maximum-adjacency orderings
-    (Stoer & Wagner 1997) on dense integer rows.
+    (Stoer & Wagner 1997) over per-vertex adjacency dicts.
 
-    Each phase orders the remaining vertices, each next one the most
-    strongly connected to those before it; the last one's connection is a
-    cut of the graph (the cut of the phase), and no cut separating the last
-    two vertices is smaller.  Merging the last vertex into the one before
-    it keeps every other cut, so the least cut of a phase is lambda.  The
-    first phase's cut and the last one's (vertex 0 against the rest) are
-    vertex stars, which the minimum degree already counts."""
-    n = g.vertex_count
-    rows = [[0] * n for _ in range(n)]
+    Each phase orders the remaining vertices from vertex 0, each next one
+    the most strongly connected to those before it; ``connection`` holds
+    only the vertices adjacent to those, so a sparse graph keeps it short.
+    The last one's connection is a cut (the cut of the phase), and no cut
+    separating the last two vertices is smaller.  Merging the last vertex
+    into the one before it keeps every other cut, so the least cut of a
+    phase is lambda.  A phase that runs out of connected vertices has found
+    a disconnected graph."""
+    adjacent: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for (u, v), m in g.edge_items():
-        rows[u][v] = rows[v][u] = m
-    best = min(g.degree(v) for v in range(n))  # a vertex star is a cut
-    alive = list(range(n))
-    while len(alive) > 1:
-        rest = alive[1:]
-        first = rows[alive[0]]
-        connection = [first[v] for v in rest]
-        before = alive[0]
-        while len(rest) > 1:
-            i = connection.index(max(connection))
-            before = rest.pop(i)
-            del connection[i]
-            row = rows[before]
-            connection = [c + row[v] for c, v in zip(connection, rest)]
-        last = rest[0]
-        best = min(best, connection[0])
-        merged = rows[before] = [a + b for a, b in zip(rows[before], rows[last])]
-        alive.remove(last)
-        for v in alive:
-            rows[v][before] = merged[v]
+        adjacent[u][v] = adjacent[v][u] = m
+    best = g.edge_count
+    for remaining in range(g.vertex_count - 1, 0, -1):
+        connection = dict(adjacent[0])
+        ordered = {0}
+        before = last = 0
+        for _ in range(remaining):
+            if not connection:
+                return 0
+            before, last = last, max(connection, key=connection.__getitem__)
+            cut = connection.pop(last)
+            ordered.add(last)
+            for v, m in adjacent[last].items():
+                if v not in ordered:
+                    connection[v] = connection.get(v, 0) + m
+        best = min(best, cut)
+        merged = adjacent[before]
+        for v, m in adjacent[last].items():
+            del adjacent[v][last]
+            if v != before:
+                merged[v] = adjacent[v][before] = merged.get(v, 0) + m
+        adjacent[last] = {}
     return best
 
 
@@ -167,20 +168,12 @@ def _ordering_lambda(g: Graph) -> int:
 def edge_connectivity(g: Graph) -> int:
     """lambda(G); 0 for a disconnected graph.
 
-    Read from the minimum cuts when they are already known; otherwise by
-    maximum-adjacency orderings when their n x n rows fit the matrix limit,
-    else by n-1 max-flows."""
+    Read from the minimum cuts when they are already known, otherwise by
+    maximum-adjacency orderings, at every size."""
     if g.vertex_count < 2:
         raise ParameterError("edge connectivity needs at least 2 vertices")
-    if not g.is_connected():
-        return 0
     known = known_fact(_minimum_cut_sides, g)
-    if known is not None:
-        return known[0]
-    n = g.vertex_count
-    if n <= SIZE_LIMIT:
-        return _ordering_lambda(g)
-    return min(_max_flow(g, 0, t)[0] for t in range(1, n))
+    return _ordering_lambda(g) if known is None else known[0]
 
 
 def _reach(residual: list[dict[int, int]], starts: Iterable[int],

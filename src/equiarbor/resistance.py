@@ -36,7 +36,7 @@ from .errors import (
     SingularNetworkError,
     SingularSystemError,
 )
-from .exactalg import RationalMatrix, Rational, format_rational, parse_rational
+from .exactalg import Rational, format_rational, parse_rational
 from .graphs import (
     _GRAPH6_MAX_N,
     Graph,
@@ -184,7 +184,10 @@ def spanning_tree_count(g: Graph) -> int:
     if n == 0:
         raise ParameterError("spanning trees of the empty graph are undefined")
     rows, _, _ = _reduced_laplacian(g.edge_items(), range(n), 0)
-    return int(exactalg.determinant(RationalMatrix.from_rows(rows)))
+    try:
+        return exactalg.integer_solve(rows, "spanning-tree count")[0]
+    except SingularSystemError:
+        return 0
 
 
 def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:

@@ -168,7 +168,7 @@ def test_plain_cut_below_two_vertices_and_disconnected(tmp_path):
 
 
 def test_cut_above_the_matrix_limit_keeps_lambda():
-    # lambda needs only max-flows; the theorem's equiarboreal precondition
+    # lambda needs no matrix; the theorem's equiarboreal precondition
     # needs a matrix above the limit, so the theorem is not applicable.
     code, out, err = run(["cut", "--family", "cycle", "--params", "514"])
     assert (code, err) == (0, "")

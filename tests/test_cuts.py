@@ -92,12 +92,35 @@ def _colour_class(family, params, i):
     return colour_class(scheme_from_distance_partition(generate(family, params)), i)
 
 
+#: The stress survey's schemes and the catalog's Petersen, Q4 and J(5,2).
+STRESS_SCHEMES = [("hypercube", (5,)), ("johnson", (7, 3)), ("johnson", (6, 3)),
+                  ("hamming", (3, 3)), ("complete", (30,)), ("cycle", (30,)),
+                  ("hamming", (2, 5)), ("petersen", ()), ("hypercube", (4,)),
+                  ("johnson", (5, 2))]
+
+
+def _connected_colour_classes():
+    for family, params in STRESS_SCHEMES:
+        s = scheme_from_distance_partition(generate(family, params))
+        for i in range(1, s.class_count + 1):
+            g = colour_class(s, i)
+            if g.is_connected():
+                yield pytest.param(g, id=f"{family}{list(params)}-class{i}")
+
+
+@pytest.mark.parametrize("g", _connected_colour_classes())
+def test_ordering_lambda_matches_flows_on_stress_colour_classes(g):
+    # These classes are the lambda-only calls of a stress survey; at up to
+    # 35 vertices they merge far more than the hypothesis graphs do.
+    assert cuts_module._ordering_lambda(g) == _flow_lambda(g) == g.is_regular()
+
+
 def _path(n: int) -> Graph:
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def _refuse(*args):
-    raise AssertionError("the other lambda path ran")
+    raise AssertionError("the max-flows ran for lambda alone")
 
 
 @pytest.mark.parametrize("g,lam", [
@@ -112,17 +135,16 @@ def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
     assert edge_connectivity(g) == lam
 
 
-def test_graph_above_the_matrix_limit_takes_the_flows(monkeypatch):
-    # The ordering's n x n rows are never built above the matrix limit.
-    monkeypatch.setattr(cuts_module, "_ordering_lambda", _refuse)
-    assert edge_connectivity(_path(600)) == 1
-
-
-@pytest.mark.parametrize("n,refused", [(10, "_max_flow"), (11, "_ordering_lambda")])
-def test_the_matrix_limit_alone_picks_the_lambda_path(monkeypatch, n, refused):
-    monkeypatch.setattr(cuts_module, "SIZE_LIMIT", 10)
-    monkeypatch.setattr(cuts_module, refused, _refuse)
-    assert edge_connectivity(generate("cycle", (n,))) == 2
+@pytest.mark.parametrize("g,lam", [
+    (_path(600), 1),
+    (generate("cycle", (700,)), 2),
+    # 600 vertices in a cycle of doubled edges with one triple edge.
+    (Graph(600, [(v, (v + 1) % 600, 3 if v == 0 else 2) for v in range(600)]), 4),
+])
+def test_graph_above_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
+    # The same ordering at every size: no n x n rows, so no size limit.
+    monkeypatch.setattr(cuts_module, "_max_flow", _refuse)
+    assert edge_connectivity(g) == lam
 
 
 def test_flows_and_ordering_lambda_are_cross_checked(monkeypatch):
