@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's computation paths:
 spanning trees by deletion-contraction, connectivity and cuts by exhaustive
-bipartitions, matchings by exhaustive search, distances by BFS over plain
+bipartitions, matching sizes by exhaustive search and by networkx's
+weighted blossom (a separate implementation), distances by BFS over plain
 adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
 elimination over ``Fraction``, resistances and the equiarboreal verdict
 from a ``Fraction`` Laplacian and those solves and inverses, scheme
@@ -24,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from equiarbor.bounds import BoundParams, degree_pair_bound
@@ -171,6 +173,20 @@ def exhaustive_max_matching_size(g: Graph) -> int:
         return 0
 
     return rec(frozenset(), 0)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """The simple graph under ``g`` as a networkx graph on ``0..n-1``."""
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.vertex_count))
+    ref.add_edges_from(e for e, _ in g.edge_items())
+    return ref
+
+
+def networkx_max_matching_size(g: Graph) -> int:
+    """Maximum matching size from networkx's max-weight blossom with unit
+    weights."""
+    return len(nx.max_weight_matching(to_networkx(g), maxcardinality=True))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

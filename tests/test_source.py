@@ -4,6 +4,9 @@ import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,24 @@ def test_benchmark_metric_names_a_public_function(name):
     assert not attr.startswith("_") and inspect.isfunction(target) \
         and target.__module__ == module.__name__, \
         f"{name}: equiarbor.{layer} defines no public {'.'.join(path)}"
+
+
+#: Runs in a fresh interpreter: two CLI calls, then whether networkx loaded.
+_COLD_START = """
+import io, sys
+import equiarbor
+from equiarbor.cli import run_command
+codes = [run_command(argv, io.StringIO(), io.StringIO())
+         for argv in (["matching", "--family", "petersen"], ["--deterministic", "survey"])]
+print(codes, "networkx" in sys.modules)
+"""
+
+
+def test_package_runs_without_networkx():
+    # networkx is a test-only dependency: importing it would add about a
+    # tenth of a second to every command's start-up.
+    src = Path(equiarbor.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"], proc.stdout
