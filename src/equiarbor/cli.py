@@ -302,6 +302,17 @@ def _cmd_survey(args, stdout, stderr) -> int:
     return 1 if report.failed else 0
 
 
+def _enumeration_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if limit < 2:
+        raise argparse.ArgumentTypeError(
+            f"{limit} is below 2, the fewest vertices a cut has")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equiarbor",
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp from reports")
-    parser.add_argument("--enumeration-limit", type=int,
+    parser.add_argument("--enumeration-limit", type=_enumeration_limit,
                         default=cuts.DEFAULT_ENUMERATION_LIMIT,
                         help="largest vertex count whose minimum cuts "
                              "cut --enumerate/--classify lists")

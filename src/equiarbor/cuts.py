@@ -3,13 +3,15 @@ classification of the bipartite graph spanned by a cut's crossing edges.
 
 Edge connectivity alone comes from maximum-adjacency orderings (Stoer &
 Wagner 1997) over per-vertex adjacency dicts, at every size.  Max-flows
-from a fixed source serve only the minimum cuts: those are read off the
-residual graphs (Picard & Queyranne 1980), each once, so the work grows
-with the number of minimum cuts, at most n(n-1)/2, not with the 2^(n-1)
-bipartitions.  Every side is recounted from the graph and checked against
-lambda, and that lambda against the ordering's when the same scope
-computed the ordering first.  The enumeration limit caps only the cut list
-of ``minimum_cuts``.
+serve only the minimum cuts: for each t one flow runs from the prefix
+0..t-1, contracted, to t (Hao & Orlin 1994), and the minimum cuts whose
+least far-side vertex is t are the closed sets of its residual graph
+(Picard & Queyranne 1980), taken as unions of per-vertex residual
+bitmasks.  Each is found once, so the work grows with the number of
+minimum cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every
+side is recounted from the graph and checked against lambda, and that
+lambda against the ordering's when the same scope computed the ordering
+first.  The enumeration limit caps only the cut list of ``minimum_cuts``.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -26,10 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .equiarboreal import check_equiarboreal
 from .errors import (
@@ -91,37 +93,66 @@ def cut_from_side(g: Graph, side_a) -> EdgeCut:
 # Edge connectivity and minimum cuts
 
 
-def _max_flow(g: Graph, s: int, t: int) -> tuple[int, list[dict[int, int]]]:
-    """Integral max flow with capacities equal to edge multiplicities, and
-    the residual capacities it leaves: ``residual[x][y]`` for every edge
-    direction x -> y."""
-    residual: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+def _capacities(g: Graph) -> list[dict[int, int]]:
+    """``capacity[u][v]``: the multiplicity of each edge uv, both ways."""
+    capacity: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for (u, v), m in g.edge_items():
-        residual[u][v] = m
-        residual[v][u] = m
-    flow = 0
+        capacity[u][v] = capacity[v][u] = m
+    return capacity
+
+
+def _prefix_flow(capacity: list[dict[int, int]], adjacent: list[int], t: int
+                 ) -> tuple[int, list[int], list[int], int]:
+    """Integral max flow from the prefix 0..t-1, contracted, to t (Hao &
+    Orlin 1994), for ``_capacities`` and neighbour bitmasks ``adjacent``.
+    Returns its value, its residual arcs as bitmasks ``out[v]`` (each w
+    with residual capacity on v -> w) and ``into[v]`` (each w with residual
+    capacity on w -> v), and the bitmask of the vertices that reach t.
+
+    The direct arcs into t are saturated first.  Each augmenting path comes
+    from a BFS backwards from t that stops at the first prefix vertex it
+    reaches, so no path enters the prefix; the BFS that fails has visited
+    exactly the vertices that reach t."""
+    residual = [dict(arcs) for arcs in capacity]
+    out, into = adjacent.copy(), adjacent.copy()
+    prefix = (1 << t) - 1
+    value = 0
+    for s, c in capacity[t].items():
+        if s < t:  # no path uses s -> t or t -> s, so only the bits change
+            value += c
+            out[s] ^= 1 << t
+    into[t] &= ~prefix
+    parent = [t] * len(capacity)
     while True:
-        parent: dict[int, int | None] = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            x = queue.popleft()
-            for y, c in residual[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if t not in parent:
-            return flow, residual
-        path = []
-        y = t
-        while parent[y] is not None:
-            x = parent[y]
-            path.append((x, y))
-            y = x
-        bottleneck = min(residual[x][y] for (x, y) in path)
-        for (x, y) in path:
+        seen, queue = 1 << t, [t]
+        for y in queue:
+            new = into[y] & ~seen
+            if new & prefix:
+                break
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                x = low.bit_length() - 1
+                parent[x] = y
+                queue.append(x)
+        else:
+            return value, out, into, seen
+        path = [(new & prefix).bit_length() - 1, y]
+        while y != t:
+            y = parent[y]
+            path.append(y)
+        arcs = list(zip(path, path[1:]))
+        bottleneck = min(residual[x][y] for x, y in arcs)
+        for x, y in arcs:
             residual[x][y] -= bottleneck
+            if not residual[x][y]:
+                out[x] &= ~(1 << y)
+                into[y] &= ~(1 << x)
             residual[y][x] += bottleneck
-        flow += bottleneck
+            out[y] |= 1 << x
+            into[x] |= 1 << y
+        value += bottleneck
 
 
 @memoized
@@ -137,9 +168,7 @@ def _ordering_lambda(g: Graph) -> int:
     into the one before it keeps every other cut, so the least cut of a
     phase is lambda.  A phase that runs out of connected vertices has found
     a disconnected graph."""
-    adjacent: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
-    for (u, v), m in g.edge_items():
-        adjacent[u][v] = adjacent[v][u] = m
+    adjacent = _capacities(g)
     best = g.edge_count
     for remaining in range(g.vertex_count - 1, 0, -1):
         connection = dict(adjacent[0])
@@ -176,37 +205,36 @@ def edge_connectivity(g: Graph) -> int:
     return _ordering_lambda(g) if known is None else known[0]
 
 
-def _reach(residual: list[dict[int, int]], starts: Iterable[int],
-           forward: bool) -> int:
-    """Bitmask of the vertices that some vertex of ``starts`` reaches along
-    residual arcs, or, with ``forward`` false, of the vertices that reach
-    one of ``starts``."""
-    stack = list(starts)
-    seen = sum(1 << v for v in stack)
-    while stack:
-        y = stack.pop()
-        for z, c in residual[y].items():
-            if (c if forward else residual[z][y]) > 0 and not seen >> z & 1:
-                seen |= 1 << z
-                stack.append(z)
+def _reach(arcs: list[int], start: int) -> int:
+    """Bitmask of the vertices reached from the bitmask ``start`` along
+    ``arcs``, where ``arcs[v]`` is the bitmask of the heads of v's arcs."""
+    seen = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = arcs[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
     return seen
 
 
-def _closed_sides(residual: list[dict[int, int]], t: int) -> Iterator[int]:
+def _closed_sides(out: list[int], into: list[int], sink_side: int,
+                  t: int) -> Iterator[int]:
     """Bitmasks of the vertex sets that contain 0..t-1, omit t and are
-    closed under residual arcs: the source sides of the minimum 0-t cuts
-    (Picard & Queyranne 1980) whose least far-side vertex is t.  Over all
-    t with a minimum flow, each minimum cut is found exactly once.
+    closed under the residual arcs ``out``/``into`` of the max flow from
+    0..t-1 to t, ``sink_side`` the vertices that reach t: the near sides of
+    the minimum cuts between them (Picard & Queyranne 1980).  When the flow
+    is lambda those are the minimum cuts whose least far-side vertex is t,
+    so over all t each is found once.
 
+    The closures are unions of residual bitmasks, one per vertex reached.
     Each branch either adds a free vertex with everything it reaches or
     drops it with everything that reaches it, so every leaf is a distinct
     closed set and the work is proportional to the output."""
-    side = _reach(residual, range(t), True)
-    if side >> t & 1:
-        return  # 0..t-1 reach t: no minimum cut has t as least far vertex
-    reach = functools.cache(lambda v, forward: _reach(residual, (v,), forward))
-    everything = (1 << len(residual)) - 1
-    stack = [(side, everything & ~(side | reach(t, False)))]
+    side = _reach(out, (1 << t) - 1)
+    reach = functools.cache(lambda v, forward: _reach(out if forward else into, 1 << v))
+    everything = (1 << len(out)) - 1
+    stack = [(side, everything & ~(side | sink_side))]
     while stack:
         side, free = stack.pop()
         if not free:
@@ -227,23 +255,25 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     """lambda(G) and the bitmask of side A, the side holding vertex 0, of
     every minimum cut of a connected graph, sorted by (|A|, lexicographic A).
 
-    A minimum cut is found at the flow to the least vertex on its far side.
-    Only the current residual is kept; sides gathered for a flow value above
-    lambda are dropped once a smaller flow shows up.  A side that does not
-    cross lambda edges means the residual closure went wrong, and a lambda
-    other than the one the orderings already found in this scope means one
-    of the two went wrong."""
+    A minimum cut is found at the flow from the prefix 0..t-1 to the least
+    vertex t on its far side.  Only the current residual is kept; sides
+    gathered for a flow value above lambda are dropped once a smaller flow
+    shows up.  A side that does not cross lambda edges means the residual
+    closure went wrong, and a lambda other than the one the orderings
+    already found in this scope means one of the two went wrong."""
     n = g.vertex_count
     most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
+    capacity = _capacities(g)
+    adjacent = [sum(1 << w for w in arcs) for arcs in capacity]
     lam: int | None = None
     sides: list[int] = []
     for t in range(1, n):
-        flow, residual = _max_flow(g, 0, t)
-        if lam is None or flow < lam:
-            lam, sides = flow, []
-        elif flow > lam:
+        value, out, into, sink_side = _prefix_flow(capacity, adjacent, t)
+        if lam is None or value < lam:
+            lam, sides = value, []
+        elif value > lam:
             continue
-        for side in _closed_sides(residual, t):
+        for side in _closed_sides(out, into, sink_side, t):
             if len(sides) > most:
                 break
             sides.append(side)

@@ -10,10 +10,11 @@ degenerates.
 
 Resistance is computed by grounding one probe vertex and solving the
 reduced conductance-Laplacian system for a unit injected current.  The
-Laplacian is built over the integers, each row scaled by the lcm of its
-conductance denominators (1 for a graph).  Its integer inverse
-``M = det L^-1`` gives the resistance across (u, v) as the integer
-numerator ``M[u][u] + M[v][v] - 2 M[u][v]`` over ``det``; ``Fraction``s
+Laplacian is built over the integers as ``D L D``, D the diagonal of each
+vertex's lcm of conductance denominators (the identity for a graph), so it
+stays symmetric.  Its integer inverse, scaled back to ``M = det L^-1``,
+gives the resistance across (u, v) as the integer numerator
+``M[u][u] + M[v][v] - 2 M[u][v]`` over ``det``; ``Fraction``s
 are built only for values handed out.  For an unweighted connected graph
 the result equals the ratio of spanning-tree counts of the edge-identified
 graph and the graph itself; that tree-ratio path is kept as an independent
@@ -212,9 +213,10 @@ def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:
 def _reduced_laplacian(items: Sequence[tuple[Pair, Rational | int]],
                        vertices: Sequence[int], grounded: int
                        ) -> tuple[list[list[int]], list[int], dict[int, int]]:
-    """Integer rows ``D L`` of the conductance Laplacian on ``vertices``
+    """Integer rows ``D L D`` of the conductance Laplacian on ``vertices``
     (whole components) with ``grounded`` deleted, for (pair, conductance)
-    ``items``; D scales each row by the lcm of its conductance denominators.
+    ``items``; the diagonal D holds each vertex's lcm of its conductance
+    denominators, so every entry is an integer and the rows are symmetric.
     Returns the rows, the scales and each vertex's row index.  A matrix
     over ``exactalg.SIZE_LIMIT`` is refused before anything is built."""
     idx = [x for x in vertices if x != grounded]
@@ -233,10 +235,10 @@ def _reduced_laplacian(items: Sequence[tuple[Pair, Rational | int]],
             i = pos.get(x)
             if i is not None:
                 w = c.numerator * (scales[i] // c.denominator)
-                rows[i][i] += w
+                rows[i][i] += w * scales[i]
                 j = pos.get(y)
                 if j is not None:
-                    rows[i][j] -= w
+                    rows[i][j] -= w * scales[j]
     return rows, scales, pos
 
 
@@ -244,16 +246,19 @@ def _grounded_adjugate(items: Sequence[tuple[Pair, Rational | int]], n: int
                        ) -> tuple[int, list[list[int]]]:
     """``(det, M)`` with ``M = det L^-1`` over the integers, L the Laplacian
     of vertices ``0..n-1`` grounded at ``n - 1``; M is n x n, its grounded
-    row and column zero, so ``_edge_numerators`` can index it directly."""
+    row and column zero, so ``_edge_numerators`` can index it directly.
+    ``M = D (det (D L D)^-1) D`` with ``det = det(D L D)``."""
     rows, scales, _ = _reduced_laplacian(items, range(n), n - 1)
     size = len(rows)
-    for i, s in enumerate(scales):
-        rows[i] += [0] * size
-        rows[i][size + i] = s
+    for i, row in enumerate(rows):
+        row += [0] * size
+        row[size + i] = 1
     try:
         det, m = exactalg.integer_solve(rows, "inverse")
     except SingularSystemError as exc:
         raise SingularNetworkError("reduced system is singular") from exc
+    if any(s != 1 for s in scales):
+        m = [[x * si * sj for x, sj in zip(row, scales)] for row, si in zip(m, scales)]
     return det, [row + [0] for row in m] + [[0] * n]
 
 
@@ -279,12 +284,12 @@ def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
     p = pos[u]
     for i, row in enumerate(rows):
         row.append(scales[p] if i == p else 0)
-    try:
-        det, det_x = exactalg.integer_solve(rows, "solve")
+    try:  # (D L D) y = D e_p, so the potential at u is d_p y_p
+        det, det_y = exactalg.integer_solve(rows, "solve")
     except SingularSystemError as exc:
         raise SingularNetworkError(
             f"reduced system is singular for probe pair ({u}, {v})") from exc
-    return Fraction(det_x[p][0], det)
+    return Fraction(scales[p] * det_y[p][0], det)
 
 
 def resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:

@@ -125,6 +125,79 @@ def brute_force_min_cut_sides(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def _single_source_flow(g: Graph, t: int) -> tuple[int, list[dict[int, int]]]:
+    """Edmonds-Karp max flow from vertex 0 to t with capacities equal to
+    edge multiplicities, and its residual ``residual[x][y]`` per arc."""
+    residual: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for (u, v), m in g.edge_items():
+        residual[u][v] = residual[v][u] = m
+    flow = 0
+    while True:
+        parent: dict[int, int | None] = {0: None}
+        queue = [0]
+        for x in queue:
+            for y, c in residual[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if t not in parent:
+            return flow, residual
+        path = []
+        y = t
+        while parent[y] is not None:
+            path.append((parent[y], y))
+            y = parent[y]
+        bottleneck = min(residual[x][y] for x, y in path)
+        for x, y in path:
+            residual[x][y] -= bottleneck
+            residual[y][x] += bottleneck
+        flow += bottleneck
+
+
+def _residual_reach(residual: list[dict[int, int]], starts: Iterable[int],
+                    forward: bool) -> set[int]:
+    """The vertices that ``starts`` reach along residual arcs, or with
+    ``forward`` false, the vertices that reach one of ``starts``."""
+    stack = list(starts)
+    seen = set(stack)
+    while stack:
+        y = stack.pop()
+        for z in residual[y]:
+            if (residual[y][z] if forward else residual[z][y]) > 0 and z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
+def single_source_min_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """lambda of a connected graph and the side-A bitmask (A holding vertex
+    0) of every minimum cut, sorted by (|A|, lexicographic A): n - 1 max
+    flows from vertex 0 and, at each flow of value lambda to t, the sets
+    holding 0..t-1, omitting t and closed under residual arcs (Picard &
+    Queyranne 1980), walked by branching on the least free vertex.  The
+    reference for ``cuts._minimum_cut_sides``."""
+    n = g.vertex_count
+    flows = [_single_source_flow(g, t) for t in range(1, n)]
+    lam = min(flow for flow, _ in flows)
+    sides = []
+    for t, (flow, residual) in enumerate(flows, 1):
+        side = _residual_reach(residual, range(t), True)
+        if flow > lam or t in side:
+            continue
+        stack = [(side, set(range(n)) - side - _residual_reach(residual, [t], False))]
+        while stack:
+            side, free = stack.pop()
+            if not free:
+                sides.append(sum(1 << v for v in side))
+                continue
+            v = min(free)
+            stack.append((side, free - _residual_reach(residual, [v], False)))
+            grown = side | _residual_reach(residual, [v], True)
+            stack.append((grown, free - grown))
+    sides.sort(key=lambda a: (a.bit_count(), [v for v in range(n) if a >> v & 1]))
+    return lam, tuple(sides)
+
+
 def sweep_cuts_up_to(g: Graph, max_size: int) -> list[EdgeCut]:
     """Every cut of at most ``max_size`` edges, side A holding vertex 0,
     sorted by (|A|, lexicographic A): a Gray-code walk over all 2^(n-1)

@@ -230,18 +230,18 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
 
 def test_survey_entry_runs_each_max_flow_once(monkeypatch):
     flows, orderings = [], []
-    real_flow = cuts_module._max_flow
+    real_flow = cuts_module._prefix_flow
     real_ordering = cuts_module._ordering_lambda.__wrapped__
 
-    def counting_flow(g, s, t):
-        flows.append((g, s, t))
-        return real_flow(g, s, t)
+    def counting_flow(capacity, adjacent, t):
+        flows.append(t)
+        return real_flow(capacity, adjacent, t)
 
     def counting_ordering(g):
         orderings.append(g)
         return real_ordering(g)
 
-    monkeypatch.setattr(cuts_module, "_max_flow", counting_flow)
+    monkeypatch.setattr(cuts_module, "_prefix_flow", counting_flow)
     monkeypatch.setattr(cuts_module, "_ordering_lambda", memoized(counting_ordering))
     host = generate("petersen")
     complement = Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)

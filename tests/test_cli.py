@@ -127,18 +127,18 @@ def test_cut_enumerate_error_exits(tmp_path, monkeypatch, argv, message):
 
 def test_plain_cut_runs_its_max_flows_once(monkeypatch):
     flows, orderings = [], []
-    real_flow = cuts_module._max_flow
+    real_flow = cuts_module._prefix_flow
     real_ordering = cuts_module._ordering_lambda.__wrapped__
 
-    def counting_flow(g, s, t):
-        flows.append((s, t))
-        return real_flow(g, s, t)
+    def counting_flow(capacity, adjacent, t):
+        flows.append(t)
+        return real_flow(capacity, adjacent, t)
 
     def counting_ordering(g):
         orderings.append(g)
         return real_ordering(g)
 
-    monkeypatch.setattr(cuts_module, "_max_flow", counting_flow)
+    monkeypatch.setattr(cuts_module, "_prefix_flow", counting_flow)
     monkeypatch.setattr(cuts_module, "_ordering_lambda",
                         graphs_module.memoized(counting_ordering))
     code, out, _ = run(["cut", "--family", "petersen"])
@@ -454,6 +454,21 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _, _ = run(["--jobs", "2", "survey"])  # removed; surveys run in order
     assert code == 2
+
+
+def test_enumeration_limit_below_two_is_a_usage_error(capsys):
+    for limit in ("0", "-3"):
+        code, out, _ = run(["--enumeration-limit", limit, "cut", "--family",
+                            "complete", "--params", "5", "--enumerate"])
+        assert (code, out) == (2, "")
+        assert (f"argument --enumeration-limit: {limit} is below 2, the fewest "
+                "vertices a cut has") in capsys.readouterr().err
+    code, _, _ = run(["--enumeration-limit", "x", "cut", "--family", "petersen"])
+    assert code == 2
+    assert "argument --enumeration-limit: invalid int value: 'x'" in capsys.readouterr().err
+    code, out, _ = run(["--enumeration-limit", "2", "cut", "--family", "complete",
+                        "--params", "2", "--enumerate"])
+    assert code == 0 and len(json.loads(out)["cuts"]) == 1
 
 
 def test_consecutive_calls_share_no_parser_state(capsys):

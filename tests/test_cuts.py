@@ -3,10 +3,11 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equiarbor import cuts as cuts_module
@@ -60,8 +61,16 @@ def test_edge_connectivity_against_brute_force():
         assert edge_connectivity(g) == oracles.brute_force_edge_connectivity(g)
 
 
+def _prefix_flows(g: Graph) -> list:
+    """The max flows from each prefix 0..t-1 to t, for t = 1..n-1."""
+    capacity = cuts_module._capacities(g)
+    adjacent = [sum(1 << w for w in arcs) for arcs in capacity]
+    return [cuts_module._prefix_flow(capacity, adjacent, t)
+            for t in range(1, g.vertex_count)]
+
+
 def _flow_lambda(g: Graph) -> int:
-    return min(cuts_module._max_flow(g, 0, t)[0] for t in range(1, g.vertex_count))
+    return min(value for value, *_ in _prefix_flows(g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,7 +140,7 @@ def _refuse(*args):
     (generate("star", (200,)), 1),
 ])
 def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
-    monkeypatch.setattr(cuts_module, "_max_flow", _refuse)
+    monkeypatch.setattr(cuts_module, "_prefix_flow", _refuse)
     assert edge_connectivity(g) == lam
 
 
@@ -143,7 +152,7 @@ def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
 ])
 def test_graph_above_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
     # The same ordering at every size: no n x n rows, so no size limit.
-    monkeypatch.setattr(cuts_module, "_max_flow", _refuse)
+    monkeypatch.setattr(cuts_module, "_prefix_flow", _refuse)
     assert edge_connectivity(g) == lam
 
 
@@ -253,10 +262,10 @@ def test_minimum_cuts_doubled_petersen():
 
 def _closed_side_count(g: Graph) -> int:
     """How many sides the closure walk yields over the minimum flows."""
-    flows = [cuts_module._max_flow(g, 0, t) for t in range(1, g.vertex_count)]
-    lam = min(flow for flow, _ in flows)
-    return sum(len(list(cuts_module._closed_sides(residual, t)))
-               for t, (flow, residual) in enumerate(flows, 1) if flow == lam)
+    flows = _prefix_flows(g)
+    lam = min(value for value, *_ in flows)
+    return sum(len(list(cuts_module._closed_sides(*residual, t)))
+               for t, (value, *residual) in enumerate(flows, 1) if value == lam)
 
 
 @pytest.mark.parametrize("family,params,count", [
@@ -282,21 +291,100 @@ def test_each_minimum_cut_is_found_once_on_random_multigraphs(n, seed):
     assert _closed_side_count(g) == len(oracles.brute_force_min_cut_sides(g))
 
 
+def _prefix_cut(g: Graph, t: int) -> int:
+    """The least cut between the prefix 0..t-1 and t, over every set that
+    holds the prefix and omits t."""
+    rest = [v for v in range(t + 1, g.vertex_count)]
+    return min(sum(m for (u, v), m in g.edge_items() if (u in side) != (v in side))
+               for size in range(len(rest) + 1) for extra in combinations(rest, size)
+               for side in [set(range(t)) | set(extra)])
+
+
+def _reaching(out: list[int], t: int) -> int:
+    reached = 1 << t
+    while True:
+        grown = reached | sum(1 << v for v in range(len(out)) if out[v] & reached)
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+#: Its flows push 3 -> 2 back against the saturated arc 2 -> 3, so the
+#: residual bitmasks must gain that arc again.
+CANCELLING = Graph(6, [(0, 2, 1), (0, 3, 1), (0, 4, 3), (1, 3, 2), (1, 4, 1), (1, 5, 1),
+                       (2, 3, 1), (2, 5, 1), (3, 4, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracles.multigraphs(min_vertices=2, max_vertices=9))
+@example(CANCELLING)
+def test_prefix_flow_is_a_minimum_cut_with_one_residual(g):
+    # Each flow's value is the least prefix-t cut, ``into`` is ``out``
+    # transposed, and the sink side is what reaches t along ``out``.
+    n = g.vertex_count
+    for t, (value, out, into, sink_side) in enumerate(_prefix_flows(g), 1):
+        assert value == _prefix_cut(g, t)
+        assert all((out[v] >> w ^ into[w] >> v) & 1 == 0
+                   for v in range(n) for w in range(n))
+        assert sink_side == _reaching(out, t)
+
+
+def _relabelled(g: Graph, seed: int = 1) -> Graph:
+    order = list(range(g.vertex_count))
+    random.Random(seed).shuffle(order)
+    return Graph(g.vertex_count,
+                 [(order[u], order[v], m) for (u, v), m in g.edge_items()])
+
+
+#: The survey's degree >= 4 stress hosts, the doubled Petersen graph and
+#: C30, whose 435 minimum cuts are the most 30 vertices can have.
+ORACLE_CUT_GRAPHS = {
+    f"{family}{list(params)}": generate(family, params)
+    for family, params in [("hypercube", (5,)), ("johnson", (7, 3)), ("complete", (30,)),
+                           ("hamming", (3, 3)), ("hamming", (2, 5)), ("cycle", (30,))]}
+ORACLE_CUT_GRAPHS["doubled-petersen"] = Graph(
+    10, [(u, v, 2) for (u, v), _ in generate("petersen").edge_items()])
+
+
+@pytest.mark.parametrize("name", ORACLE_CUT_GRAPHS)
+def test_prefix_flows_match_single_source_flows(name):
+    # The prefix-source flows against the enumerator they replaced: n - 1
+    # flows from vertex 0, closed over residual dicts.
+    g = _relabelled(ORACLE_CUT_GRAPHS[name])
+    assert cuts_module._minimum_cut_sides(g) == oracles.single_source_min_cut_sides(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracles.multigraphs(min_vertices=2))
+def test_prefix_flows_match_single_source_flows_on_multigraphs(g):
+    # Join the components by a path of single edges between least vertices.
+    least = [min(comp) for comp in g.components()]
+    g = Graph(g.vertex_count, [(u, v, m) for (u, v), m in g.edge_items()]
+              + list(zip(least, least[1:])))
+    lam, sides = cuts_module._minimum_cut_sides(g)
+    assert (lam, sides) == oracles.single_source_min_cut_sides(g)
+    assert lam == oracles.brute_force_edge_connectivity(g)
+    assert ([frozenset(cuts_module._vertices(side)) for side in sides]
+            == sorted(oracles.brute_force_min_cut_sides(g),
+                      key=lambda a: (len(a), sorted(a))))
+
+
 @pytest.mark.parametrize("family,params,message", [
     ("star", (3,), "disagrees with max-flow lambda"),
     ("petersen", (), "more than n(n-1)/2"),
 ])
 def test_corrupt_residual_raises(monkeypatch, family, params, message):
-    # A residual with every arc saturated makes every set holding 0 look
-    # closed: on the 3-star that adds the side {0} of a 2-edge cut, on
-    # the Petersen graph 511 sides.
-    real = cuts_module._max_flow
+    # A residual with every arc saturated, so that only t reaches t, makes
+    # every set holding 0..t-1 and omitting t look closed: on the 3-star
+    # that adds the side {0} of a 2-edge cut, on the Petersen graph 511
+    # sides.
+    real = cuts_module._prefix_flow
 
-    def saturated(g, s, t):
-        flow, residual = real(g, s, t)
-        return flow, [dict.fromkeys(arcs, 0) for arcs in residual]
+    def saturated(capacity, adjacent, t):
+        value, out, into, sink_side = real(capacity, adjacent, t)
+        return value, [0] * len(out), [0] * len(into), 1 << t
 
-    monkeypatch.setattr(cuts_module, "_max_flow", saturated)
+    monkeypatch.setattr(cuts_module, "_prefix_flow", saturated)
     with pytest.raises(VerificationError, match=re.escape(message)):
         minimum_cuts(generate(family, params))
 

@@ -223,6 +223,22 @@ def test_corrupt_fallback_fails_the_residual_check(monkeypatch):
         resistance_matrix(ZERO_MINOR_NETWORK)
 
 
+def test_positive_rational_network_takes_the_symmetric_kernel(monkeypatch):
+    # Each conductance denominator divides the scale of both endpoints, so
+    # D L D is integral, symmetric and positive definite: no pivoting.
+    net = oracles.random_positive_network(random.Random(24), 12)
+    assert any(c.denominator != 1 for _, c in net.edge_items())
+
+    def refuse(rows, jordan):
+        raise AssertionError("the pivoted kernel ran")
+
+    monkeypatch.setattr(exactalg, "_eliminate", refuse)
+    omega = oracles.fraction_resistance_matrix(net)
+    assert resistance_matrix(net) == omega
+    for u, v in permutations(range(12), 2):
+        assert resistance(net, u, v) == omega[u][v]
+
+
 @pytest.mark.parametrize("family, params, omega, degree", [
     ("hypercube", ["6"], "21/64", 6),
     ("johnson", ["8", "3"], "11/84", 15),
