@@ -250,8 +250,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args, stdout, stderr) -> int:
-    if args.what != "claims":
-        raise EquiarborError(f"unknown verify target {args.what!r}")
     lo, hi = _parse_k_range(args.k_range)
     if max(lo, 3) > hi:
         raise EquiarborError(f"--k-range {lo}..{hi} checks no degree k >= 3")
@@ -313,8 +311,20 @@ def _enumeration_limit(text: str) -> int:
     return limit
 
 
+class _UsageError(Exception):
+    """The text argparse prints for a usage error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``run_command`` to write to the stderr it is
+    given; subparsers are built with the same class."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equiarbor",
         description="Exact-arithmetic verification of resistance, "
                     "equiarboreality, connectivity, and scheme structure.")
@@ -402,7 +412,10 @@ def run_command(argv: Sequence[str],
     stderr = stderr or sys.stderr
     try:
         args = _parser().parse_args(list(argv))
-    except SystemExit as exc:
+    except _UsageError as exc:
+        stderr.write(str(exc))
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         with fact_scope():

@@ -1,17 +1,17 @@
 """Edge connectivity, minimum-cut enumeration, and structural
 classification of the bipartite graph spanned by a cut's crossing edges.
 
-Edge connectivity alone comes from maximum-adjacency orderings (Stoer &
-Wagner 1997) over per-vertex adjacency dicts, at every size.  Max-flows
-serve only the minimum cuts: for each t one flow runs from the prefix
-0..t-1, contracted, to t (Hao & Orlin 1994), and the minimum cuts whose
-least far-side vertex is t are the closed sets of its residual graph
-(Picard & Queyranne 1980), taken as unions of per-vertex residual
+Edge connectivity and the minimum cuts come from one set of max-flows:
+for each t one flow runs from the prefix 0..t-1, contracted, to t (Hao &
+Orlin 1994).  Every cut separates some such prefix from its least far-side
+vertex t, so lambda is the least flow value, and the minimum cuts whose
+least far-side vertex is t are the closed sets of that flow's residual
+graph (Picard & Queyranne 1980), taken as unions of per-vertex residual
 bitmasks.  Each is found once, so the work grows with the number of
 minimum cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every
-side is recounted from the graph and checked against lambda, and that
-lambda against the ordering's when the same scope computed the ordering
-first.  The enumeration limit caps only the cut list of ``minimum_cuts``.
+lambda is recounted from a cut side: each enumerated side, or for lambda
+alone the sink side of the minimising flow, must cross exactly lambda
+edges.  The enumeration limit caps only the cut list of ``minimum_cuts``.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -93,21 +93,13 @@ def cut_from_side(g: Graph, side_a) -> EdgeCut:
 # Edge connectivity and minimum cuts
 
 
-def _capacities(g: Graph) -> list[dict[int, int]]:
-    """``capacity[u][v]``: the multiplicity of each edge uv, both ways."""
-    capacity: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
-    for (u, v), m in g.edge_items():
-        capacity[u][v] = capacity[v][u] = m
-    return capacity
-
-
 def _prefix_flow(capacity: list[dict[int, int]], adjacent: list[int], t: int
                  ) -> tuple[int, list[int], list[int], int]:
     """Integral max flow from the prefix 0..t-1, contracted, to t (Hao &
-    Orlin 1994), for ``_capacities`` and neighbour bitmasks ``adjacent``.
-    Returns its value, its residual arcs as bitmasks ``out[v]`` (each w
-    with residual capacity on v -> w) and ``into[v]`` (each w with residual
-    capacity on w -> v), and the bitmask of the vertices that reach t.
+    Orlin 1994), over the flow base of ``_flows``.  Returns its value, its
+    residual arcs as bitmasks ``out[v]`` (each w with residual capacity on
+    v -> w) and ``into[v]`` (each w with residual capacity on w -> v), and
+    the bitmask of the vertices that reach t.
 
     The direct arcs into t are saturated first.  Each augmenting path comes
     from a BFS backwards from t that stops at the first prefix vertex it
@@ -155,54 +147,42 @@ def _prefix_flow(capacity: list[dict[int, int]], adjacent: list[int], t: int
         value += bottleneck
 
 
-@memoized
-def _ordering_lambda(g: Graph) -> int:
-    """lambda(G) of a multigraph by maximum-adjacency orderings
-    (Stoer & Wagner 1997) over per-vertex adjacency dicts.
+def _flows(g: Graph) -> Iterator[tuple[int, int, list[int], list[int], int]]:
+    """``(t, *_prefix_flow(capacity, adjacent, t))`` for t = 1..n-1, over the
+    edge multiplicities ``capacity[u][v]``, both ways, and neighbour bitmasks."""
+    capacity: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for (u, v), m in g.edge_items():
+        capacity[u][v] = capacity[v][u] = m
+    adjacent = [sum(1 << w for w in arcs) for arcs in capacity]
+    for t in range(1, g.vertex_count):
+        yield (t, *_prefix_flow(capacity, adjacent, t))
 
-    Each phase orders the remaining vertices from vertex 0, each next one
-    the most strongly connected to those before it; ``connection`` holds
-    only the vertices adjacent to those, so a sparse graph keeps it short.
-    The last one's connection is a cut (the cut of the phase), and no cut
-    separating the last two vertices is smaller.  Merging the last vertex
-    into the one before it keeps every other cut, so the least cut of a
-    phase is lambda.  A phase that runs out of connected vertices has found
-    a disconnected graph."""
-    adjacent = _capacities(g)
-    best = g.edge_count
-    for remaining in range(g.vertex_count - 1, 0, -1):
-        connection = dict(adjacent[0])
-        ordered = {0}
-        before = last = 0
-        for _ in range(remaining):
-            if not connection:
-                return 0
-            before, last = last, max(connection, key=connection.__getitem__)
-            cut = connection.pop(last)
-            ordered.add(last)
-            for v, m in adjacent[last].items():
-                if v not in ordered:
-                    connection[v] = connection.get(v, 0) + m
-        best = min(best, cut)
-        merged = adjacent[before]
-        for v, m in adjacent[last].items():
-            del adjacent[v][last]
-            if v != before:
-                merged[v] = adjacent[v][before] = merged.get(v, 0) + m
-        adjacent[last] = {}
-    return best
+
+def _cut_size(g: Graph, side: int) -> int:
+    """The number of edges between the vertex bitmask ``side`` and the rest,
+    counted from the neighbours of the smaller side."""
+    small = min(side, ((1 << g.vertex_count) - 1) ^ side, key=int.bit_count)
+    return sum(g.multiplicity(u, w) for u in _vertices(small)
+               for w in g.neighbors(u) if not small >> w & 1)
 
 
 @memoized
 def edge_connectivity(g: Graph) -> int:
     """lambda(G); 0 for a disconnected graph.
 
-    Read from the minimum cuts when they are already known, otherwise by
-    maximum-adjacency orderings, at every size."""
+    Read from the minimum cuts when they are already known, otherwise the
+    least prefix flow, whose sink side (the vertices that still reach t)
+    must cross exactly lambda edges."""
     if g.vertex_count < 2:
         raise ParameterError("edge connectivity needs at least 2 vertices")
-    known = known_fact(_minimum_cut_sides, g)
-    return _ordering_lambda(g) if known is None else known[0]
+    if (known := known_fact(_minimum_cut_sides, g)) is not None:
+        return known[0]
+    lam, t, side = min((value, t, sink_side) for t, value, _, _, sink_side in _flows(g))
+    if (size := _cut_size(g, side)) != lam or not side >> t & 1 or side & 1:
+        raise VerificationError(
+            f"the flow to {t} gives lambda {lam}, but its sink side "
+            f"{_vertices(side)} crosses {size} edges")
+    return lam
 
 
 def _reach(arcs: list[int], start: int) -> int:
@@ -223,9 +203,7 @@ def _closed_sides(out: list[int], into: list[int], sink_side: int,
     """Bitmasks of the vertex sets that contain 0..t-1, omit t and are
     closed under the residual arcs ``out``/``into`` of the max flow from
     0..t-1 to t, ``sink_side`` the vertices that reach t: the near sides of
-    the minimum cuts between them (Picard & Queyranne 1980).  When the flow
-    is lambda those are the minimum cuts whose least far-side vertex is t,
-    so over all t each is found once.
+    the minimum cuts between them (Picard & Queyranne 1980).
 
     The closures are unions of residual bitmasks, one per vertex reached.
     Each branch either adds a free vertex with everything it reaches or
@@ -255,20 +233,15 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     """lambda(G) and the bitmask of side A, the side holding vertex 0, of
     every minimum cut of a connected graph, sorted by (|A|, lexicographic A).
 
-    A minimum cut is found at the flow from the prefix 0..t-1 to the least
-    vertex t on its far side.  Only the current residual is kept; sides
-    gathered for a flow value above lambda are dropped once a smaller flow
-    shows up.  A side that does not cross lambda edges means the residual
-    closure went wrong, and a lambda other than the one the orderings
-    already found in this scope means one of the two went wrong."""
+    Only the current residual is kept; sides gathered for a flow value
+    above lambda are dropped once a smaller flow shows up.  Every side is
+    recounted from the graph, and one that does not cross lambda edges
+    means the residual closure went wrong."""
     n = g.vertex_count
     most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
-    capacity = _capacities(g)
-    adjacent = [sum(1 << w for w in arcs) for arcs in capacity]
     lam: int | None = None
     sides: list[int] = []
-    for t in range(1, n):
-        value, out, into, sink_side = _prefix_flow(capacity, adjacent, t)
+    for t, value, out, into, sink_side in _flows(g):
         if lam is None or value < lam:
             lam, sides = value, []
         elif value > lam:
@@ -280,18 +253,8 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     if len(sides) > most:
         raise VerificationError(
             f"more than n(n-1)/2 = {most} minimum cuts enumerated")
-    ordered = known_fact(_ordering_lambda, g)
-    if ordered is not None and ordered != lam:
-        raise VerificationError(
-            f"max-flow lambda {lam} disagrees with maximum-adjacency lambda {ordered}")
-    items = g.edge_items()
     for side in sides:
-        lone = 1 if side == 1 else ((1 << n) - 1) ^ side
-        if lone & (lone - 1) == 0:  # a vertex star crosses its vertex's degree
-            size = g.degree(lone.bit_length() - 1)
-        else:
-            size = sum(m for (u, v), m in items if (side >> u ^ side >> v) & 1)
-        if size != lam:
+        if (size := _cut_size(g, side)) != lam:
             raise VerificationError(
                 f"enumerated cut of size {size} disagrees with max-flow lambda {lam}")
     sides.sort(key=lambda side: (side.bit_count(), _vertices(side)))
@@ -301,10 +264,9 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
 def cuts_up_to(g: Graph, max_size: int,
                limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[EdgeCut]:
     """All cuts of at most ``max_size`` edges, for ``max_size`` up to
-    lambda(G): the minimum cuts, or none below lambda.  Cuts above the
-    minimum are not enumerated, so a larger ``max_size`` is a
-    ``ParameterError``.  Nothing in the package calls it; the benchmark's
-    per-layer trace (``bench/tracer.py``) measures it by this name."""
+    lambda(G): the minimum cuts, or none below lambda; a larger ``max_size``
+    is a ``ParameterError``.  Nothing in the package calls it; the
+    benchmark's per-layer trace (``bench/tracer.py``) measures it by name."""
     cuts = minimum_cuts(g, limit)
     if max_size > cuts[0].size:
         raise ParameterError(

@@ -17,7 +17,7 @@ from equiarbor.catalog import (
     entry_from_manifest,
 )
 from equiarbor.errors import EquiarborError, ParameterError
-from equiarbor.graphs import Graph, generate, memoized
+from equiarbor.graphs import generate
 from equiarbor.resistance import _reduced_laplacian
 from equiarbor.survey import survey
 
@@ -229,30 +229,20 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
 
 
 def test_survey_entry_runs_each_max_flow_once(monkeypatch):
-    flows, orderings = [], []
+    flows = []
     real_flow = cuts_module._prefix_flow
-    real_ordering = cuts_module._ordering_lambda.__wrapped__
 
     def counting_flow(capacity, adjacent, t):
         flows.append(t)
         return real_flow(capacity, adjacent, t)
 
-    def counting_ordering(g):
-        orderings.append(g)
-        return real_ordering(g)
-
     monkeypatch.setattr(cuts_module, "_prefix_flow", counting_flow)
-    monkeypatch.setattr(cuts_module, "_ordering_lambda", memoized(counting_ordering))
-    host = generate("petersen")
-    complement = Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)
-                            if not host.has_edge(u, v)])
     report = survey([generated("Petersen", "petersen")])
     assert report.entries[0].lambda_value == 3
-    # Degree 3 needs no minimum cut, so no flow runs.  One ordering gives
-    # lambda of the host, which the entry and colour class 1 share, and one
-    # that of colour class 2, the complement.
-    assert flows == []
-    assert orderings == [host, complement]
+    # Degree 3 needs no minimum cut.  One set of prefix flows gives lambda
+    # of the host, which the entry and colour class 1 share, and one that
+    # of colour class 2, the complement.
+    assert flows == list(range(1, 10)) * 2
 
 
 def test_survey_decides_the_distance_partition_without_a_witness(monkeypatch):

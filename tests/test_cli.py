@@ -126,21 +126,14 @@ def test_cut_enumerate_error_exits(tmp_path, monkeypatch, argv, message):
 
 
 def test_plain_cut_runs_its_max_flows_once(monkeypatch):
-    flows, orderings = [], []
+    flows = []
     real_flow = cuts_module._prefix_flow
-    real_ordering = cuts_module._ordering_lambda.__wrapped__
 
     def counting_flow(capacity, adjacent, t):
         flows.append(t)
         return real_flow(capacity, adjacent, t)
 
-    def counting_ordering(g):
-        orderings.append(g)
-        return real_ordering(g)
-
     monkeypatch.setattr(cuts_module, "_prefix_flow", counting_flow)
-    monkeypatch.setattr(cuts_module, "_ordering_lambda",
-                        graphs_module.memoized(counting_ordering))
     code, out, _ = run(["cut", "--family", "petersen"])
     assert code == 0
     data = json.loads(out)
@@ -148,9 +141,8 @@ def test_plain_cut_runs_its_max_flows_once(monkeypatch):
                     "theorem": {"applicable": True, "k": 3, "lambdaEqualsDegree": True,
                                 "passed": True, "counterexamples": []}}
     # Degree 3 needs no minimum cut: the theorem check and the printed
-    # lambda share one maximum-adjacency ordering, and no flow runs.
-    assert flows == []
-    assert orderings == [generate("petersen")]
+    # lambda share one set of prefix flows.
+    assert flows == list(range(1, 10))
 
 
 def test_plain_cut_below_two_vertices_and_disconnected(tmp_path):
@@ -445,33 +437,40 @@ def test_scheme_from_distance_file(tmp_path):
     assert json.loads(out)["classCount"] == 2
 
 
-def test_usage_errors_exit_two():
-    code, _, _ = run(["nosuch"])
+def test_usage_errors_exit_two(capsys):
+    # argparse's usage text reaches the stderr given to run_command.
+    code, out, err = run(["nosuch"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: equiarbor [-h]")
+    assert "equiarbor: error: argument command: invalid choice: 'nosuch'" in err
+    code, _, err = run(["fxy", "5", "1"])
     assert code == 2
-    code, _, _ = run(["fxy", "5", "1"])
-    assert code == 2
-    code, _, _ = run([])
-    assert code == 2
-    code, _, _ = run(["--jobs", "2", "survey"])  # removed; surveys run in order
-    assert code == 2
+    assert err.startswith("usage: equiarbor fxy [-h] k x y\n")
+    assert err.endswith("equiarbor fxy: error: the following arguments are "
+                        "required: y\n")
+    code, _, err = run([])
+    assert code == 2 and "the following arguments are required: command" in err
+    code, _, err = run(["--jobs", "2", "survey"])  # removed; surveys run in order
+    assert code == 2 and "invalid choice: '2'" in err
+    assert capsys.readouterr() == ("", "")
 
 
-def test_enumeration_limit_below_two_is_a_usage_error(capsys):
+def test_enumeration_limit_below_two_is_a_usage_error():
     for limit in ("0", "-3"):
-        code, out, _ = run(["--enumeration-limit", limit, "cut", "--family",
-                            "complete", "--params", "5", "--enumerate"])
+        code, out, err = run(["--enumeration-limit", limit, "cut", "--family",
+                              "complete", "--params", "5", "--enumerate"])
         assert (code, out) == (2, "")
         assert (f"argument --enumeration-limit: {limit} is below 2, the fewest "
-                "vertices a cut has") in capsys.readouterr().err
-    code, _, _ = run(["--enumeration-limit", "x", "cut", "--family", "petersen"])
+                "vertices a cut has") in err
+    code, _, err = run(["--enumeration-limit", "x", "cut", "--family", "petersen"])
     assert code == 2
-    assert "argument --enumeration-limit: invalid int value: 'x'" in capsys.readouterr().err
+    assert "argument --enumeration-limit: invalid int value: 'x'" in err
     code, out, _ = run(["--enumeration-limit", "2", "cut", "--family", "complete",
                         "--params", "2", "--enumerate"])
     assert code == 0 and len(json.loads(out)["cuts"]) == 1
 
 
-def test_consecutive_calls_share_no_parser_state(capsys):
+def test_consecutive_calls_share_no_parser_state():
     assert cli_module._parser() is cli_module._parser()
     code, out, _ = run(["cut", "--enumerate", "--family", "petersen"])
     assert code == 0 and "cuts" in json.loads(out)

@@ -25,7 +25,7 @@ from equiarbor.errors import (
     ScaleError,
     VerificationError,
 )
-from equiarbor.graphs import Graph, fact_scope, generate, known_fact, memoized
+from equiarbor.graphs import Graph, fact_scope, generate, known_fact
 from equiarbor.schemes import colour_class, scheme_from_distance_partition
 
 import oracles
@@ -61,40 +61,32 @@ def test_edge_connectivity_against_brute_force():
         assert edge_connectivity(g) == oracles.brute_force_edge_connectivity(g)
 
 
-def _prefix_flows(g: Graph) -> list:
-    """The max flows from each prefix 0..t-1 to t, for t = 1..n-1."""
-    capacity = cuts_module._capacities(g)
-    adjacent = [sum(1 << w for w in arcs) for arcs in capacity]
-    return [cuts_module._prefix_flow(capacity, adjacent, t)
-            for t in range(1, g.vertex_count)]
-
-
-def _flow_lambda(g: Graph) -> int:
-    return min(value for value, *_ in _prefix_flows(g))
-
-
 @settings(max_examples=200, deadline=None)
 @given(oracles.multigraphs(min_vertices=2))
-def test_ordering_lambda_matches_flows_and_brute_force(g):
-    lam = cuts_module._ordering_lambda(g)
-    assert lam == _flow_lambda(g)
-    assert lam == oracles.brute_force_edge_connectivity(g)
+def test_edge_connectivity_matches_brute_force_on_multigraphs(g):
+    assert edge_connectivity(g) == oracles.brute_force_edge_connectivity(g)
+
+
+#: Two K4 joined by the bridge 3-4: lambda 1, below every degree.
+BRIDGED_K4S = Graph(8, [(u, v) for b in (0, 4) for u in range(b, b + 4)
+                        for v in range(u + 1, b + 4)] + [(3, 4)])
 
 
 @pytest.mark.parametrize("g,lam", [
-    # Lambda below the minimum degree, so only the cut of some phase finds
-    # it: the path 2-0-1-3 with its end edges doubled (the second phase's
-    # cut), two K4 joined by a bridge, two doubled triangles joined by three
-    # parallel edges, and three doubled edges.
+    # Lambda below the minimum degree, so no vertex star is a minimum cut:
+    # the path 2-0-1-3 with its end edges doubled, two K4 joined by a
+    # bridge, two doubled triangles joined by three parallel edges, and
+    # three doubled edges.
     (Graph(4, [(0, 1), (0, 2, 2), (1, 3, 2)]), 1),
-    (Graph(8, [(u, v) for b in (0, 4) for u in range(b, b + 4)
-               for v in range(u + 1, b + 4)] + [(3, 4)]), 1),
+    (BRIDGED_K4S, 1),
     (Graph(6, [(0, 1, 2), (1, 2, 2), (0, 2, 2), (3, 4, 2), (4, 5, 2), (3, 5, 2),
                (2, 3, 3)]), 3),
     (Graph(6, [(0, 1, 2), (2, 3, 2), (4, 5, 2)]), 0),
 ])
 def test_ordering_lambda_below_minimum_degree(g, lam):
-    assert cuts_module._ordering_lambda(g) == lam == _flow_lambda(g)
+    # The name is kept from the maximum-adjacency ordering that once gave
+    # lambda alone; the prefix flows give it now.
+    assert edge_connectivity(g) == lam == oracles.brute_force_edge_connectivity(g)
 
 
 def _colour_class(family, params, i):
@@ -119,9 +111,10 @@ def _connected_colour_classes():
 
 @pytest.mark.parametrize("g", _connected_colour_classes())
 def test_ordering_lambda_matches_flows_on_stress_colour_classes(g):
-    # These classes are the lambda-only calls of a stress survey; at up to
-    # 35 vertices they merge far more than the hypothesis graphs do.
-    assert cuts_module._ordering_lambda(g) == _flow_lambda(g) == g.is_regular()
+    # These classes are the lambda-only calls of a stress survey; each is a
+    # connected regular equiarboreal graph, so lambda is its degree.  The
+    # name is kept from the ordering that once gave lambda alone.
+    assert edge_connectivity(g) == g.is_regular()
 
 
 def _path(n: int) -> Graph:
@@ -129,9 +122,11 @@ def _path(n: int) -> Graph:
 
 
 def _refuse(*args):
-    raise AssertionError("the max-flows ran for lambda alone")
+    raise AssertionError("a minimum cut was enumerated for lambda alone")
 
 
+# The next two names are kept from the ordering that once gave lambda
+# alone; both check that lambda alone enumerates no cut.
 @pytest.mark.parametrize("g,lam", [
     (generate("complete", (30,)), 29),
     (_colour_class("johnson", (7, 3), 2), 18),
@@ -140,7 +135,7 @@ def _refuse(*args):
     (generate("star", (200,)), 1),
 ])
 def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
-    monkeypatch.setattr(cuts_module, "_prefix_flow", _refuse)
+    monkeypatch.setattr(cuts_module, "_closed_sides", _refuse)
     assert edge_connectivity(g) == lam
 
 
@@ -151,19 +146,29 @@ def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
     (Graph(600, [(v, (v + 1) % 600, 3 if v == 0 else 2) for v in range(600)]), 4),
 ])
 def test_graph_above_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
-    # The same ordering at every size: no n x n rows, so no size limit.
-    monkeypatch.setattr(cuts_module, "_prefix_flow", _refuse)
+    # The flows build no n x n rows, so there is no size limit.
+    monkeypatch.setattr(cuts_module, "_closed_sides", _refuse)
     assert edge_connectivity(g) == lam
 
 
-def test_flows_and_ordering_lambda_are_cross_checked(monkeypatch):
-    real = cuts_module._ordering_lambda.__wrapped__
-    monkeypatch.setattr(cuts_module, "_ordering_lambda",
-                        memoized(lambda g: real(g) - 1))
-    with fact_scope():
-        with pytest.raises(VerificationError, match=re.escape(
-                "max-flow lambda 3 disagrees with maximum-adjacency lambda 2")):
-            verify_degree_connectivity(generate("petersen"))
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda value, out, into, sink_side, t: (value - 1, out, into, sink_side),
+     "the flow to 4 gives lambda 0, but its sink side [4, 5, 6, 7] crosses 1 edges"),
+    (lambda value, out, into, sink_side, t: (value, out, into, 1 << t),
+     "the flow to 4 gives lambda 1, but its sink side [4] crosses 4 edges"),
+    # An empty side crosses no edge, but it is no cut.
+    (lambda value, out, into, sink_side, t: (0, out, into, 0),
+     "the flow to 1 gives lambda 0, but its sink side [] crosses 0 edges"),
+], ids=["one-less", "only-t", "empty-side"])
+def test_lambda_alone_is_certified_by_its_sink_side(monkeypatch, corrupt, message):
+    real = cuts_module._prefix_flow
+
+    def corrupted(capacity, adjacent, t):
+        return corrupt(*real(capacity, adjacent, t), t)
+
+    monkeypatch.setattr(cuts_module, "_prefix_flow", corrupted)
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        edge_connectivity(BRIDGED_K4S)
 
 
 def test_minimum_cuts_c4_exhaustive():
@@ -262,10 +267,10 @@ def test_minimum_cuts_doubled_petersen():
 
 def _closed_side_count(g: Graph) -> int:
     """How many sides the closure walk yields over the minimum flows."""
-    flows = _prefix_flows(g)
-    lam = min(value for value, *_ in flows)
+    flows = list(cuts_module._flows(g))
+    lam = min(value for _, value, *_ in flows)
     return sum(len(list(cuts_module._closed_sides(*residual, t)))
-               for t, (value, *residual) in enumerate(flows, 1) if value == lam)
+               for t, value, *residual in flows if value == lam)
 
 
 @pytest.mark.parametrize("family,params,count", [
@@ -322,7 +327,7 @@ def test_prefix_flow_is_a_minimum_cut_with_one_residual(g):
     # Each flow's value is the least prefix-t cut, ``into`` is ``out``
     # transposed, and the sink side is what reaches t along ``out``.
     n = g.vertex_count
-    for t, (value, out, into, sink_side) in enumerate(_prefix_flows(g), 1):
+    for t, value, out, into, sink_side in cuts_module._flows(g):
         assert value == _prefix_cut(g, t)
         assert all((out[v] >> w ^ into[w] >> v) & 1 == 0
                    for v in range(n) for w in range(n))
