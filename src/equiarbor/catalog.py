@@ -3,10 +3,11 @@
 A manifest is a JSON array of ``{"name", "format", "payload"}`` entries,
 where format is one of ``generator`` (payload ``{"family", "params"}``),
 ``graph6`` (payload: one graph6 line) or ``edge-list`` (payload: the
-multigraph text format).  Optional keys: ``expected_regularity`` (checked at
-load time) and ``negative_control`` (the entry is expected to violate the
-equiarboreality hypothesis; the survey reports it as a documented skip, not
-a failure).  The built-in catalog is itself a list of manifest items,
+multigraph text format).  Optional keys: ``expected_regularity`` (an
+integer, or null for absent, checked at load time) and ``negative_control``
+(a boolean: the entry is expected to violate the equiarboreality
+hypothesis; the survey reports it as a documented skip, not a failure).
+The built-in catalog is itself a list of manifest items,
 :func:`default_manifest`, so it passes the same loader and checks as a
 manifest file.
 """
@@ -68,12 +69,18 @@ def entry_from_manifest(item) -> GraphCatalogEntry:
         graph = parse_graph6(payload) if fmt == "graph6" else parse_edge_list(payload)
     else:
         raise ParameterError(f"unknown manifest format {fmt!r}")
+    regularity = item.get("expected_regularity")
+    if regularity is not None and type(regularity) is not int:
+        raise ParameterError(f"{name}: expected_regularity must be an integer or null")
+    negative = item.get("negative_control", False)
+    if type(negative) is not bool:
+        raise ParameterError(f"{name}: negative_control must be a boolean")
     return GraphCatalogEntry(
         name=name,
         graph=graph,
-        expected_regularity=item.get("expected_regularity"),
+        expected_regularity=regularity,
         provenance=fmt,
-        negative_control=bool(item.get("negative_control", False)),
+        negative_control=negative,
     )
 
 

@@ -14,6 +14,7 @@ via the EQUIARBOR_CATALOG environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -132,7 +133,7 @@ def _cmd_cut(args, stdout, stderr) -> int:
     except (PreconditionError, ConnectivityError, DimensionError) as exc:
         theorem = {"applicable": False, "reason": str(exc)}
     # After the theorem check, lambda reads the max-flows it already ran.
-    payload: dict = {"lambda": min_cuts[0].size if listed else cuts.edge_connectivity(g)}
+    payload: dict = {"lambda": cuts.edge_connectivity(g)}
     if listed:
         payload["cuts"] = [_cut_to_json(c) for c in min_cuts]
     if args.classify:
@@ -311,20 +312,8 @@ def _enumeration_limit(text: str) -> int:
     return limit
 
 
-class _UsageError(Exception):
-    """The text argparse prints for a usage error."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors for ``run_command`` to write to the stderr it is
-    given; subparsers are built with the same class."""
-
-    def error(self, message: str):
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="equiarbor",
         description="Exact-arithmetic verification of resistance, "
                     "equiarboreality, connectivity, and scheme structure.")
@@ -410,13 +399,11 @@ def run_command(argv: Sequence[str],
     """Execute one CLI invocation and return its exit status."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    try:
-        args = _parser().parse_args(list(argv))
-    except _UsageError as exc:
-        stderr.write(str(exc))
-        return 2
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    try:  # argparse writes --help and usage errors to the process streams
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = _parser().parse_args(list(argv))
+    except SystemExit as exc:
+        return exc.code
     try:
         with fact_scope():
             return args.func(args, stdout, stderr)

@@ -79,14 +79,22 @@ def cut_from_side(g: Graph, side_a) -> EdgeCut:
         if not 0 <= v < g.vertex_count:
             raise ParameterError(f"vertex {v} out of range")
     b = frozenset(range(g.vertex_count)) - a
+    return EdgeCut(a, b, tuple(sorted(_crossing(g, sum(1 << v for v in a)))))
+
+
+def _crossing(g: Graph, side: int) -> list[Edge]:
+    """The edges between the vertex bitmask ``side`` and the rest, as (u, v)
+    with u in ``side``, repeated per multiplicity, read from the neighbour
+    lists of the smaller side."""
+    rest = ((1 << g.vertex_count) - 1) ^ side
+    small = min(side, rest, key=int.bit_count)
     crossing: list[Edge] = []
-    for (u, v), m in g.edge_items():
-        if u in a and v in b:
-            crossing.extend([(u, v)] * m)
-        elif v in a and u in b:
-            crossing.extend([(v, u)] * m)
-    crossing.sort()
-    return EdgeCut(a, b, tuple(crossing))
+    for u in _vertices(small):
+        for w in g.neighbors(u):
+            if not small >> w & 1:
+                edge = (u, w) if small == side else (w, u)
+                crossing.extend([edge] * g.multiplicity(u, w))
+    return crossing
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +166,6 @@ def _flows(g: Graph) -> Iterator[tuple[int, int, list[int], list[int], int]]:
         yield (t, *_prefix_flow(capacity, adjacent, t))
 
 
-def _cut_size(g: Graph, side: int) -> int:
-    """The number of edges between the vertex bitmask ``side`` and the rest,
-    counted from the neighbours of the smaller side."""
-    small = min(side, ((1 << g.vertex_count) - 1) ^ side, key=int.bit_count)
-    return sum(g.multiplicity(u, w) for u in _vertices(small)
-               for w in g.neighbors(u) if not small >> w & 1)
-
-
 @memoized
 def edge_connectivity(g: Graph) -> int:
     """lambda(G); 0 for a disconnected graph.
@@ -178,7 +178,7 @@ def edge_connectivity(g: Graph) -> int:
     if (known := known_fact(_minimum_cut_sides, g)) is not None:
         return known[0]
     lam, t, side = min((value, t, sink_side) for t, value, _, _, sink_side in _flows(g))
-    if (size := _cut_size(g, side)) != lam or not side >> t & 1 or side & 1:
+    if (size := len(_crossing(g, side))) != lam or not side >> t & 1 or side & 1:
         raise VerificationError(
             f"the flow to {t} gives lambda {lam}, but its sink side "
             f"{_vertices(side)} crosses {size} edges")
@@ -254,7 +254,7 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
         raise VerificationError(
             f"more than n(n-1)/2 = {most} minimum cuts enumerated")
     for side in sides:
-        if (size := _cut_size(g, side)) != lam:
+        if (size := len(_crossing(g, side))) != lam:
             raise VerificationError(
                 f"enumerated cut of size {size} disagrees with max-flow lambda {lam}")
     sides.sort(key=lambda side: (side.bit_count(), _vertices(side)))

@@ -5,10 +5,11 @@ in a computation path.  Determinants, solves and inverses share one
 fraction-free (Bareiss 1968) elimination over Python ints: each row is
 scaled by the lcm of its denominators, the first row with a nonzero entry
 pivots each column, and every update divides exactly by the previous pivot,
-so identical inputs always produce identical elimination traces.  Solves
-and inverses, and the resistance layer's integer Laplacians, go through
-:func:`integer_solve`, which checks the integer residual identity
-``(D A)(det A^-1 B) == det (D B)`` before it returns ``det A^-1 B``.
+so identical inputs always produce identical elimination traces.
+Determinants, solves and inverses, and the resistance layer's integer
+Laplacians, all go through :func:`integer_solve`, which checks the integer
+residual identity ``(D A)(det A^-1 B) == det (D B)`` before it returns
+``det = det(D A)``, with its sign, and ``det A^-1 B``.
 
 When ``D A`` is symmetric, as every Laplacian is, :func:`integer_solve`
 first tries a pivot-free symmetric Bareiss pass: forward elimination on the
@@ -128,37 +129,36 @@ def _scaled_rows(m: RationalMatrix, rhs: Sequence[Sequence[Rational]] = ()
     return rows, scales
 
 
-def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[int, int, list[list[int]]]:
-    """Fraction-free (Bareiss) elimination of ``[A | B]``, A square, over ints.
+def _eliminate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of ``[A | B]``, A
+    square, over ints.
 
     Column k is pivoted on the first row at or below k with a nonzero entry
     and every other row is updated by the exact division
     ``(x * pivot - f * y) // prev`` (Sylvester's identity); solved columns
-    are dropped from the rows as they go.  Forward mode updates only the
-    rows below the pivot, which is all a determinant needs.  Jordan mode
-    updates every other row, leaving ``det(PA) * A^-1 B`` in the returned
-    rows.  Returns ``(sign of P, det(PA), rows)``; raises
+    are dropped from the rows as they go.  A swap negates one of its two
+    rows, which keeps both the determinant and the solution, so the rows
+    end as ``det A * A^-1 B``.  Returns ``(det A, det A^-1 B)``; raises
     ``SingularSystemError`` when a column has no pivot.  Rows are replaced,
     never edited in place, so a shallow copy of ``rows`` keeps ``[A | B]``.
     """
     n = len(rows)
-    sign, prev = 1, 1
+    prev = 1
     for k in range(n):
         r = next((r for r in range(k, n) if rows[r][0]), None)
         if r is None:
             raise SingularSystemError(f"no pivot in column {k}")
         if r != k:
-            rows[k], rows[r] = rows[r], rows[k]
-            sign = -sign
+            rows[k], rows[r] = rows[r], [-x for x in rows[k]]
         pivot, *tail = rows[k]
-        for i in range(0 if jordan else k + 1, n):
+        for i in range(n):
             if i != k:
                 f, *row = rows[i]
                 rows[i] = ([(x * pivot - f * y) // prev for x, y in zip(row, tail)]
                            if f else [x * pivot // prev for x in row])
         rows[k] = tail
         prev = pivot
-    return sign, prev, rows
+    return prev, rows
 
 
 def _symmetric_eliminate(rows: Sequence[list[int]]
@@ -223,19 +223,17 @@ def _symmetric_eliminate(rows: Sequence[list[int]]
 
 
 def determinant(m: RationalMatrix) -> Rational:
-    """Exact determinant via fraction-free elimination.
-
-    Rows are scaled to integers first (tracking the scale factors), so the
-    core elimination runs over arbitrary-precision integers only.
+    """Exact determinant: ``det(D A) / det D`` from :func:`integer_solve`
+    with no right-hand side, D the row scales that make ``[D A]`` integral.
     """
     if not m.is_square:
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
     rows, scales = _scaled_rows(m)
     try:
-        sign, det, _ = _eliminate(rows, jordan=False)
+        det, _ = integer_solve(rows, "determinant")
     except SingularSystemError:
         return Fraction(0)
-    return Fraction(sign * det, math.prod(scales))
+    return Fraction(det, math.prod(scales))
 
 
 def _check_residual(scaled: Sequence[list[int]], det: int,
@@ -257,8 +255,8 @@ def integer_solve(rows: Sequence[list[int]], what: str) -> tuple[int, list[list[
     """Solve ``A X = B`` from the integer rows of ``[D A | D B]``, D any
     nonzero diagonal row scaling; the rows are left unchanged.
 
-    Returns ``(det, det X)``, det = det(P D A) for the pivot permutation P,
-    once ``(D A)(det X) == det (D B)`` holds; otherwise raises
+    Returns ``(det, det X)``, det = det(D A) with its sign, once
+    ``(D A)(det X) == det (D B)`` holds; otherwise raises
     ``VerificationError`` naming ``what``.  Raises ``SingularSystemError``
     when A is singular.
     """
@@ -266,7 +264,7 @@ def integer_solve(rows: Sequence[list[int]], what: str) -> tuple[int, list[list[
     symmetric = all(tuple(row[:n]) == col for row, col in zip(rows, zip(*rows)))
     solved = _symmetric_eliminate(rows) if symmetric else None
     if solved is None:
-        _, det, det_x = _eliminate(list(rows), jordan=True)
+        det, det_x = _eliminate(list(rows))
     else:
         det, det_x = solved
     _check_residual(rows, det, det_x, what)

@@ -163,13 +163,12 @@ def _survey_entry(entry: GraphCatalogEntry) -> SurveyEntry:
     main = "skipped"
     if regularity is not None and verdict.is_equiarboreal:
         report = verify_degree_connectivity(g)
-        lam = report.lam
         main = "pass" if report.passed else "fail"
         if not report.passed:
             failed = True
             notes.extend(report.counterexamples)
-    else:
-        lam = edge_connectivity(g) if g.vertex_count >= 2 else None
+    # After the theorem check, lambda reads the max-flows it already ran.
+    lam = edge_connectivity(g) if g.vertex_count >= 2 else None
 
     if g.is_simple:
         scheme = scheme_from_distance_partition(g)

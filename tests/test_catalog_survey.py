@@ -183,10 +183,29 @@ def test_entry_from_manifest_fuzz(item):
      "payload": {"family": "cycle", "params": [5.0]}},
     {"name": 5, "format": "graph6", "payload": "C~"},
     ["name", "format", "payload"],
+    {"name": "x", "format": "graph6", "payload": "A_", "negative_control": "false"},
+    {"name": "x", "format": "graph6", "payload": "A_", "negative_control": 0},
+    {"name": "x", "format": "graph6", "payload": "A_", "negative_control": None},
+    {"name": "x", "format": "graph6", "payload": "C~", "expected_regularity": "3"},
+    {"name": "x", "format": "graph6", "payload": "C~", "expected_regularity": 3.0},
+    {"name": "x", "format": "graph6", "payload": "A_", "expected_regularity": True},
+    {"name": "x", "format": "graph6", "payload": "A_", "expected_regularity": [1]},
 ])
 def test_entry_from_manifest_rejects_wrong_types(item):
-    with pytest.raises(ParameterError):
+    key = next((k for k in ("expected_regularity", "negative_control") if k in item), None)
+    with pytest.raises(ParameterError, match=key and f"x: {key} must be"):
         entry_from_manifest(item)
+
+
+def test_entry_from_manifest_optional_keys():
+    # K2 is 1-regular; null regularity means the key is absent.
+    k2 = {"name": "K2", "format": "graph6", "payload": "A_"}
+    assert entry_from_manifest(k2).expected_regularity is None
+    for extra in ({"expected_regularity": None}, {"negative_control": False}):
+        entry = entry_from_manifest({**k2, **extra})
+        assert (entry.expected_regularity, entry.negative_control) == (None, False)
+    entry = entry_from_manifest({**k2, "expected_regularity": 1, "negative_control": True})
+    assert (entry.expected_regularity, entry.negative_control) == (1, True)
 
 
 def test_survey_records_an_internal_error_and_continues(monkeypatch):

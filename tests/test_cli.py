@@ -78,16 +78,18 @@ def test_cut_enumerate_classify():
 
 
 def test_cut_enumerate_takes_lambda_from_the_cuts(monkeypatch):
-    def unexpected(g):
-        raise AssertionError("edge_connectivity called")
-
-    monkeypatch.setattr(cuts_module, "edge_connectivity", unexpected)
+    # lambda is read through edge_connectivity, whose memo already holds the
+    # listed cuts, so the prefix flows run once, for the enumeration.
+    flows = []
+    real_flows = cuts_module._flows
+    monkeypatch.setattr(cuts_module, "_flows", lambda g: flows.append(g) or real_flows(g))
     code, out, _ = run(["cut", "--family", "johnson", "--params", "6", "3",
                         "--enumerate"])
     assert code == 0
     data = json.loads(out)
     assert data["lambda"] == 9
     assert len(data["cuts"]) == 20
+    assert len(flows) == 1
 
 
 @pytest.mark.parametrize("family, params, lam, count", [
@@ -452,6 +454,18 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "the following arguments are required: command" in err
     code, _, err = run(["--jobs", "2", "survey"])  # removed; surveys run in order
     assert code == 2 and "invalid choice: '2'" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_reaches_the_given_stdout(capsys):
+    code, out, err = run(["cut", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: equiarbor cut [-h]")
+    assert "--enumerate" in out and "--classify" in out
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: equiarbor [-h]")
+    assert "--enumeration-limit" in out
     assert capsys.readouterr() == ("", "")
 
 

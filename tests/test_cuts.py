@@ -223,6 +223,21 @@ def test_enumeration_scale_error():
     assert len(minimum_cuts(big, limit=30)) == 30 * 29 // 2
 
 
+def test_minimum_cuts_never_walk_the_whole_edge_list(monkeypatch):
+    # The flow base reads the edge list once; each of the 1,770 cuts is
+    # recounted and built from the neighbour lists of its smaller side.
+    calls = []
+    real = Graph.edge_items
+    monkeypatch.setattr(Graph, "edge_items", lambda g: calls.append(g) or real(g))
+    c60 = generate("cycle", (60,))
+    cuts = minimum_cuts(c60)
+    assert len(cuts) == 60 * 59 // 2 and len(calls) == 1
+    # Crossing edges run from side A, whichever side is walked.
+    assert cuts[0].side_a == {0} and cuts[0].crossing == ((0, 1), (0, 59))
+    assert cuts[-1].side_b == {1} and cuts[-1].crossing == ((0, 1), (2, 1))
+    assert cut_from_side(c60, {1}).crossing == ((1, 0), (1, 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 10), st.integers(0, 2 ** 32))
 def test_minimum_cuts_match_brute_force_on_random_multigraphs(n, seed):

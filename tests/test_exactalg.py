@@ -48,6 +48,23 @@ def test_determinant_rational_entries():
     assert determinant(m) == Fraction(1, 10) - Fraction(1, 12)
 
 
+def test_determinant_goes_through_integer_solve(monkeypatch):
+    real = exactalg.integer_solve
+    calls = []
+
+    def counting(rows, what):
+        calls.append(what)
+        return real(rows, what)
+
+    monkeypatch.setattr(exactalg, "integer_solve", counting)
+    # Symmetric with a zero leading minor: the pivoted kernel swaps the
+    # rows, and its sign reaches the determinant.
+    assert determinant(RationalMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert determinant(RationalMatrix.from_rows([[1, 2], [3, 4]])) == -2
+    assert determinant(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    assert calls == ["determinant"] * 3
+
+
 def test_determinant_requires_square():
     with pytest.raises(DimensionError):
         determinant(RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
@@ -190,10 +207,10 @@ def test_negative_network_reduced_laplacians_equal_fraction_oracle(net):
 def test_invert_residual_check_catches_a_corrupt_adjugate(monkeypatch):
     eliminate = exactalg._eliminate
 
-    def corrupted(rows, jordan):
-        sign, det, det_inv = eliminate(rows, jordan)
+    def corrupted(rows):
+        det, det_inv = eliminate(rows)
         det_inv[1][0] += 1
-        return sign, det, det_inv
+        return det, det_inv
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
     # Not symmetric, so the pivoted kernel runs.
@@ -205,10 +222,10 @@ def test_invert_residual_check_catches_a_corrupt_adjugate(monkeypatch):
 def test_solve_residual_check_catches_a_corrupt_entry(monkeypatch):
     eliminate = exactalg._eliminate
 
-    def corrupted(rows, jordan):
-        sign, det, det_x = eliminate(rows, jordan)
+    def corrupted(rows):
+        det, det_x = eliminate(rows)
         det_x[2][0] -= 1
-        return sign, det, det_x
+        return det, det_x
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
     # The rhs 1/2 scales row 0 by 2, so D A is not symmetric.
@@ -251,7 +268,7 @@ def test_symmetric_kernel_equals_the_pivoted_kernel(case):
         solved = exactalg._symmetric_eliminate(rows)
         assert rows == before
         try:
-            _, det, det_x = exactalg._eliminate(list(rows), jordan=True)
+            det, det_x = exactalg._eliminate(list(rows))
         except SingularSystemError:
             assert solved is None
             with pytest.raises(SingularSystemError):

@@ -180,7 +180,7 @@ def test_symmetric_kernel_inverts_multigraph_laplacians(g):
         vertices = sorted(comp)
         rows, _, _ = _reduced_laplacian(net.edge_items(), vertices, vertices[-1])
         rows = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
-        _, det, det_inv = exactalg._eliminate(list(rows), jordan=True)
+        det, det_inv = exactalg._eliminate(list(rows))
         assert exactalg._symmetric_eliminate(rows) == (det, det_inv)
         assert exactalg.integer_solve(rows, "inverse") == (det, det_inv)
     assert (_outcome(resistance_matrix, net)
@@ -201,7 +201,7 @@ def test_zero_leading_minor_takes_the_pivoted_fallback(monkeypatch):
     eliminate = exactalg._eliminate
     calls = []
     monkeypatch.setattr(exactalg, "_eliminate",
-                        lambda rows, jordan: calls.append(len(rows)) or eliminate(rows, jordan))
+                        lambda rows: calls.append(len(rows)) or eliminate(rows))
     omega = resistance_matrix(net)
     assert calls == [3]
     assert omega == oracles.fraction_resistance_matrix(net)
@@ -213,10 +213,10 @@ def test_zero_leading_minor_takes_the_pivoted_fallback(monkeypatch):
 def test_corrupt_fallback_fails_the_residual_check(monkeypatch):
     eliminate = exactalg._eliminate
 
-    def corrupted(rows, jordan):
-        sign, det, det_inv = eliminate(rows, jordan)
+    def corrupted(rows):
+        det, det_inv = eliminate(rows)
         det_inv[2][1] += 1
-        return sign, det, det_inv
+        return det, det_inv
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
     with pytest.raises(VerificationError, match="inverse residual check failed in row 0"):
@@ -229,7 +229,7 @@ def test_positive_rational_network_takes_the_symmetric_kernel(monkeypatch):
     net = oracles.random_positive_network(random.Random(24), 12)
     assert any(c.denominator != 1 for _, c in net.edge_items())
 
-    def refuse(rows, jordan):
+    def refuse(rows):
         raise AssertionError("the pivoted kernel ran")
 
     monkeypatch.setattr(exactalg, "_eliminate", refuse)
