@@ -174,8 +174,7 @@ def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
         raise PreconditionError("bound requires a non-trivial cut")
     if cut.size > k:
         raise PreconditionError(f"cut has {cut.size} > k = {k} edges")
-    recomputed = cut_from_side(g, cut.side_a)
-    if recomputed.crossing != cut.crossing:
+    if cut_from_side(g, cut.side_a) != cut:
         raise ParameterError("crossing set does not match the bipartition")
     deg = _cut_graph_degrees(cut)
     return max(degree_pair_bound(k, deg[u], deg[v]) for (u, v) in cut.crossing)

@@ -23,7 +23,8 @@ from typing import Sequence, TextIO
 
 from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal
-from .errors import ConnectivityError, DimensionError, EquiarborError, PreconditionError
+from .errors import (ConnectivityError, DimensionError, EquiarborError,
+                     PreconditionError, VerificationError)
 from .exactalg import _check_size, format_rational
 from .graphs import Graph, fact_scope, generate, member_size, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
@@ -82,6 +83,9 @@ def _cmd_analyze(args, stdout, stderr) -> int:
     if verdict.is_equiarboreal:
         result = cuts.godsil_bound_check(g)
         bound = format_rational(result.bound)
+        if not result.holds:  # a theorem here, so only a defect fails it
+            raise VerificationError(
+                f"lambda = {result.lam} is below the spanning-tree bound m/(n-1) = {bound}")
     else:
         e1, e2, v1, v2 = verdict.witness
         witness = {"edgeA": list(e1), "edgeB": list(e2),
@@ -139,7 +143,7 @@ def _cmd_cut(args, stdout, stderr) -> int:
     if args.classify:
         classifications = []
         for c in min_cuts:
-            cls = cuts.classify_cut(g, c)
+            cls = cuts._classify_cut(c)
             classifications.append({
                 "isTrivial": cls.is_trivial,
                 "a1Size": cls.a1_size,
@@ -198,16 +202,12 @@ def _cmd_scheme(args, stdout, stderr) -> int:
         if args.verify_godsil:
             exit_code = 1
     else:
-        scheme = schemes.AssociationScheme(
-            len(table), check.tensor.class_count, tuple(map(tuple, table)))
-        payload["pointCount"] = scheme.point_count
-        payload["classCount"] = scheme.class_count
-        payload["intersectionNumbers"] = [
-            [[check.tensor.p(i, j, kk) for kk in range(scheme.class_count + 1)]
-             for j in range(scheme.class_count + 1)]
-            for i in range(scheme.class_count + 1)]
+        payload["pointCount"] = check.scheme.point_count
+        payload["classCount"] = check.scheme.class_count
+        # p_ij^k at [i][j][k]; json writes the inner tuples as arrays.
+        payload["intersectionNumbers"] = list(check.scheme.intersections)
         if args.verify_godsil:
-            report = schemes.verify_godsil_theorems(scheme)
+            report = schemes.verify_godsil_theorems(check.scheme)
             payload["godsil"] = {
                 "passed": report.passed,
                 "classes": [{

@@ -42,7 +42,7 @@ from .errors import (
     VerificationError,
 )
 from .exactalg import SIZE_LIMIT
-from .graphs import Graph, _adjacency, _components, known_fact, memoized
+from .graphs import Graph, _components, known_fact, memoized
 
 Edge = tuple[int, int]
 
@@ -311,14 +311,21 @@ def _cut_graph_degrees(cut: EdgeCut) -> Counter[int]:
 
 
 def classify_cut(g: Graph, cut: EdgeCut) -> CutClassification:
-    """Compute all structural predicates of the cut graph by inspection."""
-    recomputed = cut_from_side(g, cut.side_a)
-    if recomputed.crossing != cut.crossing or recomputed.side_b != cut.side_b:
+    """Compute all structural predicates of the cut graph by inspection,
+    once ``cut`` is checked to be the cut of g with side A ``cut.side_a``."""
+    if cut_from_side(g, cut.side_a) != cut:
         raise ParameterError("crossing set does not match the bipartition")
+    return _classify_cut(cut)
+
+
+def _classify_cut(cut: EdgeCut) -> CutClassification:
+    """``classify_cut`` of a cut built by ``cut_from_side``, unchecked; the
+    adjacency covers the cut graph's vertices only."""
     deg = _cut_graph_degrees(cut)
-    adj = _adjacency(g.vertex_count, cut.crossing)
-    a1 = {v for v in deg if v in cut.side_a}
-    b1 = {v for v in deg if v in cut.side_b}
+    adj: dict[int, set[int]] = {v: set() for v in deg}
+    for u, v in cut.crossing:
+        adj[u].add(v)
+        adj[v].add(u)
     size = cut.size
 
     # In a two-vertex component every crossing edge at u joins u to v, so
@@ -340,8 +347,8 @@ def classify_cut(g: Graph, cut: EdgeCut) -> CutClassification:
 
     return CutClassification(
         is_trivial=cut.is_trivial,
-        a1_size=len(a1),
-        b1_size=len(b1),
+        a1_size=len({u for u, _ in cut.crossing}),  # crossing runs from side A
+        b1_size=len({v for _, v in cut.crossing}),
         k2_component_free=k2_free,
         strongly_sx_free=sx_free,
         strongly_sxy_free=sxy_free,
@@ -429,7 +436,7 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
                 counterexamples.append(
                     f"non-trivial cut of {lam} edges at degree {k}: sides {a}")
                 continue
-            cls = classify_cut(g, cut_from_side(g, a))
+            cls = _classify_cut(cut_from_side(g, a))
             if not cls.k2_component_free:
                 counterexamples.append(f"cut {a} has a K2 component")
             if k >= 7:

@@ -361,11 +361,12 @@ def _is_index(value: object, bound: int) -> bool:
 
 
 def network_from_json_dict(data: Mapping) -> WeightedNetwork:
-    try:
-        n = data["vertices"]
-        raw_edges = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"bad network JSON: {exc}") from exc
+    if not isinstance(data, Mapping):
+        raise ParameterError("bad network JSON: the top level must be an object")
+    for key in ("vertices", "edges"):
+        if key not in data:
+            raise ParameterError(f"bad network JSON: missing key {key!r}")
+    n, raw_edges = data["vertices"], data["edges"]
     if not _is_index(n, _GRAPH6_MAX_N + 1):
         raise ParameterError(
             f"bad network JSON: 'vertices' must be an integer in 0..{_GRAPH6_MAX_N}")

@@ -13,14 +13,15 @@ when that is at most the point count, else one count over the points (a
 long cycle or path has one class per distance).  The pairs with x <= y
 decide validity (the histogram of (y, x) is the transpose, and the comment
 in ``_decide_scheme`` shows why the transposes then agree too), and the
-check stops at the first mismatch.  On success the full intersection-number
-tensor is returned; on failure the first violating tuple in scan order,
+check stops at the first mismatch.  On success the scheme is returned with
+its intersection numbers; on failure the first violating tuple in scan order,
 intersection counts being scanned by (i, j, class, position in the class).
 Only that witness needs every ordered pair of an invalid table, so the
 distance-partition builder, which needs only the verdict, never scans them.
 
 Only symmetric schemes are supported.  Colour classes of a valid scheme are
-always regular; the extractor asserts that instead of assuming it.
+always nonempty and regular; the extractor asserts that instead of assuming
+it.
 """
 
 from __future__ import annotations
@@ -41,24 +42,26 @@ RelationTable = Sequence[Sequence[int]]
 
 @dataclass(frozen=True)
 class AssociationScheme:
-    point_count: int
-    class_count: int
+    """A relation table that satisfies the scheme axioms, with its
+    intersection numbers: ``intersections[i][j][k]`` is, for (x, y) in class
+    k, the number of z with (x, z) in class i and (z, y) in class j."""
+
     relation: tuple[tuple[int, ...], ...]
+    intersections: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def point_count(self) -> int:
+        return len(self.relation)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.intersections) - 1
 
     def rel(self, x: int, y: int) -> int:
         return self.relation[x][y]
 
-
-@dataclass(frozen=True)
-class IntersectionTensor:
-    """p[i][j][k]: for (x, y) in class k, the number of z with (x, z) in
-    class i and (z, y) in class j."""
-
-    class_count: int
-    values: tuple[tuple[tuple[int, ...], ...], ...]
-
     def p(self, i: int, j: int, k: int) -> int:
-        return self.values[i][j][k]
+        return self.intersections[i][j][k]
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class SchemeViolation:
 @dataclass(frozen=True)
 class SchemeCheck:
     valid: bool
-    tensor: Optional[IntersectionTensor]
+    scheme: Optional[AssociationScheme]
     violation: Optional[SchemeViolation]
 
 
@@ -93,12 +96,12 @@ def _validate_table(rel: RelationTable) -> tuple[int, int]:
 def verify_scheme(rel: RelationTable) -> SchemeCheck:
     """Check the scheme axioms exhaustively.
 
-    Returns the intersection tensor on success; on failure, the first
-    violation in scan order, with (i, j, x, y) details for a failed
-    intersection-count constancy: the least (i, j), then the least class k,
-    then the first pair (x, y) of class k in row-major order whose count of
-    z with rel(x, z) = i and rel(z, y) = j differs from the count of the
-    class's first pair.
+    Returns the scheme with its intersection numbers on success; on
+    failure, the first violation in scan order, with (i, j, x, y) details
+    for a failed intersection-count constancy: the least (i, j), then the
+    least class k, then the first pair (x, y) of class k in row-major order
+    whose count of z with rel(x, z) = i and rel(z, y) = j differs from the
+    count of the class's first pair.
     """
     check = _decide_scheme(rel)
     if check.valid or check.violation is not None:
@@ -151,11 +154,12 @@ def _decide_scheme(rel: RelationTable) -> SchemeCheck:
             hist = histogram(x, y)
             if firsts.setdefault(rel[x][y], hist) != hist:
                 return SchemeCheck(False, None, None)
-    tensor = IntersectionTensor(n, tuple(
+    intersections = tuple(
         tuple(tuple(firsts[k][i * width + j] for k in range(width))
               for j in range(width))
-        for i in range(width)))
-    return SchemeCheck(True, tensor, None)
+        for i in range(width))
+    return SchemeCheck(True, AssociationScheme(tuple(map(tuple, rel)), intersections),
+                       None)
 
 
 def _intersection_witness(rel: RelationTable) -> SchemeViolation:
@@ -249,12 +253,7 @@ def scheme_from_distance_partition(g: Graph) -> Optional[AssociationScheme]:
     fail (i.e. g is not distance-regular)."""
     if not g.is_simple:
         raise ParameterError("distance partition needs a simple graph")
-    table = distance_table(g)
-    check = _decide_scheme(table)  # validity only: no violation is reported
-    if not check.valid:
-        return None
-    return AssociationScheme(g.vertex_count, check.tensor.class_count,
-                             tuple(map(tuple, table)))
+    return _decide_scheme(distance_table(g)).scheme  # validity only: no witness scan
 
 
 def colour_class(s: AssociationScheme, i: int) -> Graph:
@@ -262,13 +261,13 @@ def colour_class(s: AssociationScheme, i: int) -> Graph:
     if not 1 <= i <= s.class_count:
         raise ParameterError(
             f"class index {i} outside 1..{s.class_count}")
-    edges = [(x, y) for x in range(s.point_count)
-             for y in range(x + 1, s.point_count) if s.rel(x, y) == i]
+    edges = [(x, y) for x, row in enumerate(s.relation)
+             for y in range(x + 1, len(row)) if row[y] == i]
     g = Graph(s.point_count, edges)
-    if g.is_regular() is None:
+    if not g.is_regular():
         raise VerificationError(
-            f"colour class {i} is not regular; the relation table cannot "
-            "satisfy the scheme axioms")
+            f"colour class {i} is empty or not regular; the relation table "
+            "cannot satisfy the scheme axioms")
     return g
 
 
@@ -280,7 +279,6 @@ class ColourClassReport:
     equiarboreal_ok: bool
     omega: Optional[Fraction]      # common edge resistance when connected
     lambda_value: Optional[int]    # None when connectivity was skipped
-    lambda_ok: Optional[bool]
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,7 @@ class SchemeGodsilReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.equiarboreal_ok and c.lambda_ok is not False
+        return all(c.equiarboreal_ok and c.lambda_value in (None, c.degree)
                    for c in self.classes)
 
 
@@ -305,36 +303,27 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
     """Per colour class: equiarboreality, and edge connectivity equal to
     the degree.
 
-    Disconnected classes are checked for equiarboreality component by
-    component and skipped for connectivity, matching the theorems'
+    Every class is checked for equiarboreality component by component, a
+    connected class being its own single component; edge connectivity is
+    computed for connected classes only, matching the theorems'
     connectedness hypothesis.
     """
     reports = []
     for i in range(1, s.class_count + 1):
         g = colour_class(s, i)
-        k = g.is_regular()
-        if g.is_connected():
-            verdict = check_equiarboreal(g)
-            lam = edge_connectivity(g)
-            reports.append(ColourClassReport(
-                class_index=i, degree=k, connected=True,
-                equiarboreal_ok=verdict.is_equiarboreal,
-                omega=verdict.omega,
-                lambda_value=lam, lambda_ok=lam == k))
-        else:
-            eq_ok = True
-            for comp in g.components():
-                sub = _subgraph(g, comp)
-                if sub.edge_count == 0:
-                    eq_ok = False  # an isolated vertex cannot occur in a class
-                    break
-                if not check_equiarboreal(sub).is_equiarboreal:
-                    eq_ok = False
-                    break
-            reports.append(ColourClassReport(
-                class_index=i, degree=k, connected=False,
-                equiarboreal_ok=eq_ok, omega=None,
-                lambda_value=None, lambda_ok=None))
+        comps = g.components()
+        connected = len(comps) == 1
+        # A connected class is its own single component, checked as it
+        # stands so that a memoized verdict on the same graph is reused.
+        for comp in comps:
+            verdict = check_equiarboreal(g if connected else _subgraph(g, comp))
+            if not verdict.is_equiarboreal:
+                break
+        reports.append(ColourClassReport(
+            class_index=i, degree=g.is_regular(), connected=connected,
+            equiarboreal_ok=verdict.is_equiarboreal,
+            omega=verdict.omega if connected else None,
+            lambda_value=edge_connectivity(g) if connected else None))
     return SchemeGodsilReport(tuple(reports))
 
 

@@ -42,7 +42,7 @@ from equiarbor.exactalg import RationalMatrix
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork
 from equiarbor.schemes import (
-    IntersectionTensor,
+    AssociationScheme,
     SchemeCheck,
     SchemeViolation,
     _validate_table,
@@ -327,9 +327,8 @@ def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:
                             SchemeViolation("intersection", (i, j, x, y)))
                 values[i][j][k] = ref
 
-    tensor = IntersectionTensor(
-        n, tuple(tuple(tuple(row) for row in plane) for plane in values))
-    return SchemeCheck(True, tensor, None)
+    intersections = tuple(tuple(tuple(row) for row in plane) for plane in values)
+    return SchemeCheck(True, AssociationScheme(tuple(map(tuple, rel)), intersections), None)
 
 
 def fraction_double_star_threshold(k: int) -> bool:

@@ -384,6 +384,15 @@ def test_cut_lower_bound_pendant_star():
     assert cut_lower_bound(g, cut, 5) == expected
 
 
+def test_cut_lower_bound_rejects_a_cut_of_another_bipartition():
+    g, side = _two_blocks_matching_cut()
+    cut = cut_from_side(g, side)
+    for stale in (type(cut)(cut.side_a, cut.side_b, ((0, 5),)),
+                  type(cut)(cut.side_a, cut.side_b - {9}, cut.crossing)):
+        with pytest.raises(ParameterError, match="does not match the bipartition"):
+            cut_lower_bound(g, stale, 4)
+
+
 def test_cut_lower_bound_preconditions():
     g = generate("petersen")
     trivial = cut_from_side(g, {0})

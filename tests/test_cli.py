@@ -43,6 +43,15 @@ def test_analyze_petersen():
                     "godsilBound": "5/3", "lambda": 3}
 
 
+def test_analyze_fails_loudly_when_lambda_is_below_the_tree_bound(monkeypatch):
+    # lambda >= m/(n-1) is a theorem on equiarboreal graphs, so a lambda
+    # below it can only be a defect, never a verdict.
+    monkeypatch.setattr(cuts_module, "edge_connectivity", lambda g: 1)
+    code, out, err = run(["analyze", "--family", "petersen"])
+    assert (code, out) == (2, "")
+    assert err == "error: lambda = 1 is below the spanning-tree bound m/(n-1) = 5/3\n"
+
+
 def test_analyze_negative_control():
     code, out, _ = run(["analyze", "--family", "triangular_prism"])
     assert code == 0
@@ -177,13 +186,13 @@ def test_cut_above_the_matrix_limit_keeps_lambda():
 
 def test_cut_classifies_each_cut_once_below_degree_four(monkeypatch):
     calls = []
-    real = cuts_module.classify_cut
+    real = cuts_module._classify_cut
 
-    def counting(g, cut):
+    def counting(cut):
         calls.append(cut)
-        return real(g, cut)
+        return real(cut)
 
-    monkeypatch.setattr(cuts_module, "classify_cut", counting)
+    monkeypatch.setattr(cuts_module, "_classify_cut", counting)
     code, out, _ = run(["cut", "--family", "cycle", "--params", "12",
                         "--enumerate", "--classify"])
     assert code == 0
@@ -546,27 +555,37 @@ def test_missing_file_exits_two(tmp_path):
     assert "error" in err
 
 
-@pytest.mark.parametrize("network", [
-    {"vertices": 3, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "r": "1"}]},
-    {"vertices": 3, "edges": 5},
-    {"vertices": 3, "edges": [[0, 1, "1"], [1, 2, "1"]]},
-    {"vertices": 3, "edges": [{"u": 0.5, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
-    {"vertices": 3, "edges": [{"u": 0, "v": "1", "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
-    {"vertices": 3, "edges": [{"u": 0, "v": True, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
-    {"vertices": 3, "terminals": 5, "edges": [{"u": 0, "v": 1, "r": "1"}]},
-    {"vertices": 3, "terminals": ["a"], "edges": [{"u": 0, "v": 1, "r": "1"}]},
-    {"vertices": 3, "terminals": [0, 3], "edges": [{"u": 0, "v": 1, "r": "1"}]},
-    {"vertices": 3, "terminals": [0, True], "edges": [{"u": 0, "v": 1, "r": "1"}]},
-    {"vertices": 3.7, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
-    {"vertices": True, "edges": [{"u": 0, "v": 1, "r": "1"}]},
-    {"vertices": "3", "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
-    {"vertices": -1, "edges": []},
-    {"vertices": 10**9, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]},
+_NOT_AN_OBJECT = "error: bad network JSON: the top level must be an object\n"
+
+
+@pytest.mark.parametrize("network, message", [
+    ({"vertices": 3, "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ({"vertices": 3, "edges": 5}, None),
+    ({"vertices": 3, "edges": [[0, 1, "1"], [1, 2, "1"]]}, None),
+    ({"vertices": 3, "edges": [{"u": 0.5, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ({"vertices": 3, "edges": [{"u": 0, "v": "1", "r": "1"}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ({"vertices": 3, "edges": [{"u": 0, "v": True, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ({"vertices": 3, "terminals": 5, "edges": [{"u": 0, "v": 1, "r": "1"}]}, None),
+    ({"vertices": 3, "terminals": ["a"], "edges": [{"u": 0, "v": 1, "r": "1"}]}, None),
+    ({"vertices": 3, "terminals": [0, 3], "edges": [{"u": 0, "v": 1, "r": "1"}]}, None),
+    ({"vertices": 3, "terminals": [0, True], "edges": [{"u": 0, "v": 1, "r": "1"}]}, None),
+    ({"vertices": 3.7, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ({"vertices": True, "edges": [{"u": 0, "v": 1, "r": "1"}]}, None),
+    ({"vertices": "3", "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ({"vertices": -1, "edges": []}, None),
+    ({"vertices": 10**9, "edges": [{"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 2, "r": "1"}]}, None),
+    ([1, 2], _NOT_AN_OBJECT),
+    ("x", _NOT_AN_OBJECT),
+    (3, _NOT_AN_OBJECT),
+    (None, _NOT_AN_OBJECT),
+    ({"vertices": 3}, "error: bad network JSON: missing key 'edges'\n"),
+    ({"edges": []}, "error: bad network JSON: missing key 'vertices'\n"),
 ], ids=["missing-r", "edges-int", "edges-lists", "float-u", "string-v", "bool-v",
         "terminals-int", "terminals-string", "terminal-out-of-range", "terminal-bool",
         "vertices-float", "vertices-bool", "vertices-string", "vertices-negative",
-        "vertices-huge"])
-def test_malformed_network_json_exits_two(tmp_path, network):
+        "vertices-huge", "top-level-list", "top-level-string", "top-level-number",
+        "top-level-null", "edges-missing", "vertices-missing"])
+def test_malformed_network_json_exits_two(tmp_path, network, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(network))
     for argv in (["resist", str(path), "0", "2"], ["transform", str(path), "--eliminate", "1"]):
@@ -574,3 +593,4 @@ def test_malformed_network_json_exits_two(tmp_path, network):
         assert code == 2
         assert out == ""
         assert "bad network JSON" in err
+        assert message is None or err == message

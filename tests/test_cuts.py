@@ -83,9 +83,7 @@ BRIDGED_K4S = Graph(8, [(u, v) for b in (0, 4) for u in range(b, b + 4)
                (2, 3, 3)]), 3),
     (Graph(6, [(0, 1, 2), (2, 3, 2), (4, 5, 2)]), 0),
 ])
-def test_ordering_lambda_below_minimum_degree(g, lam):
-    # The name is kept from the maximum-adjacency ordering that once gave
-    # lambda alone; the prefix flows give it now.
+def test_lambda_below_minimum_degree_matches_brute_force(g, lam):
     assert edge_connectivity(g) == lam == oracles.brute_force_edge_connectivity(g)
 
 
@@ -125,8 +123,8 @@ def _refuse(*args):
     raise AssertionError("a minimum cut was enumerated for lambda alone")
 
 
-# The next two names are kept from the ordering that once gave lambda
-# alone; both check that lambda alone enumerates no cut.
+# The next name is kept from the ordering that once gave lambda alone; it
+# checks that lambda alone enumerates no cut.
 @pytest.mark.parametrize("g,lam", [
     (generate("complete", (30,)), 29),
     (_colour_class("johnson", (7, 3), 2), 18),
@@ -145,7 +143,7 @@ def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
     # 600 vertices in a cycle of doubled edges with one triple edge.
     (Graph(600, [(v, (v + 1) % 600, 3 if v == 0 else 2) for v in range(600)]), 4),
 ])
-def test_graph_above_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
+def test_lambda_above_the_matrix_limit_enumerates_no_cut(monkeypatch, g, lam):
     # The flows build no n x n rows, so there is no size limit.
     monkeypatch.setattr(cuts_module, "_closed_sides", _refuse)
     assert edge_connectivity(g) == lam
@@ -572,6 +570,9 @@ def test_classify_rejects_stale_crossing():
     tampered = type(cut)(cut.side_a, cut.side_b, ((0, 5),))
     with pytest.raises(ParameterError):
         classify_cut(g, tampered)
+    short_side_b = type(cut)(cut.side_a, cut.side_b - {3}, cut.crossing)
+    with pytest.raises(ParameterError):
+        classify_cut(g, short_side_b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Association schemes: axiom verification, tensors, colour classes."""
+"""Association schemes: axiom verification, intersection numbers, colour
+classes."""
 
 import random
 
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiarbor import schemes
+from equiarbor.cuts import edge_connectivity
+from equiarbor.equiarboreal import check_equiarboreal
 from equiarbor.errors import EquiarborError, ParameterError
-from equiarbor.graphs import generate
+from equiarbor.graphs import Graph, fact_scope, generate
 from equiarbor.schemes import (
-    AssociationScheme,
     SchemeViolation,
     colour_class,
     distance_table,
@@ -22,20 +24,21 @@ from equiarbor.schemes import (
 )
 
 import oracles
+from test_cuts import STRESS_SCHEMES
 
 
 def test_c5_distance_scheme():
     check = verify_scheme(distance_table(generate("cycle", (5,))))
     assert check.valid
-    assert check.tensor.p(1, 1, 1) == 0  # adjacent pairs share no neighbor
-    assert check.tensor.p(1, 1, 2) == 1  # distance-2 pairs share exactly one
+    assert check.scheme.p(1, 1, 1) == 0  # adjacent pairs share no neighbor
+    assert check.scheme.p(1, 1, 2) == 1  # distance-2 pairs share exactly one
 
 
 def test_petersen_distance_scheme():
     check = verify_scheme(distance_table(generate("petersen")))
     assert check.valid
-    assert check.tensor.class_count == 2
-    assert check.tensor.p(1, 1, 1) == 0  # triangle-free
+    assert check.scheme.class_count == 2
+    assert check.scheme.p(1, 1, 1) == 0  # triangle-free
 
 
 def test_prism_distance_partition_fails_intersection_axiom():
@@ -127,14 +130,14 @@ def test_many_classes_count_points_instead_of_popcounts(monkeypatch):
         raise AssertionError("popcount histogram on a table with (n + 1)^2 > size")
     monkeypatch.setattr(schemes, "_popcount_histogram", refuse)
     cycle = verify_scheme(distance_table(generate("cycle", (120,))))
-    assert cycle.valid and cycle.tensor.class_count == 60
-    assert [cycle.tensor.p(1, 1, k) for k in range(4)] == [2, 0, 1, 0]
+    assert cycle.valid and cycle.scheme.class_count == 60
+    assert [cycle.scheme.p(1, 1, k) for k in range(4)] == [2, 0, 1, 0]
     path = verify_scheme(_path_table(80))
     assert path.violation == SchemeViolation("intersection", (1, 1, 1, 1))
 
 
 def _verdict(check):
-    return (check.valid, check.tensor and check.tensor.values,
+    return (check.valid, check.scheme and check.scheme.intersections,
             check.violation and (check.violation.axiom, check.violation.details))
 
 
@@ -237,6 +240,52 @@ def test_godsil_verification_c6_skips_disconnected():
     assert by_index[1].connected and by_index[1].lambda_value == 2
 
 
+@pytest.mark.parametrize("family, params",
+                         STRESS_SCHEMES + [("hypercube", (6,)), ("cycle", (40,))])
+def test_distance_partition_carries_the_oracle_intersection_numbers(family, params):
+    g = generate(family, params)
+    table = distance_table(g)
+    scheme = scheme_from_distance_partition(g)
+    assert scheme.relation == tuple(map(tuple, table))
+    assert scheme.intersections == oracles.scan_verify_scheme(table).scheme.intersections
+
+
+def _component(g: Graph, comp: frozenset[int]) -> Graph:
+    index = {v: i for i, v in enumerate(sorted(comp))}
+    return Graph(len(comp), [(index[u], index[v]) for u, v in g.edge_list()
+                             if u in comp])
+
+
+@pytest.mark.parametrize("family, params", [("cycle", (40,)), ("hypercube", (6,))])
+def test_godsil_report_agrees_with_each_component(family, params):
+    scheme = scheme_from_distance_partition(generate(family, params))
+    report = verify_godsil_theorems(scheme)
+    assert [c.class_index for c in report.classes] == list(range(1, scheme.class_count + 1))
+    assert any(not c.connected for c in report.classes)
+    for c in report.classes:
+        g = colour_class(scheme, c.class_index)
+        comps = g.components()
+        verdicts = [check_equiarboreal(_component(g, comp)) for comp in comps]
+        assert c.degree == g.is_regular()
+        assert c.connected == (len(comps) == 1)
+        assert c.equiarboreal_ok == all(v.is_equiarboreal for v in verdicts)
+        assert c.omega == (verdicts[0].omega if c.connected else None)
+        # lambda appears exactly on the connected classes.
+        assert c.lambda_value == (edge_connectivity(g) if c.connected else None)
+    assert report.passed
+
+
+def test_connected_class_reuses_the_memoized_verdict(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a connected colour class was relabelled")
+    monkeypatch.setattr(schemes, "_subgraph", refuse)
+    g = generate("petersen")
+    with fact_scope():
+        verdict = check_equiarboreal(g)
+        report = verify_godsil_theorems(scheme_from_distance_partition(g))
+    assert report.classes[0].omega is verdict.omega
+
+
 def test_intersection_row_sums_equal_valency():
     for family, params in [("petersen", ()), ("cycle", (6,)),
                            ("johnson", (4, 2))]:
@@ -248,7 +297,7 @@ def test_intersection_row_sums_equal_valency():
             valency = sum(1 for y in range(scheme.point_count)
                           if scheme.rel(0, y) == i)
             for k in range(n + 1):
-                assert sum(check.tensor.p(i, j, k) for j in range(n + 1)) \
+                assert sum(check.scheme.p(i, j, k) for j in range(n + 1)) \
                     == valency
 
 
@@ -268,7 +317,7 @@ def test_bose_mesner_matrix_identity():
                     for y in range(size):
                         product = sum(mats[i][x][z] * mats[j][z][y]
                                       for z in range(size))
-                        combo = sum(check.tensor.p(i, j, k) * mats[k][x][y]
+                        combo = sum(check.scheme.p(i, j, k) * mats[k][x][y]
                                     for k in range(n + 1))
                         assert product == combo
 
@@ -288,8 +337,7 @@ def test_scheme_table_text_roundtrip():
     table = parse_scheme_table(text)
     check = verify_scheme(table)
     assert check.valid
-    assert AssociationScheme(len(table), check.tensor.class_count,
-                             tuple(map(tuple, table))) == scheme
+    assert check.scheme == scheme
 
 
 def test_scheme_table_rejects_bad_shapes():
