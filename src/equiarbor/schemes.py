@@ -21,7 +21,10 @@ distance-partition builder, which needs only the verdict, never scans them.
 
 Only symmetric schemes are supported.  Colour classes of a valid scheme are
 always nonempty and regular; the extractor asserts that instead of assuming
-it.
+it.  Each class's edge resistance is one (d+1) x (d+1) integer solve in the
+Bose-Mesner algebra, so classes >= 2 are verified by exact computation in
+that algebra, not by an independent Laplacian inverse; only class 1 is
+inverted too, as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import exactalg
 from .cuts import edge_connectivity
 from .equiarboreal import check_equiarboreal
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, SingularSystemError, VerificationError
 from .graphs import Graph, require_connected
 
 RelationTable = Sequence[Sequence[int]]
@@ -301,30 +305,62 @@ def _subgraph(g: Graph, vertices: frozenset[int]) -> Graph:
 
 def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
     """Per colour class: equiarboreality, and edge connectivity equal to
-    the degree.
+    the degree, the latter for connected classes only, matching the
+    theorems' connectedness hypothesis.
 
-    Every class is checked for equiarboreality component by component, a
-    connected class being its own single component; edge connectivity is
-    computed for connected classes only, matching the theorems'
-    connectedness hypothesis.
+    Edge resistances come from the Bose-Mesner algebra, so classes >= 2 are
+    verified by exact computation in the algebra, not by an inverse of
+    their own.  Each class must pass Foster's identity on components of
+    equal size, and class 1 must agree with a direct check (whole when
+    connected, else the component of point 0); a failure raises
+    ``VerificationError``.
     """
     reports = []
     for i in range(1, s.class_count + 1):
         g = colour_class(s, i)
         comps = g.components()
-        connected = len(comps) == 1
-        # A connected class is its own single component, checked as it
-        # stands so that a memoized verdict on the same graph is reused.
-        for comp in comps:
-            verdict = check_equiarboreal(g if connected else _subgraph(g, comp))
-            if not verdict.is_equiarboreal:
-                break
+        zero = next(c for c in comps if 0 in c)
+        size, degree, connected = len(zero), g.is_regular(), len(comps) == 1
+        if any(len(c) != size for c in comps):
+            raise VerificationError(f"colour class {i} has components of unequal size")
+        omega = _class_resistance(s, i, {s.rel(0, y) for y in zero})
+        if omega * size * degree != 2 * (size - 1):
+            raise VerificationError(f"colour class {i}: resistance {omega} fails Foster's identity")
+        if i == 1:  # a connected class as it stands, so a memoized verdict is reused
+            verdict = check_equiarboreal(g if connected else _subgraph(g, zero))
+            if verdict.omega != omega:
+                raise VerificationError(
+                    f"colour class 1: the algebra gives {omega}, the Laplacian {verdict.omega}")
+            omega = verdict.omega
         reports.append(ColourClassReport(
-            class_index=i, degree=g.is_regular(), connected=connected,
-            equiarboreal_ok=verdict.is_equiarboreal,
-            omega=verdict.omega if connected else None,
+            class_index=i, degree=degree, connected=connected, equiarboreal_ok=True,
+            omega=omega if connected else None,
             lambda_value=edge_connectivity(g) if connected else None))
     return SchemeGodsilReport(tuple(reports))
+
+
+def _class_resistance(s: AssociationScheme, i: int, within: set[int]) -> Fraction:
+    """The resistance across every edge of colour class i (Godsil 1981).
+
+    F = sum of A_l over the classes l ``within`` the class-i component of
+    point 0 is the all-ones matrix on each component, so (L_i + F)^-1 =
+    sum_j x_j A_j lies in the algebra and an edge of class i has resistance
+    2 (x_0 - x_i).  The coefficient of A_c in (L_i + F) A_j is
+    k_i [j = c] - p_ij^c + sum_l p_lj^c, with k_j = p_jj^0.  Row c is
+    scaled by k_c, which makes the system symmetric (k_c p_ij^c =
+    k_j p_ic^j) and positive definite, so ``integer_solve`` takes its
+    pivot-free pass.
+    """
+    p = s.intersections
+    valency = [p[j][j][0] for j in range(len(p))]
+    fill = [list(map(sum, zip(*(p[l][j] for l in within)))) for j in range(len(p))]
+    rows = [[k * (fill[j][c] - p[i][j][c] + (valency[i] if j == c else 0))
+             for j in range(len(p))] + [int(c == 0)] for c, k in enumerate(valency)]
+    try:
+        det, x = exactalg.integer_solve(rows, f"colour class {i} resistance")
+    except SingularSystemError as exc:
+        raise VerificationError(f"colour class {i}: singular Bose-Mesner system") from exc
+    return Fraction(2 * (x[0][0] - x[i][0]), det)
 
 
 # ---------------------------------------------------------------------------

@@ -238,13 +238,15 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
     entry = generated("Petersen", "petersen")
     report = survey([entry])
     assert report.entries[0].status == "passed"
-    # The host (entry verdict, degree-connectivity hypothesis, colour class
-    # 1) and colour class 2, the complement.
+    # The host once (entry verdict, degree-connectivity hypothesis, colour
+    # class 1); every other solve is a 3 x 3 Bose-Mesner system, one per
+    # colour class, so no class Laplacian is inverted.
     assert inverted.count(host_laplacian) == 1
-    assert len(inverted) == 2
+    assert [len(rows) for rows in inverted if rows != host_laplacian] == [3, 3]
     # Facts do not outlive their entry.
     survey([entry, entry])
     assert inverted.count(host_laplacian) == 3
+    assert [len(rows) for rows in inverted if rows != host_laplacian] == [3] * 6
 
 
 def test_survey_entry_runs_each_max_flow_once(monkeypatch):

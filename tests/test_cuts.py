@@ -123,8 +123,6 @@ def _refuse(*args):
     raise AssertionError("a minimum cut was enumerated for lambda alone")
 
 
-# The next name is kept from the ordering that once gave lambda alone; it
-# checks that lambda alone enumerates no cut.
 @pytest.mark.parametrize("g,lam", [
     (generate("complete", (30,)), 29),
     (_colour_class("johnson", (7, 3), 2), 18),
@@ -132,7 +130,7 @@ def _refuse(*args):
     (_path(160), 1),
     (generate("star", (200,)), 1),
 ])
-def test_graph_within_the_matrix_limit_takes_the_ordering(monkeypatch, g, lam):
+def test_lambda_alone_enumerates_no_cut(monkeypatch, g, lam):
     monkeypatch.setattr(cuts_module, "_closed_sides", _refuse)
     assert edge_connectivity(g) == lam
 

@@ -1,16 +1,23 @@
 """Association schemes: axiom verification, intersection numbers, colour
 classes."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiarbor import schemes
+from equiarbor import exactalg, schemes
 from equiarbor.cuts import edge_connectivity
 from equiarbor.equiarboreal import check_equiarboreal
-from equiarbor.errors import EquiarborError, ParameterError
+from equiarbor.errors import (
+    EquiarborError,
+    ParameterError,
+    SingularSystemError,
+    VerificationError,
+)
 from equiarbor.graphs import Graph, fact_scope, generate
 from equiarbor.schemes import (
     SchemeViolation,
@@ -284,6 +291,78 @@ def test_connected_class_reuses_the_memoized_verdict(monkeypatch):
         verdict = check_equiarboreal(g)
         report = verify_godsil_theorems(scheme_from_distance_partition(g))
     assert report.classes[0].omega is verdict.omega
+
+
+@pytest.mark.parametrize("family, params",
+                         STRESS_SCHEMES + [("hypercube", (6,)), ("cycle", (40,)),
+                                           ("johnson", (8, 3))])
+def test_algebra_resistance_equals_the_laplacian_on_every_component(family, params):
+    scheme = scheme_from_distance_partition(generate(family, params))
+    for i in range(1, scheme.class_count + 1):
+        g = colour_class(scheme, i)
+        comps = g.components()
+        zero = next(c for c in comps if 0 in c)
+        omega = schemes._class_resistance(scheme, i, {scheme.rel(0, y) for y in zero})
+        for comp in comps:
+            verdict = check_equiarboreal(_component(g, comp))
+            assert verdict.is_equiarboreal and verdict.omega == omega, (i, sorted(comp))
+
+
+def _petersen_with(i, j, k):
+    scheme = scheme_from_distance_partition(generate("petersen"))
+    p = [[list(row) for row in plane] for plane in scheme.intersections]
+    p[i][j][k] += 1
+    return schemes.AssociationScheme(
+        scheme.relation, tuple(tuple(map(tuple, plane)) for plane in p))
+
+
+@pytest.mark.parametrize("ijk", list(itertools.product(range(3), repeat=3)))
+def test_one_corrupted_intersection_number_raises(ijk):
+    with pytest.raises(VerificationError):
+        verify_godsil_theorems(_petersen_with(*ijk))
+
+
+def test_singular_bose_mesner_system_names_the_class(monkeypatch):
+    def singular(rows, what):
+        raise SingularSystemError("no pivot in column 0")
+    monkeypatch.setattr(exactalg, "integer_solve", singular)
+    with pytest.raises(VerificationError, match="colour class 1: singular"):
+        verify_godsil_theorems(scheme_from_distance_partition(generate("petersen")))
+
+
+def test_class_1_disagreeing_with_its_laplacian_raises(monkeypatch):
+    real = schemes.check_equiarboreal
+    monkeypatch.setattr(schemes, "check_equiarboreal",
+                        lambda g: dataclasses.replace(real(g), omega=real(g).omega + 1))
+    with pytest.raises(VerificationError, match="colour class 1: the algebra gives 3/5"):
+        verify_godsil_theorems(scheme_from_distance_partition(generate("petersen")))
+
+
+def test_components_of_unequal_size_raise():
+    # Class 1 is a triangle and a square: 2-regular, but no scheme's class.
+    edges = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}
+    relation = tuple(tuple(0 if x == y else 1 if (min(x, y), max(x, y)) in edges else 2
+                           for y in range(7)) for x in range(7))
+    zeros = ((0,) * 3,) * 3
+    with pytest.raises(VerificationError, match="components of unequal size"):
+        verify_godsil_theorems(schemes.AssociationScheme(relation, (zeros,) * 3))
+
+
+def test_k4_as_three_perfect_matchings_checks_the_component_of_point_0(monkeypatch):
+    # rel(x, y) = x xor y: each class is a perfect matching of K4.
+    checked = []
+    real = schemes.check_equiarboreal
+
+    def spy(g):
+        checked.append(g)
+        return real(g)
+    monkeypatch.setattr(schemes, "check_equiarboreal", spy)
+    check = verify_scheme([[x ^ y for y in range(4)] for x in range(4)])
+    report = verify_godsil_theorems(check.scheme)
+    assert report.passed
+    assert [(c.degree, c.connected, c.omega, c.lambda_value) for c in report.classes] \
+        == [(1, False, None, None)] * 3
+    assert checked == [Graph(2, [(0, 1)])]
 
 
 def test_intersection_row_sums_equal_valency():
