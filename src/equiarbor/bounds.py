@@ -67,19 +67,18 @@ class BoundParams:
             raise DomainError(
                 f"x + y = {x + y} > k+1 = {k + 1}: the reduced network would "
                 "need a negative fixed edge, outside the proven validity range")
-        a, b, c = k - x, k - y, k - x - y + 1
-        if 2 * a * b * (k + 1) - k * c * c == 0:
+        if _shifted_terms(k, x, y)[1] == 0:
             raise DomainError(
                 f"bound denominator vanishes at (k, x, y) = ({k}, {x}, {y})")
-        return cls(k, x, y, a, b, c)
+        return cls(k, x, y, k - x, k - y, k - x - y + 1)
 
     @property
     def numerator(self) -> int:
-        return 4 * self.a * self.b - self.c * self.c
+        return _shifted_terms(self.k, self.x, self.y)[0]
 
     @property
     def denominator(self) -> int:
-        return 2 * self.a * self.b * (self.k + 1) - self.k * self.c * self.c
+        return _shifted_terms(self.k, self.x, self.y)[1]
 
 
 def degree_pair_bound(k: int, x: int, y: int) -> Fraction:
@@ -101,20 +100,14 @@ def reduced_cut_network(k: int, x: int, y: int) -> WeightedNetwork:
     """The four-vertex network behind the bound.
 
     Vertices: U1, V1 are the chosen crossing edge's endpoints, U2 and V2
-    the collapsed remainders of the two sides.  Edges whose formula gives
-    an infinite resistance (x = 1, y = 1, or c = 0) are simply absent.
+    the collapsed remainders of the two sides.  Collapsing a side adds its
+    parallel pieces as conductances: 1, k-x, k-y, x-1, y-1 and c.  A zero
+    conductance (x = 1, y = 1, or c = 0) is an absent edge.
     """
     p = BoundParams.create(k, x, y)
-    edges: list[tuple[int, int, Rational]] = [(U1, V1, Fraction(1))]
-    edges.append((U1, U2, Fraction(1, p.a)))
-    edges.append((V1, V2, Fraction(1, p.b)))
-    if x > 1:
-        edges.append((U1, V2, Fraction(1, x - 1)))
-    if y > 1:
-        edges.append((U2, V1, Fraction(1, y - 1)))
-    if p.c > 0:
-        edges.append((U2, V2, Fraction(1, p.c)))
-    return WeightedNetwork.from_resistances(4, edges, terminals=(U1, V1))
+    return WeightedNetwork(4, {(U1, V1): 1, (U1, U2): p.a, (V1, V2): p.b,
+                               (U1, V2): x - 1, (U2, V1): y - 1, (U2, V2): p.c},
+                           terminals=(U1, V1))
 
 
 def interior_voltages(k: int, x: int, y: int) -> tuple[Fraction, Fraction]:
@@ -136,7 +129,7 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
     """
     p = BoundParams.create(k, x, y)
     v_u2, v_v2 = interior_voltages(k, x, y)
-    disc = 4 * p.a * p.b - p.c * p.c
+    disc = p.numerator
     if v_u2 != Fraction(2 * p.a * p.b + p.c * (x - 1), disc):
         return False
     if v_v2 != Fraction(p.a * (2 * x + p.c - 2), disc):
@@ -144,25 +137,14 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
     current = k - (p.a * v_u2 + (x - 1) * v_v2)
     if current != Fraction(p.denominator, disc):
         return False
-    bound = Fraction(p.numerator, p.denominator)
-    if 1 / current != bound:
-        return False
-    return resistance(reduced_cut_network(k, x, y), U1, V1) == bound
+    return resistance(reduced_cut_network(k, x, y), U1, V1) == Fraction(disc, p.denominator)
 
 
 def valid_degree_pairs(k: int) -> list[tuple[int, int]]:
     """Every (x, y) accepted by the bound at degree k."""
-    out = []
-    for x in range(1, k):
-        for y in range(1, k):
-            if x + y > k + 1:
-                continue
-            try:
-                BoundParams.create(k, x, y)
-            except DomainError:
-                continue
-            out.append((x, y))
-    return out
+    BoundParams.create(k, 1, 1)  # validates k: (1, 1) is accepted at every k >= 3
+    return [(x, y) for x in range(1, k) for y in range(1, min(k, k + 2 - x))
+            if _shifted_terms(k, x, y)[1] != 0]
 
 
 def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
@@ -192,6 +174,7 @@ def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
 
 
 def _shifted_terms(k: int, X: int, Y: int) -> tuple[int, int]:
+    """(N, D), the bound's numerator and denominator at degrees (X, Y)."""
     a, b, c = k - X, k - Y, k - X - Y + 1
     return 4 * a * b - c * c, 2 * a * b * (k + 1) - k * c * c
 

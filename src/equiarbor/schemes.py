@@ -280,7 +280,6 @@ class ColourClassReport:
     class_index: int
     degree: int
     connected: bool
-    equiarboreal_ok: bool
     omega: Optional[Fraction]      # common edge resistance when connected
     lambda_value: Optional[int]    # None when connectivity was skipped
 
@@ -291,8 +290,7 @@ class SchemeGodsilReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.equiarboreal_ok and c.lambda_value in (None, c.degree)
-                   for c in self.classes)
+        return all(c.lambda_value in (None, c.degree) for c in self.classes)
 
 
 def _subgraph(g: Graph, vertices: frozenset[int]) -> Graph:
@@ -313,8 +311,11 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
     their own.  Each class must pass Foster's identity on components of
     equal size, and class 1 must agree with a direct check (whole when
     connected, else the component of point 0); a failure raises
-    ``VerificationError``.
+    ``VerificationError``, as does an intersection number that the relation
+    contradicts.  That the relation satisfies the axioms stays the caller's
+    precondition.
     """
+    _check_intersections(s)
     reports = []
     for i in range(1, s.class_count + 1):
         g = colour_class(s, i)
@@ -333,10 +334,24 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
                     f"colour class 1: the algebra gives {omega}, the Laplacian {verdict.omega}")
             omega = verdict.omega
         reports.append(ColourClassReport(
-            class_index=i, degree=degree, connected=connected, equiarboreal_ok=True,
+            class_index=i, degree=degree, connected=connected,
             omega=omega if connected else None,
             lambda_value=edge_connectivity(g) if connected else None))
     return SchemeGodsilReport(tuple(reports))
+
+
+def _check_intersections(s: AssociationScheme) -> None:
+    """Each p_ij^k against the relation's count at the first pair (0, y) of class k."""
+    width = len(s.intersections)
+    for k in range(width):
+        counted = [0] * (width * width)
+        for i, j in zip(s.relation[0], s.relation[s.relation[0].index(k)]):
+            counted[i * width + j] += 1
+        given = [row[k] for plane in s.intersections for row in plane]
+        if counted != given:
+            i, j = divmod(_first_difference(counted, given), width)
+            raise VerificationError(f"p_ij^k at ({i}, {j}, {k}) is {s.p(i, j, k)}, but the "
+                                    f"relation gives {counted[i * width + j]}")
 
 
 def _class_resistance(s: AssociationScheme, i: int, within: set[int]) -> Fraction:

@@ -62,20 +62,20 @@ def eliminate_vertex(net: WeightedNetwork, w: int) -> WeightedNetwork:
         raise ParameterError(f"vertex {w} out of range")
     if net.terminals is not None and w in net.terminals:
         raise ParameterError(f"vertex {w} is a terminal")
+    cond = net.without_vertex_edges(w)
+    for a, b, branch in _mesh_branches(net, w):
+        cond[a, b] = cond.get((a, b), Fraction(0)) + branch
+    return WeightedNetwork(net.vertex_count, cond, net.terminals)
+
+
+def _mesh_branches(net: WeightedNetwork, w: int) -> list[tuple[int, int, Fraction]]:
+    """(a, b, c_a c_b / sum c) for each pair a < b of w's neighbours."""
     star = [(v, net.conductance(w, v)) for v in net.neighbors(w)]
     total = sum((c for _, c in star), Fraction(0))
     if total == 0:
         raise SingularEliminationError(
             f"conductance sum at vertex {w} is zero")
-    cond = net.without_vertex_edges(w)
-    for (a, ca), (b, cb) in combinations(star, 2):
-        key = (a, b) if a < b else (b, a)
-        new = cond.get(key, Fraction(0)) + ca * cb / total
-        if new == 0:
-            cond.pop(key, None)
-        else:
-            cond[key] = new
-    return WeightedNetwork(net.vertex_count, cond, net.terminals)
+    return [(a, b, ca * cb / total) for (a, ca), (b, cb) in combinations(star, 2)]
 
 
 def record_for_elimination(before: WeightedNetwork, after: WeightedNetwork,
@@ -85,15 +85,9 @@ def record_for_elimination(before: WeightedNetwork, after: WeightedNetwork,
     Branch resistances are reported as standalone resistors; where a branch
     lands on an existing edge the two are merged in parallel in ``after``.
     """
-    star = [(v, before.conductance(w, v)) for v in before.neighbors(w)]
-    total = sum((c for _, c in star), Fraction(0))
-    added = []
-    for (a, ca), (b, cb) in combinations(star, 2):
-        branch = ca * cb / total
-        if branch != 0:
-            added.append((min(a, b), max(a, b), 1 / branch))
-    kind = "series" if len(star) == 2 else "star-mesh"
-    return TransformRecord(kind, (w,), tuple(sorted(added)))
+    branches = _mesh_branches(before, w)
+    kind = "series" if len(branches) == 1 else "star-mesh"  # w had degree 2
+    return TransformRecord(kind, (w,), tuple((a, b, 1 / c) for a, b, c in branches if c != 0))
 
 
 def bipartite_to_double_star(m: int, n: int) -> WeightedNetwork:
@@ -107,14 +101,10 @@ def bipartite_to_double_star(m: int, n: int) -> WeightedNetwork:
     """
     if m < 1 or n < 1:
         raise ParameterError("bipartite_to_double_star needs m, n >= 1")
-    u0 = m + n
-    v0 = m + n + 1
-    edges: list[tuple[int, int, Rational]] = []
-    edges.extend((u0, i, Fraction(1, n)) for i in range(m))
-    edges.extend((v0, m + j, Fraction(1, m)) for j in range(n))
-    edges.append((u0, v0, Fraction(-1, n * m)))
-    return WeightedNetwork.from_resistances(
-        m + n + 2, edges, terminals=range(m + n))
+    u0, v0 = m + n, m + n + 1
+    cond = {(i, u0): n for i in range(m)} | {(m + j, v0): m for j in range(n)}
+    cond[u0, v0] = -n * m
+    return WeightedNetwork(m + n + 2, cond, terminals=range(m + n))
 
 
 def record_for_double_star(m: int, n: int, net: WeightedNetwork
@@ -184,12 +174,9 @@ def substitute_network(host: WeightedNetwork,
     n_host = host.vertex_count
     fresh = replacement.vertex_count - len(attach)
     mapping = list(attach) + list(range(n_host, n_host + fresh))
-    edges: list[tuple[int, int, Rational]] = []
     removed_set = {(min(u, v), max(u, v)) for u, v in removed}
-    for (u, v), c in host.edge_items():
-        if (u, v) not in removed_set:
-            edges.append((u, v, 1 / c))
-    for (u, v), c in replacement.edge_items():
-        edges.append((mapping[u], mapping[v], 1 / c))
-    return WeightedNetwork.from_resistances(n_host + fresh, edges,
-                                            host.terminals)
+    cond = {e: c for e, c in host.edge_items() if e not in removed_set}
+    for (u, v), c in replacement.edge_items():  # parallel pieces add
+        key = tuple(sorted((mapping[u], mapping[v])))
+        cond[key] = cond.get(key, Fraction(0)) + c
+    return WeightedNetwork(n_host + fresh, cond, host.terminals)

@@ -94,6 +94,28 @@ def test_reduced_network_edge_absences():
     assert full.resistance_of_edge(2, 3) == Fraction(1, 2)
 
 
+def test_reduced_network_equals_the_paper_resistance_form():
+    # Resistances 1, 1/(k-x), 1/(k-y), 1/(x-1), 1/(y-1) and 1/c, each edge
+    # present only when finite, at every (k, x, y) the bound accepts.
+    U1, V1, U2, V2 = bounds.U1, bounds.V1, bounds.U2, bounds.V2
+    for k in range(3, 21):
+        accepted = []
+        for x in range(1, k):
+            for y in range(1, k):
+                try:
+                    degree_pair_bound(k, x, y)
+                except DomainError:
+                    continue
+                accepted.append((x, y))
+                c = k - x - y + 1
+                edges = [(U1, V1, 1), (U1, U2, Fraction(1, k - x)), (V1, V2, Fraction(1, k - y))]
+                edges += [(u, v, Fraction(1, g)) for u, v, g
+                          in ((U1, V2, x - 1), (U2, V1, y - 1), (U2, V2, c)) if g]
+                assert reduced_cut_network(k, x, y) == WeightedNetwork.from_resistances(
+                    4, edges, terminals=(U1, V1)), (k, x, y)
+        assert valid_degree_pairs(k) == accepted, k
+
+
 def test_kirchhoff_cross_check_spot_points():
     assert kirchhoff_cross_check(7, 2, 1)
     assert kirchhoff_cross_check(4, 1, 1)

@@ -48,3 +48,23 @@ def test_verify_claims_matches_golden_files(argv, stem, suffix):
     assert run_command(argv, out, err) == 0
     assert out.getvalue().encode("utf-8") == (GOLDEN / f"{stem}.{suffix}").read_bytes()
     assert err.getvalue().encode("utf-8") == (GOLDEN / f"{stem}.stderr").read_bytes()
+
+
+NETWORK = str(GOLDEN / "eliminate_network.json")
+
+
+@pytest.mark.parametrize("argv,stem,streams", [
+    (["transform", "--bipartite", "3", "4"], "transform_bipartite_3_4", ("json", "stderr")),
+    # Vertex 1 has degree 2 and vertex 2 degree 4; each adds a branch
+    # parallel to the existing edge 0-3.
+    (["transform", NETWORK, "--eliminate", "1"], "transform_eliminate_1", ("json", "stderr")),
+    (["transform", NETWORK, "--eliminate", "2"], "transform_eliminate_2", ("json", "stderr")),
+    (["scheme", "--family", "petersen", "--verify-godsil"], "scheme_godsil_petersen", ("json",)),
+    (["scheme", "--family", "cycle", "--params", "6", "--verify-godsil"],
+     "scheme_godsil_c6", ("json",)),
+])
+def test_network_and_scheme_commands_match_golden_files(argv, stem, streams):
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(argv, out, err) == 0
+    for suffix, stream in zip(streams, (out, err)):
+        assert stream.getvalue().encode("utf-8") == (GOLDEN / f"{stem}.{suffix}").read_bytes()

@@ -4,6 +4,7 @@ classes."""
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -243,7 +244,6 @@ def test_godsil_verification_c6_skips_disconnected():
     by_index = {c.class_index: c for c in report.classes}
     assert by_index[3].connected is False
     assert by_index[3].lambda_value is None
-    assert by_index[3].equiarboreal_ok  # every component is a single edge
     assert by_index[1].connected and by_index[1].lambda_value == 2
 
 
@@ -275,7 +275,7 @@ def test_godsil_report_agrees_with_each_component(family, params):
         verdicts = [check_equiarboreal(_component(g, comp)) for comp in comps]
         assert c.degree == g.is_regular()
         assert c.connected == (len(comps) == 1)
-        assert c.equiarboreal_ok == all(v.is_equiarboreal for v in verdicts)
+        assert all(v.is_equiarboreal for v in verdicts)
         assert c.omega == (verdicts[0].omega if c.connected else None)
         # lambda appears exactly on the connected classes.
         assert c.lambda_value == (edge_connectivity(g) if c.connected else None)
@@ -308,8 +308,7 @@ def test_algebra_resistance_equals_the_laplacian_on_every_component(family, para
             assert verdict.is_equiarboreal and verdict.omega == omega, (i, sorted(comp))
 
 
-def _petersen_with(i, j, k):
-    scheme = scheme_from_distance_partition(generate("petersen"))
+def _with_one_more(scheme, i, j, k):
     p = [[list(row) for row in plane] for plane in scheme.intersections]
     p[i][j][k] += 1
     return schemes.AssociationScheme(
@@ -318,8 +317,26 @@ def _petersen_with(i, j, k):
 
 @pytest.mark.parametrize("ijk", list(itertools.product(range(3), repeat=3)))
 def test_one_corrupted_intersection_number_raises(ijk):
+    petersen = scheme_from_distance_partition(generate("petersen"))
     with pytest.raises(VerificationError):
-        verify_godsil_theorems(_petersen_with(*ijk))
+        verify_godsil_theorems(_with_one_more(petersen, *ijk))
+
+
+@pytest.mark.parametrize("scheme", [
+    scheme_from_distance_partition(generate("hypercube", (3,))),
+    scheme_from_distance_partition(generate("cycle", (6,))),
+    # rel(x, y) = x xor y: each class is a perfect matching of K4.
+    verify_scheme([[x ^ y for y in range(4)] for x in range(4)]).scheme,
+], ids=["Q3", "C6", "K4-matchings"])
+def test_every_corrupted_intersection_number_is_caught_on_entry(monkeypatch, scheme):
+    # The Bose-Mesner system alone misses a corruption in a class's own
+    # row, so the entry check must catch each one before any class is built.
+    monkeypatch.setattr(schemes, "colour_class", None)
+    width = scheme.class_count + 1
+    assert width == 4
+    for i, j, k in itertools.product(range(width), repeat=3):
+        with pytest.raises(VerificationError, match=rf"at \({i}, {j}, {k}\) is"):
+            verify_godsil_theorems(_with_one_more(scheme, i, j, k))
 
 
 def test_singular_bose_mesner_system_names_the_class(monkeypatch):
@@ -343,9 +360,13 @@ def test_components_of_unequal_size_raise():
     edges = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}
     relation = tuple(tuple(0 if x == y else 1 if (min(x, y), max(x, y)) in edges else 2
                            for y in range(7)) for x in range(7))
-    zeros = ((0,) * 3,) * 3
+    # The tensor is counted at the first pair (0, y) of each class, as the
+    # entry check reads it, so the check passes and the sizes are reached.
+    counts = [Counter(zip(relation[0], relation[relation[0].index(k)])) for k in range(3)]
+    tensor = tuple(tuple(tuple(counts[k][i, j] for k in range(3)) for j in range(3))
+                   for i in range(3))
     with pytest.raises(VerificationError, match="components of unequal size"):
-        verify_godsil_theorems(schemes.AssociationScheme(relation, (zeros,) * 3))
+        verify_godsil_theorems(schemes.AssociationScheme(relation, tensor))
 
 
 def test_k4_as_three_perfect_matchings_checks_the_component_of_point_0(monkeypatch):

@@ -141,6 +141,18 @@ def test_double_star_equivalent_to_k33():
     assert result.equivalent
 
 
+def test_double_star_equals_its_resistance_form():
+    # Legs 1/n and 1/m and the centre edge -1/(nm), given as resistances.
+    for m in range(1, 11):
+        for n in range(1, 11):
+            u0, v0 = m + n, m + n + 1
+            edges = [(u0, i, Fraction(1, n)) for i in range(m)]
+            edges += [(v0, m + j, Fraction(1, m)) for j in range(n)]
+            edges.append((u0, v0, Fraction(-1, n * m)))
+            assert bipartite_to_double_star(m, n) == WeightedNetwork.from_resistances(
+                m + n + 2, edges, terminals=range(m + n)), (m, n)
+
+
 def test_double_star_rejects_zero_parts():
     with pytest.raises(ParameterError):
         bipartite_to_double_star(0, 2)
@@ -226,6 +238,14 @@ def test_substitution_principle_small_host():
         replacement=bipartite_to_double_star(2, 3),
         attach=[0, 1, 2, 3, 4])
     assert s_equivalent(host, replaced, range(6)).equivalent
+
+
+def test_substitution_adds_parallel_conductances():
+    # Edge 0-1 gets 1/2 + 1/2; edge 1-2 gets 1 - 1 and disappears.
+    host = WeightedNetwork.from_resistances(3, [(0, 1, 2), (1, 2, 1)], terminals=(0, 2))
+    replacement = WeightedNetwork.from_resistances(3, [(0, 1, 2), (2, 1, -1)])
+    replaced = substitute_network(host, [], replacement, attach=[0, 1, 2])
+    assert replaced == WeightedNetwork.from_resistances(3, [(0, 1, 1)], terminals=(0, 2))
 
 
 @settings(max_examples=40, deadline=None)
