@@ -1,17 +1,20 @@
 """Edge connectivity, minimum-cut enumeration, and structural
 classification of the bipartite graph spanned by a cut's crossing edges.
 
-Edge connectivity and the minimum cuts come from one set of max-flows:
-for each t one flow runs from the prefix 0..t-1, contracted, to t (Hao &
-Orlin 1994).  Every cut separates some such prefix from its least far-side
-vertex t, so lambda is the least flow value, and the minimum cuts whose
-least far-side vertex is t are the closed sets of that flow's residual
-graph (Picard & Queyranne 1980), taken as unions of per-vertex residual
-bitmasks.  Each is found once, so the work grows with the number of
-minimum cuts, at most n(n-1)/2, not with the 2^(n-1) bipartitions.  Every
-lambda is recounted from a cut side: each enumerated side, or for lambda
-alone the sink side of the minimising flow, must cross exactly lambda
-edges.  The enumeration limit caps only the cut list of ``minimum_cuts``.
+Edge connectivity and the minimum cuts come from one set of max-flows: for
+each t one flow runs from the prefix 0..t-1, contracted, to t (Hao & Orlin
+1994).  They share one residual: the flow to t - 1 stays a flow when t - 1
+joins the prefix, so the flow to t augments from it.  Every cut separates
+some such prefix from its least far-side vertex t, so lambda is the least
+flow value, and the minimum cuts whose least far-side vertex is t are the
+closed sets of that flow's residual graph, taken as unions of per-vertex
+residual bitmasks.  They are the same for every maximum flow (Picard &
+Queyranne 1980), so carrying the residual changes none.  Each is found
+once, so the work grows with the number of minimum cuts, at most n(n-1)/2,
+not with the 2^(n-1) bipartitions.  Every lambda is recounted from a cut
+side: each enumerated side, or for lambda alone the sink side of the
+minimising flow, must cross exactly lambda edges.  The enumeration limit
+caps only the cut list of ``minimum_cuts``.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -101,69 +104,64 @@ def _crossing(g: Graph, side: int) -> list[Edge]:
 # Edge connectivity and minimum cuts
 
 
-def _prefix_flow(capacity: list[dict[int, int]], adjacent: list[int], t: int
-                 ) -> tuple[int, list[int], list[int], int]:
-    """Integral max flow from the prefix 0..t-1, contracted, to t (Hao &
-    Orlin 1994), over the flow base of ``_flows``.  Returns its value, its
-    residual arcs as bitmasks ``out[v]`` (each w with residual capacity on
-    v -> w) and ``into[v]`` (each w with residual capacity on w -> v), and
-    the bitmask of the vertices that reach t.
-
-    The direct arcs into t are saturated first.  Each augmenting path comes
-    from a BFS backwards from t that stops at the first prefix vertex it
-    reaches, so no path enters the prefix; the BFS that fails has visited
-    exactly the vertices that reach t."""
-    residual = [dict(arcs) for arcs in capacity]
-    out, into = adjacent.copy(), adjacent.copy()
-    prefix = (1 << t) - 1
-    value = 0
-    for s, c in capacity[t].items():
-        if s < t:  # no path uses s -> t or t -> s, so only the bits change
-            value += c
-            out[s] ^= 1 << t
-    into[t] &= ~prefix
-    parent = [t] * len(capacity)
-    while True:
-        seen, queue = 1 << t, [t]
-        for y in queue:
-            new = into[y] & ~seen
-            if new & prefix:
-                break
-            seen |= new
-            while new:
-                low = new & -new
-                new ^= low
-                x = low.bit_length() - 1
-                parent[x] = y
-                queue.append(x)
-        else:
-            return value, out, into, seen
-        path = [(new & prefix).bit_length() - 1, y]
-        while y != t:
-            y = parent[y]
-            path.append(y)
-        arcs = list(zip(path, path[1:]))
-        bottleneck = min(residual[x][y] for x, y in arcs)
-        for x, y in arcs:
-            residual[x][y] -= bottleneck
-            if not residual[x][y]:
-                out[x] &= ~(1 << y)
-                into[y] &= ~(1 << x)
-            residual[y][x] += bottleneck
-            out[y] |= 1 << x
-            into[x] |= 1 << y
-        value += bottleneck
-
-
 def _flows(g: Graph) -> Iterator[tuple[int, int, list[int], list[int], int]]:
-    """``(t, *_prefix_flow(capacity, adjacent, t))`` for t = 1..n-1, over the
-    edge multiplicities ``capacity[u][v]``, both ways, and neighbour bitmasks."""
-    capacity: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    """``(t, value, out, into, sink_side)`` for t = 1..n-1: the value of an
+    integral max flow from the prefix 0..t-1, contracted, to t, copies of
+    its residual arcs as bitmasks ``out[v]`` (each w with residual capacity
+    on v -> w) and ``into[v]`` (each w with residual capacity on w -> v),
+    and the bitmask of the vertices that reach t.
+
+    One residual ``arcs[x][y]`` serves every t.  The prefix arcs into t
+    count as saturated: only their bits are cleared, since no path uses
+    them.  As arcs[x][y] + arcs[y][x] is twice the capacity, the value is
+    t's degree less the residual on the arcs from later vertices.  Each
+    augmenting path comes from a BFS backwards from t that stops at the
+    first prefix vertex it reaches, so no path enters the prefix; the BFS
+    that fails has visited exactly the vertices that reach t."""
+    n = g.vertex_count
+    arcs: list[dict[int, int]] = [{} for _ in range(n)]
     for (u, v), m in g.edge_items():
-        capacity[u][v] = capacity[v][u] = m
-    adjacent = [sum(1 << w for w in arcs) for arcs in capacity]
-    for t in range(1, g.vertex_count):
-        yield (t, *_prefix_flow(capacity, adjacent, t))
+        arcs[u][v] = arcs[v][u] = m
+    out = [sum(1 << w for w in row) for row in arcs]
+    into = out.copy()
+    parent = [0] * n
+    for t in range(1, n):
+        prefix = (1 << t) - 1
+        for s in arcs[t]:
+            if s < t:
+                out[s] &= ~(1 << t)
+        into[t] &= ~prefix
+        while True:
+            seen, queue = 1 << t, [t]
+            for y in queue:
+                new = into[y] & ~seen
+                if new & prefix:
+                    break
+                seen |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    x = low.bit_length() - 1
+                    parent[x] = y
+                    queue.append(x)
+            else:
+                break
+            path = [(new & prefix).bit_length() - 1, y]
+            while y != t:
+                y = parent[y]
+                path.append(y)
+            pairs = list(zip(path, path[1:]))
+            bottleneck = min(arcs[x][y] for x, y in pairs)
+            for x, y in pairs:
+                arcs[x][y] -= bottleneck
+                if not arcs[x][y]:
+                    out[x] &= ~(1 << y)
+                    into[y] &= ~(1 << x)
+                arcs[y][x] += bottleneck
+                out[y] |= 1 << x
+                into[x] |= 1 << y
+        value = g.degree(t) - sum(arcs[x][t] for x in arcs[t] if x > t)
+        yield t, value, out.copy(), into.copy(), seen
 
 
 @memoized
@@ -172,7 +170,8 @@ def edge_connectivity(g: Graph) -> int:
 
     Read from the minimum cuts when they are already known, otherwise the
     least prefix flow, whose sink side (the vertices that still reach t)
-    must cross exactly lambda edges."""
+    must cross exactly lambda edges.  The flows carry one residual from sink
+    to sink, and any maximum flow has the same sink side."""
     if g.vertex_count < 2:
         raise ParameterError("edge connectivity needs at least 2 vertices")
     if (known := known_fact(_minimum_cut_sides, g)) is not None:
@@ -233,10 +232,9 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     """lambda(G) and the bitmask of side A, the side holding vertex 0, of
     every minimum cut of a connected graph, sorted by (|A|, lexicographic A).
 
-    Only the current residual is kept; sides gathered for a flow value
-    above lambda are dropped once a smaller flow shows up.  Every side is
-    recounted from the graph, and one that does not cross lambda edges
-    means the residual closure went wrong."""
+    Sides found at a flow above lambda are dropped once a smaller flow shows
+    up.  Every side is recounted from the graph; one that does not cross
+    lambda edges means the residual closure went wrong."""
     n = g.vertex_count
     most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
     lam: int | None = None

@@ -341,8 +341,10 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
 
 
 def _check_intersections(s: AssociationScheme) -> None:
-    """Each p_ij^k against the relation's count at the first pair (0, y) of class k."""
-    width = len(s.intersections)
+    """The tensor's shape, then each p_ij^k against its count at the first pair (0, y) of k."""
+    width = 1 + max(s.relation[0])
+    if [[len(row) for row in plane] for plane in s.intersections] != [[width] * width] * width:
+        raise VerificationError(f"the intersection tensor is not {width}^3 for {width - 1} classes")
     for k in range(width):
         counted = [0] * (width * width)
         for i, j in zip(s.relation[0], s.relation[s.relation[0].index(k)]):

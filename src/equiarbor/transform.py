@@ -80,12 +80,12 @@ def _mesh_branches(net: WeightedNetwork, w: int) -> list[tuple[int, int, Fractio
 
 def record_for_elimination(before: WeightedNetwork, after: WeightedNetwork,
                            w: int) -> TransformRecord:
-    """Describe an elimination as the mesh branches it added.
-
-    Branch resistances are reported as standalone resistors; where a branch
-    lands on an existing edge the two are merged in parallel in ``after``.
-    """
-    branches = _mesh_branches(before, w)
+    """Describe an elimination as the mesh branches it added: the
+    conductance ``after`` gained on each pair of w's neighbours.  Branch
+    resistances are reported as standalone resistors; where a branch lands
+    on an existing edge the two are merged in parallel in ``after``."""
+    branches = [(a, b, after.conductance(a, b) - before.conductance(a, b))
+                for a, b in combinations(before.neighbors(w), 2)]
     kind = "series" if len(branches) == 1 else "star-mesh"  # w had degree 2
     return TransformRecord(kind, (w,), tuple((a, b, 1 / c) for a, b, c in branches if c != 0))
 

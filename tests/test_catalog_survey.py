@@ -251,13 +251,14 @@ def test_survey_entry_inverts_each_graph_once(monkeypatch):
 
 def test_survey_entry_runs_each_max_flow_once(monkeypatch):
     flows = []
-    real_flow = cuts_module._prefix_flow
+    real_flows = cuts_module._flows
 
-    def counting_flow(capacity, adjacent, t):
-        flows.append(t)
-        return real_flow(capacity, adjacent, t)
+    def counting_flows(g):
+        for flow in real_flows(g):
+            flows.append(flow[0])
+            yield flow
 
-    monkeypatch.setattr(cuts_module, "_prefix_flow", counting_flow)
+    monkeypatch.setattr(cuts_module, "_flows", counting_flows)
     report = survey([generated("Petersen", "petersen")])
     assert report.entries[0].lambda_value == 3
     # Degree 3 needs no minimum cut.  One set of prefix flows gives lambda

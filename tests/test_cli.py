@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,15 @@ from equiarbor import cuts as cuts_module
 from equiarbor import graphs as graphs_module
 from equiarbor import schemes as schemes_module
 from equiarbor import survey as survey_module
+from equiarbor import transform as transform_module
 from equiarbor.catalog import default_manifest
 from equiarbor.cli import run_command
 from equiarbor.graphs import generate
 from equiarbor.resistance import WeightedNetwork, dump_network
 from equiarbor.schemes import format_scheme_table, scheme_from_distance_partition
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -138,13 +143,14 @@ def test_cut_enumerate_error_exits(tmp_path, monkeypatch, argv, message):
 
 def test_plain_cut_runs_its_max_flows_once(monkeypatch):
     flows = []
-    real_flow = cuts_module._prefix_flow
+    real_flows = cuts_module._flows
 
-    def counting_flow(capacity, adjacent, t):
-        flows.append(t)
-        return real_flow(capacity, adjacent, t)
+    def counting_flows(g):
+        for flow in real_flows(g):
+            flows.append(flow[0])
+            yield flow
 
-    monkeypatch.setattr(cuts_module, "_prefix_flow", counting_flow)
+    monkeypatch.setattr(cuts_module, "_flows", counting_flows)
     code, out, _ = run(["cut", "--family", "petersen"])
     assert code == 0
     data = json.loads(out)
@@ -245,6 +251,22 @@ def test_transform_eliminate(tmp_path):
     data = json.loads(out)
     assert {"u": 0, "v": 2, "r": "2"} in data["edges"]
     assert "series" in err
+
+
+def test_transform_eliminate_builds_its_mesh_once(monkeypatch):
+    # The record reads each branch off the networks before and after, so
+    # only the elimination builds the mesh; the reported branches, on a
+    # network with an existing edge and negative conductances, are those
+    # of the golden file.
+    calls = []
+    real = transform_module._mesh_branches
+    monkeypatch.setattr(transform_module, "_mesh_branches",
+                        lambda net, w: calls.append(w) or real(net, w))
+    code, _, err = run(["transform", str(GOLDEN / "eliminate_network.json"),
+                        "--eliminate", "2"])
+    assert code == 0
+    assert calls == [2]
+    assert err == (GOLDEN / "transform_eliminate_2.stderr").read_text()
 
 
 def test_scheme_from_family_with_godsil():

@@ -157,12 +157,13 @@ def test_lambda_above_the_matrix_limit_enumerates_no_cut(monkeypatch, g, lam):
      "the flow to 1 gives lambda 0, but its sink side [] crosses 0 edges"),
 ], ids=["one-less", "only-t", "empty-side"])
 def test_lambda_alone_is_certified_by_its_sink_side(monkeypatch, corrupt, message):
-    real = cuts_module._prefix_flow
+    real = cuts_module._flows
 
-    def corrupted(capacity, adjacent, t):
-        return corrupt(*real(capacity, adjacent, t), t)
+    def corrupted(g):
+        for t, *flow in real(g):
+            yield (t, *corrupt(*flow, t))
 
-    monkeypatch.setattr(cuts_module, "_prefix_flow", corrupted)
+    monkeypatch.setattr(cuts_module, "_flows", corrupted)
     with pytest.raises(VerificationError, match=re.escape(message)):
         edge_connectivity(BRIDGED_K4S)
 
@@ -334,15 +335,24 @@ CANCELLING = Graph(6, [(0, 2, 1), (0, 3, 1), (0, 4, 3), (1, 3, 2), (1, 4, 1), (1
 @settings(max_examples=150, deadline=None)
 @given(oracles.multigraphs(min_vertices=2, max_vertices=9))
 @example(CANCELLING)
+@example(generate("cycle", (8,)))
+@example(generate("complete", (5,)))
 def test_prefix_flow_is_a_minimum_cut_with_one_residual(g):
     # Each flow's value is the least prefix-t cut, ``into`` is ``out``
-    # transposed, and the sink side is what reaches t along ``out``.
+    # transposed, and the sink side is what reaches t along ``out``.  On
+    # C8 and K5 the flow to 1 runs through later sinks, whose flows start
+    # from its residual.
     n = g.vertex_count
+    flows, snapshots = [], []
     for t, value, out, into, sink_side in cuts_module._flows(g):
         assert value == _prefix_cut(g, t)
         assert all((out[v] >> w ^ into[w] >> v) & 1 == 0
                    for v in range(n) for w in range(n))
         assert sink_side == _reaching(out, t)
+        flows.append((out, into))
+        snapshots.append((out.copy(), into.copy()))
+    # The later flows leave the bitmasks an earlier flow was yielded with.
+    assert flows == snapshots
 
 
 def _relabelled(g: Graph, seed: int = 1) -> Graph:
@@ -394,13 +404,13 @@ def test_corrupt_residual_raises(monkeypatch, family, params, message):
     # every set holding 0..t-1 and omitting t look closed: on the 3-star
     # that adds the side {0} of a 2-edge cut, on the Petersen graph 511
     # sides.
-    real = cuts_module._prefix_flow
+    real = cuts_module._flows
 
-    def saturated(capacity, adjacent, t):
-        value, out, into, sink_side = real(capacity, adjacent, t)
-        return value, [0] * len(out), [0] * len(into), 1 << t
+    def saturated(g):
+        for t, value, out, into, sink_side in real(g):
+            yield t, value, [0] * len(out), [0] * len(into), 1 << t
 
-    monkeypatch.setattr(cuts_module, "_prefix_flow", saturated)
+    monkeypatch.setattr(cuts_module, "_flows", saturated)
     with pytest.raises(VerificationError, match=re.escape(message)):
         minimum_cuts(generate(family, params))
 

@@ -339,6 +339,24 @@ def test_every_corrupted_intersection_number_is_caught_on_entry(monkeypatch, sch
             verify_godsil_theorems(_with_one_more(scheme, i, j, k))
 
 
+def _resized(scheme, width):
+    p = scheme.intersections
+    tensor = tuple(tuple(tuple(p[i][j][k] if max(i, j, k) < len(p) else 0
+                               for k in range(width)) for j in range(width))
+                   for i in range(width))
+    return schemes.AssociationScheme(scheme.relation, tensor)
+
+
+@pytest.mark.parametrize("width", [3, 5], ids=["cut-to-3", "padded-to-5"])
+def test_intersection_tensor_of_the_wrong_width_raises(width):
+    # C6 has classes 0..3, so its tensor is 4 x 4 x 4.  One cut to 3 x 3 x 3
+    # or padded to 5 x 5 x 5 is refused by its shape, before any count is
+    # indexed by it.
+    c6 = scheme_from_distance_partition(generate("cycle", (6,)))
+    with pytest.raises(VerificationError, match=r"tensor is not 4\^3 for 3 classes"):
+        verify_godsil_theorems(_resized(c6, width))
+
+
 def test_singular_bose_mesner_system_names_the_class(monkeypatch):
     def singular(rows, what):
         raise SingularSystemError("no pivot in column 0")
