@@ -11,10 +11,12 @@ closed sets of that flow's residual graph, taken as unions of per-vertex
 residual bitmasks.  They are the same for every maximum flow (Picard &
 Queyranne 1980), so carrying the residual changes none.  Each is found
 once, so the work grows with the number of minimum cuts, at most n(n-1)/2,
-not with the 2^(n-1) bipartitions.  Every lambda is recounted from a cut
-side: each enumerated side, or for lambda alone the sink side of the
-minimising flow, must cross exactly lambda edges.  The enumeration limit
-caps only the cut list of ``minimum_cuts``.
+not with the 2^(n-1) bipartitions.  One walk over the neighbour lists of
+its smaller side builds each side into its cut, once per fact scope; the
+recount, the theorem check and the cut list all read that cut.  Every
+lambda is recounted as a cut's size: each minimum cut, or for lambda alone
+the cut of the minimising flow's sink side, must cross exactly lambda
+edges.  The enumeration limit caps only the cut list of ``minimum_cuts``.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -45,7 +47,7 @@ from .errors import (
     VerificationError,
 )
 from .exactalg import SIZE_LIMIT
-from .graphs import Graph, _components, known_fact, memoized
+from .graphs import Graph, known_fact, memoized
 
 Edge = tuple[int, int]
 
@@ -81,23 +83,25 @@ def cut_from_side(g: Graph, side_a) -> EdgeCut:
     for v in a:
         if not 0 <= v < g.vertex_count:
             raise ParameterError(f"vertex {v} out of range")
-    b = frozenset(range(g.vertex_count)) - a
-    return EdgeCut(a, b, tuple(sorted(_crossing(g, sum(1 << v for v in a)))))
+    return _cut(g, sum(1 << v for v in a))
 
 
-def _crossing(g: Graph, side: int) -> list[Edge]:
-    """The edges between the vertex bitmask ``side`` and the rest, as (u, v)
-    with u in ``side``, repeated per multiplicity, read from the neighbour
-    lists of the smaller side."""
-    rest = ((1 << g.vertex_count) - 1) ^ side
-    small = min(side, rest, key=int.bit_count)
+def _cut(g: Graph, side: int) -> EdgeCut:
+    """The cut whose side A is the vertex bitmask ``side``: the one place a
+    side becomes an ``EdgeCut``.  The bitmask is read once, and the
+    crossing edges come from the neighbour lists of the smaller side, so a
+    vertex star costs its degree."""
+    n = g.vertex_count
+    a = frozenset(v for v in range(side.bit_length()) if side >> v & 1)
+    b = frozenset(range(n)) - a
+    small = a if 2 * len(a) <= n else b
     crossing: list[Edge] = []
-    for u in _vertices(small):
+    for u in small:
         for w in g.neighbors(u):
-            if not small >> w & 1:
-                edge = (u, w) if small == side else (w, u)
+            if w not in small:
+                edge = (u, w) if small is a else (w, u)
                 crossing.extend([edge] * g.multiplicity(u, w))
-    return crossing
+    return EdgeCut(a, b, tuple(sorted(crossing)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +178,14 @@ def edge_connectivity(g: Graph) -> int:
     to sink, and any maximum flow has the same sink side."""
     if g.vertex_count < 2:
         raise ParameterError("edge connectivity needs at least 2 vertices")
-    if (known := known_fact(_minimum_cut_sides, g)) is not None:
+    if (known := known_fact(_minimum_cuts, g)) is not None:
         return known[0]
     lam, t, side = min((value, t, sink_side) for t, value, _, _, sink_side in _flows(g))
-    if (size := len(_crossing(g, side))) != lam or not side >> t & 1 or side & 1:
+    cut = _cut(g, side)
+    if cut.size != lam or t not in cut.side_a or 0 in cut.side_a:
         raise VerificationError(
             f"the flow to {t} gives lambda {lam}, but its sink side "
-            f"{_vertices(side)} crosses {size} edges")
+            f"{sorted(cut.side_a)} crosses {cut.size} edges")
     return lam
 
 
@@ -223,18 +228,15 @@ def _closed_sides(out: list[int], into: list[int], sink_side: int,
         stack.append((grown, free & ~grown))
 
 
-def _vertices(side: int) -> list[int]:
-    return [v for v in range(side.bit_length()) if side >> v & 1]
-
-
 @memoized
-def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """lambda(G) and the bitmask of side A, the side holding vertex 0, of
-    every minimum cut of a connected graph, sorted by (|A|, lexicographic A).
+def _minimum_cuts(g: Graph) -> tuple[int, tuple[EdgeCut, ...]]:
+    """lambda(G) and every minimum cut of a connected graph, side A holding
+    vertex 0, sorted by (|A|, lexicographic A).
 
     Sides found at a flow above lambda are dropped once a smaller flow shows
-    up.  Every side is recounted from the graph; one that does not cross
-    lambda edges means the residual closure went wrong."""
+    up.  Each side is built into its cut once, and every cut is recounted:
+    one that does not cross lambda edges means the residual closure went
+    wrong."""
     n = g.vertex_count
     most = n * (n - 1) // 2  # Dinits-Karzanov-Lomonosov bound
     lam: int | None = None
@@ -251,12 +253,13 @@ def _minimum_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     if len(sides) > most:
         raise VerificationError(
             f"more than n(n-1)/2 = {most} minimum cuts enumerated")
-    for side in sides:
-        if (size := len(_crossing(g, side))) != lam:
+    cuts = [_cut(g, side) for side in sides]
+    for cut in cuts:
+        if cut.size != lam:
             raise VerificationError(
-                f"enumerated cut of size {size} disagrees with max-flow lambda {lam}")
-    sides.sort(key=lambda side: (side.bit_count(), _vertices(side)))
-    return lam, tuple(sides)
+                f"enumerated cut of size {cut.size} disagrees with max-flow lambda {lam}")
+    cuts.sort(key=lambda cut: (len(cut.side_a), sorted(cut.side_a)))
+    return lam, tuple(cuts)
 
 
 def cuts_up_to(g: Graph, max_size: int,
@@ -286,7 +289,7 @@ def minimum_cuts(g: Graph,
         raise ScaleError(
             f"{g.vertex_count} vertices exceed the enumeration limit {limit}; "
             "use edge_connectivity instead")
-    return [cut_from_side(g, _vertices(side)) for side in _minimum_cut_sides(g)[1]]
+    return list(_minimum_cuts(g)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +320,14 @@ def classify_cut(g: Graph, cut: EdgeCut) -> CutClassification:
 
 
 def _classify_cut(cut: EdgeCut) -> CutClassification:
-    """``classify_cut`` of a cut built by ``cut_from_side``, unchecked; the
-    adjacency covers the cut graph's vertices only."""
+    """``classify_cut`` of a cut built by ``_cut``, unchecked; the adjacency
+    covers the cut graph's vertices only."""
     deg = _cut_graph_degrees(cut)
     adj: dict[int, set[int]] = {v: set() for v in deg}
     for u, v in cut.crossing:
         adj[u].add(v)
         adj[v].add(u)
     size = cut.size
-
-    # In a two-vertex component every crossing edge at u joins u to v, so
-    # deg[u] is the multiplicity of uv.
-    comps = _components(sorted(deg), adj)
-    k2_free = not any(len(comp) == 2 and deg[min(comp)] == 1 for comp in comps)
 
     # The cut graph is bipartite, so no edge joins two neighbours of a
     # centre u: its closed neighbourhood induces a star exactly when no
@@ -340,6 +338,8 @@ def _classify_cut(cut: EdgeCut) -> CutClassification:
     sx_free = {x: x not in stars for x in range(3, size + 2)}
 
     degree_pairs = {(deg[u], deg[v]) for (u, v) in cut.crossing}
+    # A K2 component is a crossing edge whose ends meet no other.
+    k2_free = (1, 1) not in degree_pairs
     sxy_free = {(x, y): (x + 1, y + 1) not in degree_pairs
                 for x in range(1, size) for y in range(1, size - x + 1)}
 
@@ -409,10 +409,10 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
             f"graph is not equiarboreal; witness {verdict.witness}")
 
     if k >= 4:
-        lam, sides = _minimum_cut_sides(g)
+        lam, min_cuts = _minimum_cuts(g)
     else:
         lam = edge_connectivity(g)
-        sides = _minimum_cut_sides(g)[1] if lam < k else ()
+        min_cuts = _minimum_cuts(g)[1] if lam < k else ()
     counterexamples: list[str] = []
     if lam != k:
         counterexamples.append(f"lambda = {lam} != degree {k}")
@@ -424,17 +424,17 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
 
     if lam < k:
         counterexamples.extend(
-            f"cut of size {lam} < {k}: sides {_vertices(side)}" for side in sides)
+            f"cut of size {lam} < {k}: sides {sorted(cut.side_a)}" for cut in min_cuts)
     elif k >= 4:
-        for side in sides:
-            if side.bit_count() in (1, g.vertex_count - 1):
+        for cut in min_cuts:
+            if cut.is_trivial:
                 continue  # trivial cuts are allowed
-            a = _vertices(side)
+            a = sorted(cut.side_a)
             if k >= 11:
                 counterexamples.append(
                     f"non-trivial cut of {lam} edges at degree {k}: sides {a}")
                 continue
-            cls = _classify_cut(cut_from_side(g, a))
+            cls = _classify_cut(cut)
             if not cls.k2_component_free:
                 counterexamples.append(f"cut {a} has a K2 component")
             if k >= 7:

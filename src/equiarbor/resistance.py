@@ -17,8 +17,8 @@ gives the resistance across (u, v) as the integer numerator
 ``M[u][u] + M[v][v] - 2 M[u][v]`` over ``det``; ``Fraction``s
 are built only for values handed out.  For an unweighted connected graph
 the result equals the ratio of spanning-tree counts of the edge-identified
-graph and the graph itself; that tree-ratio path is kept as an independent
-oracle, not the default.
+graph and the graph itself; the test suite keeps that tree-ratio path as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .graphs import (
     _adjacency,
     _components,
     _norm_edge,
-    identify_vertices,
     require_connected,
 )
 
@@ -189,21 +188,6 @@ def spanning_tree_count(g: Graph) -> int:
         return exactalg.integer_solve(rows, "spanning-tree count")[0]
     except SingularSystemError:
         return 0
-
-
-def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:
-    """Resistance as tau(G with u,v identified) / tau(G).
-
-    Independent of the Laplacian-solve path; used as a cross-checking
-    oracle on unweighted graphs.
-    """
-    if u == v:
-        raise ParameterError("identical probe vertices")
-    tau = spanning_tree_count(g)
-    if tau == 0:
-        raise ConnectivityError("tree-ratio resistance needs a connected graph")
-    merged, _ = identify_vertices(g, [{u, v}])
-    return Fraction(spanning_tree_count(merged), tau)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,13 @@ from equiarbor.errors import (
     ConnectivityError,
     DimensionError,
     InfiniteResistanceError,
+    ParameterError,
     SingularNetworkError,
     SingularSystemError,
 )
 from equiarbor.exactalg import RationalMatrix
-from equiarbor.graphs import Graph
-from equiarbor.resistance import WeightedNetwork
+from equiarbor.graphs import Graph, identify_vertices
+from equiarbor.resistance import WeightedNetwork, spanning_tree_count
 from equiarbor.schemes import (
     AssociationScheme,
     SchemeCheck,
@@ -91,6 +92,18 @@ def tau_deletion_contraction(g: Graph) -> int:
         return t_delete + m * rec(n - 1, contracted)
 
     return rec(g.vertex_count, dict(g.edge_items()))
+
+
+def tree_ratio_resistance(g: Graph, u: int, v: int) -> Fraction:
+    """Resistance as tau(G with u,v identified) / tau(G): independent of
+    the Laplacian-solve path, a cross-check on unweighted graphs."""
+    if u == v:
+        raise ParameterError("identical probe vertices")
+    tau = spanning_tree_count(g)
+    if tau == 0:
+        raise ConnectivityError("tree-ratio resistance needs a connected graph")
+    merged, _ = identify_vertices(g, [{u, v}])
+    return Fraction(spanning_tree_count(merged), tau)
 
 
 def brute_force_edge_connectivity(g: Graph) -> int:
@@ -175,7 +188,7 @@ def single_source_min_cut_sides(g: Graph) -> tuple[int, tuple[int, ...]]:
     flows from vertex 0 and, at each flow of value lambda to t, the sets
     holding 0..t-1, omitting t and closed under residual arcs (Picard &
     Queyranne 1980), walked by branching on the least free vertex.  The
-    reference for ``cuts._minimum_cut_sides``."""
+    reference for ``cuts._minimum_cuts``."""
     n = g.vertex_count
     flows = [_single_source_flow(g, t) for t in range(1, n)]
     lam = min(flow for flow, _ in flows)

@@ -14,7 +14,7 @@ from equiarbor import survey as survey_module
 from equiarbor import transform as transform_module
 from equiarbor.catalog import default_manifest
 from equiarbor.cli import run_command
-from equiarbor.graphs import generate
+from equiarbor.graphs import fact_scope, generate
 from equiarbor.resistance import WeightedNetwork, dump_network
 from equiarbor.schemes import format_scheme_table, scheme_from_distance_partition
 
@@ -208,6 +208,32 @@ def test_cut_classifies_each_cut_once_below_degree_four(monkeypatch):
     # No cut-graph prohibition applies at degree 2, so the theorem check
     # classifies none of the 54 non-trivial cuts.
     assert len(calls) == 66
+
+
+@pytest.mark.parametrize("family,params,count", [
+    ("johnson", (6, 3), 20), ("cycle", (12,), 66)])
+def test_cut_builds_each_minimum_cut_once(monkeypatch, family, params, count):
+    built = []
+    real = cuts_module._cut
+
+    def counting(g, side):
+        built.append(side)
+        return real(g, side)
+
+    monkeypatch.setattr(cuts_module, "_cut", counting)
+    code, out, _ = run(["cut", "--family", family, "--params", *map(str, params),
+                        "--enumerate", "--classify"])
+    assert code == 0
+    assert len(json.loads(out)["cuts"]) == count
+    # The cut list, the theorem check, --classify and the printed lambda
+    # read one set of cuts, each built once.
+    assert len(built) == len(set(built)) == count
+    g = generate(family, params)
+    with fact_scope():
+        lam = cuts_module.minimum_cuts(g)[0].size
+        built.clear()
+        assert cuts_module.edge_connectivity(g) == lam
+    assert built == []
 
 
 def test_scheme_verifies_the_table_once(monkeypatch):

@@ -277,6 +277,11 @@ def test_minimum_cuts_doubled_petersen():
     assert {c.side_a for c in cuts} == set(oracles.brute_force_min_cut_sides(doubled))
 
 
+def _side_masks(min_cuts) -> tuple[int, ...]:
+    """The side-A bitmask of each cut, in order."""
+    return tuple(sum(1 << v for v in cut.side_a) for cut in min_cuts)
+
+
 def _closed_side_count(g: Graph) -> int:
     """How many sides the closure walk yields over the minimum flows."""
     flows = list(cuts_module._flows(g))
@@ -295,7 +300,7 @@ def _closed_side_count(g: Graph) -> int:
 def test_each_minimum_cut_is_found_once(family, params, count):
     g = generate(family, params)
     assert _closed_side_count(g) == count
-    assert len(cuts_module._minimum_cut_sides(g)[1]) == count
+    assert len(cuts_module._minimum_cuts(g)[1]) == count
 
 
 @settings(max_examples=150, deadline=None)
@@ -377,7 +382,8 @@ def test_prefix_flows_match_single_source_flows(name):
     # The prefix-source flows against the enumerator they replaced: n - 1
     # flows from vertex 0, closed over residual dicts.
     g = _relabelled(ORACLE_CUT_GRAPHS[name])
-    assert cuts_module._minimum_cut_sides(g) == oracles.single_source_min_cut_sides(g)
+    lam, min_cuts = cuts_module._minimum_cuts(g)
+    assert (lam, _side_masks(min_cuts)) == oracles.single_source_min_cut_sides(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -387,10 +393,10 @@ def test_prefix_flows_match_single_source_flows_on_multigraphs(g):
     least = [min(comp) for comp in g.components()]
     g = Graph(g.vertex_count, [(u, v, m) for (u, v), m in g.edge_items()]
               + list(zip(least, least[1:])))
-    lam, sides = cuts_module._minimum_cut_sides(g)
-    assert (lam, sides) == oracles.single_source_min_cut_sides(g)
+    lam, min_cuts = cuts_module._minimum_cuts(g)
+    assert (lam, _side_masks(min_cuts)) == oracles.single_source_min_cut_sides(g)
     assert lam == oracles.brute_force_edge_connectivity(g)
-    assert ([frozenset(cuts_module._vertices(side)) for side in sides]
+    assert ([cut.side_a for cut in min_cuts]
             == sorted(oracles.brute_force_min_cut_sides(g),
                       key=lambda a: (len(a), sorted(a))))
 
@@ -653,9 +659,9 @@ def test_degree_connectivity_reads_minimum_cuts_above_24_vertices(family, params
         report = verify_degree_connectivity(g)
         assert report.passed and report.lam == report.k
         # Every minimum cut of these graphs is a vertex star.
-        lam, sides = known_fact(cuts_module._minimum_cut_sides, g)
+        lam, min_cuts = known_fact(cuts_module._minimum_cuts, g)
     assert lam == report.k
-    assert len(sides) == g.vertex_count
+    assert len(min_cuts) == g.vertex_count
 
 
 def test_degree_connectivity_preconditions():

@@ -1,7 +1,8 @@
 """``--deterministic survey`` of the default catalog and of a manifest of
-larger graphs, and ``verify claims`` over two degree ranges, byte for byte
-against recorded output.  A refactor must leave them unchanged; regenerate
-the files only for a deliberate change to the output."""
+larger graphs, ``verify claims`` over two degree ranges, and the other
+commands on small inputs, byte for byte against recorded output.  A
+refactor must leave them unchanged; regenerate the files only for a
+deliberate change to the output."""
 
 import io
 from pathlib import Path
@@ -62,6 +63,14 @@ NETWORK = str(GOLDEN / "eliminate_network.json")
     (["scheme", "--family", "petersen", "--verify-godsil"], "scheme_godsil_petersen", ("json",)),
     (["scheme", "--family", "cycle", "--params", "6", "--verify-godsil"],
      "scheme_godsil_c6", ("json",)),
+    # Every minimum cut with its classification: C12 has 66, 54 of them
+    # non-trivial; the Petersen graph and J(6,3) only vertex stars.
+    (["cut", "--family", "petersen", "--enumerate", "--classify"],
+     "cut_classify_petersen", ("json",)),
+    (["cut", "--family", "cycle", "--params", "12", "--enumerate", "--classify"],
+     "cut_classify_cycle12", ("json",)),
+    (["cut", "--family", "johnson", "--params", "6", "3", "--enumerate", "--classify"],
+     "cut_classify_johnson_6_3", ("json",)),
 ])
 def test_network_and_scheme_commands_match_golden_files(argv, stem, streams):
     out, err = io.StringIO(), io.StringIO()
