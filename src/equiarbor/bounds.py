@@ -10,13 +10,14 @@ closed-form resistance across the chosen edge,
 
 with a = k-x, b = k-y, c = k-x-y+1, which lower-bounds the common edge
 resistance of any equiarboreal host.  Everything here is verified two ways:
-the closed form against a literal nodal solve of the network, and the grid
-inequalities (the 2/k threshold and the positive denominator) for every
-integer pair they quantify by an algebraic certificate.  Two polynomial
-identities in (k, x, y) are checked once per process on a product grid
-that proves them; each degree k then needs a few integer comparisons,
-with the range x + y <= k - sqrt(k) - 2 bounded by ``math.isqrt``, never
-through floats.
+the closed form against one literal nodal solve of the network per point,
+whose potentials give the interior voltages, the current and the
+resistance, and the grid inequalities (the 2/k threshold and the positive
+denominator) for every integer pair they quantify by an algebraic
+certificate.  Two polynomial identities in (k, x, y) are checked once per
+process on a product grid that proves them; each degree k then needs a few
+integer comparisons, with the range x + y <= k - sqrt(k) - 2 bounded by
+``math.isqrt``, never through floats.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import exactalg
 from .errors import (
     DomainError,
     ParameterError,
@@ -36,7 +36,7 @@ from .errors import (
 from .exactalg import Rational
 from .cuts import EdgeCut, _cut_graph_degrees, _floor_k_minus_sqrt_k, cut_from_side
 from .graphs import Graph
-from .resistance import WeightedNetwork, resistance
+from .resistance import WeightedNetwork, _potentials, resistance
 
 # Vertex labels of the reduced cut network.
 U1, V1, U2, V2 = 0, 1, 2, 3
@@ -110,25 +110,19 @@ def reduced_cut_network(k: int, x: int, y: int) -> WeightedNetwork:
                            terminals=(U1, V1))
 
 
-def interior_voltages(k: int, x: int, y: int) -> tuple[Fraction, Fraction]:
-    """Voltages at U2 and V2 under a unit voltage from U1 to V1, from the
-    exact solve of the two nodal equations."""
-    p = BoundParams.create(k, x, y)
-    det, det_v = exactalg.integer_solve([[2 * p.a, -p.c, p.a], [-p.c, 2 * p.b, x - 1]],
-                                        "interior voltages")
-    return Fraction(det_v[0][0], det), Fraction(det_v[1][0], det)
-
-
 def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
-    """Confirm the closed form end to end.
+    """Confirm the closed form end to end from one nodal solve of the
+    reduced network, V1 grounded and a unit current injected at U1.
 
-    Checks, in order: the solved interior voltages match their closed
-    forms, the injected current simplifies to (2ab(k+1) - kc^2)/(4ab - c^2),
-    and a generic Laplacian solve of the reduced network returns exactly the
-    closed-form bound.
+    Checks, in order: the interior voltages under a unit voltage from U1
+    to V1 (each potential over U1's) match their closed forms, the current
+    that voltage drives simplifies to (2ab(k+1) - kc^2)/(4ab - c^2), and
+    the resistance, U1's potential, is exactly the closed-form bound.
     """
     p = BoundParams.create(k, x, y)
-    v_u2, v_v2 = interior_voltages(k, x, y)
+    det, potential = _potentials(reduced_cut_network(k, x, y), U1, V1)
+    v_u2 = Fraction(potential[U2], potential[U1])
+    v_v2 = Fraction(potential[V2], potential[U1])
     disc = p.numerator
     if v_u2 != Fraction(2 * p.a * p.b + p.c * (x - 1), disc):
         return False
@@ -137,7 +131,7 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
     current = k - (p.a * v_u2 + (x - 1) * v_v2)
     if current != Fraction(p.denominator, disc):
         return False
-    return resistance(reduced_cut_network(k, x, y), U1, V1) == Fraction(disc, p.denominator)
+    return Fraction(potential[U1], det) == Fraction(disc, p.denominator)
 
 
 def valid_degree_pairs(k: int) -> list[tuple[int, int]]:

@@ -118,7 +118,7 @@ def _cmd_cut(args, stdout, stderr) -> int:
     g = _graph_from_args(args)
     listed = args.enumerate or args.classify
     if listed:
-        min_cuts = cuts.minimum_cuts(g, args.enumeration_limit)
+        min_cuts = cuts.minimum_cuts(g)
     elif g.vertex_count < 2:
         cuts.edge_connectivity(g)  # raises its error before the theorem check can
     exit_code = 0
@@ -164,7 +164,7 @@ def _cmd_transform(args, stdout, stderr) -> int:
     if args.bipartite:
         m, n = args.bipartite
         net = transform.bipartite_to_double_star(m, n)
-        record = transform.record_for_double_star(m, n, net)
+        record = transform.record_for_double_star(net)
     else:
         if not args.network:
             raise EquiarborError("--eliminate needs a network file")
@@ -300,17 +300,6 @@ def _cmd_survey(args, stdout, stderr) -> int:
     return 1 if report.failed else 0
 
 
-def _enumeration_limit(text: str) -> int:
-    try:
-        limit = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if limit < 2:
-        raise argparse.ArgumentTypeError(
-            f"{limit} is below 2, the fewest vertices a cut has")
-    return limit
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equiarbor",
@@ -319,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp from reports")
-    parser.add_argument("--enumeration-limit", type=_enumeration_limit,
-                        default=cuts.DEFAULT_ENUMERATION_LIMIT,
-                        help="largest vertex count whose minimum cuts "
-                             "cut --enumerate/--classify lists")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="equiarboreality analysis")

@@ -16,7 +16,8 @@ its smaller side builds each side into its cut, once per fact scope; the
 recount, the theorem check and the cut list all read that cut.  Every
 lambda is recounted as a cut's size: each minimum cut, or for lambda alone
 the cut of the minimising flow's sink side, must cross exactly lambda
-edges.  The enumeration limit caps only the cut list of ``minimum_cuts``.
+edges.  Only the cut list of ``minimum_cuts`` is capped, at the matrix
+limit ``exactalg.SIZE_LIMIT`` (512 vertices); lambda is not.
 
 Terminology: for a cut with sides (A, B) and crossing edge set C, the "cut
 graph" is the edge-induced bipartite subgraph on C, with parts A1 and B1.
@@ -50,8 +51,6 @@ from .exactalg import SIZE_LIMIT
 from .graphs import Graph, known_fact, memoized
 
 Edge = tuple[int, int]
-
-DEFAULT_ENUMERATION_LIMIT = SIZE_LIMIT  # the largest matrix the package builds
 
 
 @dataclass(frozen=True)
@@ -262,13 +261,12 @@ def _minimum_cuts(g: Graph) -> tuple[int, tuple[EdgeCut, ...]]:
     return lam, tuple(cuts)
 
 
-def cuts_up_to(g: Graph, max_size: int,
-               limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[EdgeCut]:
+def cuts_up_to(g: Graph, max_size: int) -> list[EdgeCut]:
     """All cuts of at most ``max_size`` edges, for ``max_size`` up to
     lambda(G): the minimum cuts, or none below lambda; a larger ``max_size``
     is a ``ParameterError``.  Nothing in the package calls it; the
     benchmark's per-layer trace (``bench/tracer.py``) measures it by name."""
-    cuts = minimum_cuts(g, limit)
+    cuts = minimum_cuts(g)
     if max_size > cuts[0].size:
         raise ParameterError(
             f"only minimum cuts are enumerated; {max_size} exceeds "
@@ -276,8 +274,7 @@ def cuts_up_to(g: Graph, max_size: int,
     return cuts if max_size == cuts[0].size else []
 
 
-def minimum_cuts(g: Graph,
-                 limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[EdgeCut]:
+def minimum_cuts(g: Graph) -> list[EdgeCut]:
     """Every cut of size lambda(G), read off max-flow residual graphs,
     normalized so side A contains vertex 0 and sorted by (|A|,
     lexicographic A)."""
@@ -285,9 +282,9 @@ def minimum_cuts(g: Graph,
         raise ParameterError("minimum cuts need at least 2 vertices")
     if not g.is_connected():
         raise ConnectivityError("cut enumeration needs a connected graph")
-    if g.vertex_count > limit:
+    if g.vertex_count > SIZE_LIMIT:
         raise ScaleError(
-            f"{g.vertex_count} vertices exceed the enumeration limit {limit}; "
+            f"{g.vertex_count} vertices exceed the enumeration limit {SIZE_LIMIT}; "
             "use edge_connectivity instead")
     return list(_minimum_cuts(g)[1])
 

@@ -63,9 +63,10 @@ class DomainError(EquiarborError):
 
 
 class ScaleError(EquiarborError):
-    """Work was requested above a size limit: exhaustive enumeration above
-    the enumeration limit (use the max-flow path instead), or a generated
-    graph above the vertex limit or the edge budget."""
+    """Work was requested above a size limit: the minimum-cut list of a
+    graph above ``exactalg.SIZE_LIMIT`` vertices (use ``edge_connectivity``
+    instead), or a generated graph above the vertex limit or the edge
+    budget."""
 
 
 class VerificationError(EquiarborError):

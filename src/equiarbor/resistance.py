@@ -255,6 +255,13 @@ def _edge_numerators(m: Sequence[Sequence[int]], pairs: Iterable[Pair]) -> list[
 def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
     """Effective resistance between u and v by grounding v and injecting a
     unit current at u."""
+    det, potential = _potentials(net, u, v)
+    return Fraction(potential[u], det)
+
+
+def _potentials(net: WeightedNetwork, u: int, v: int) -> tuple[int, dict[int, int]]:
+    """``(det, {vertex: det * potential})`` over the component of u and v
+    except the grounded v, with a unit current injected at u."""
     n = net.vertex_count
     if not (0 <= u < n and 0 <= v < n):
         raise ParameterError(f"probe vertex out of range 0..{n - 1}")
@@ -268,12 +275,12 @@ def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
     p = pos[u]
     for i, row in enumerate(rows):
         row.append(scales[p] if i == p else 0)
-    try:  # (D L D) y = D e_p, so the potential at u is d_p y_p
+    try:  # (D L D) y = D e_p, so the potential at x is d_x y_x
         det, det_y = exactalg.integer_solve(rows, "solve")
     except SingularSystemError as exc:
         raise SingularNetworkError(
             f"reduced system is singular for probe pair ({u}, {v})") from exc
-    return Fraction(scales[p] * det_y[p][0], det)
+    return det, {x: scales[i] * det_y[i][0] for x, i in pos.items()}
 
 
 def resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:

@@ -107,8 +107,7 @@ def bipartite_to_double_star(m: int, n: int) -> WeightedNetwork:
     return WeightedNetwork(m + n + 2, cond, terminals=range(m + n))
 
 
-def record_for_double_star(m: int, n: int, net: WeightedNetwork
-                           ) -> TransformRecord:
+def record_for_double_star(net: WeightedNetwork) -> TransformRecord:
     added = tuple((u, v, 1 / c) for (u, v), c in net.edge_items())
     return TransformRecord("bipartite-to-double-star", (), added)
 

@@ -7,7 +7,8 @@ weighted blossom (a separate implementation), distances by BFS over plain
 adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
 elimination over ``Fraction``, resistances and the equiarboreal verdict
 from a ``Fraction`` Laplacian and those solves and inverses, scheme
-intersection numbers by counting z for every (i, j, k) and pair, the bound
+intersection numbers by counting z for every (i, j, k) and pair, schemes
+beyond distance schemes (cyclotomic schemes and direct products), the bound
 grids by filtering the whole (x, y) square and comparing ``Fraction``
 values, or by walking every pair of the range with integer
 cross-multiplication (the package proves the grids algebraically).
@@ -289,6 +290,27 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def cyclotomic_relation(p: int, e: int) -> list[list[int]]:
+    """The cyclotomic relation on Z_p, p prime and e dividing p - 1:
+    rel(x, y) is 0 on the diagonal, else 1 + the index of x - y to a
+    primitive root, modulo e, so class i + 1 is the i-th coset of the e-th
+    powers in GF(p)*.  A symmetric scheme iff (p - 1)/e is even (Delsarte
+    1973; Bannai & Ito 1984)."""
+    g = next(r for r in range(2, p) if len({pow(r, i, p) for i in range(p - 1)}) == p - 1)
+    index = {pow(g, i, p): i % e for i in range(p - 1)}
+    return [[0 if x == y else 1 + index[(x - y) % p] for y in range(p)]
+            for x in range(p)]
+
+
+def product_relation(r: list[list[int]], s: list[list[int]]) -> list[list[int]]:
+    """The direct product of two relation tables on pairs (x1, x2), point
+    x1 * |s| + x2: class (i, j) is numbered i * (d + 1) + j for s's d
+    classes, so (0, j) holds |r| disjoint copies of s's class j."""
+    width = 1 + max(max(row) for row in s)
+    return [[r[x1][y1] * width + s[x2][y2] for y1 in range(len(r)) for y2 in range(len(s))]
+            for x1 in range(len(r)) for x2 in range(len(s))]
 
 
 def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiarbor import bounds
+from equiarbor import bounds, exactalg
 from equiarbor.bounds import (
     BoundParams,
     closed_form,
     cut_lower_bound,
     degree_pair_bound,
-    interior_voltages,
     kirchhoff_cross_check,
     reduced_cut_network,
     star_leaf_bound,
@@ -23,7 +22,7 @@ from equiarbor.bounds import (
 from equiarbor.cuts import _small_degree_sum_rows, cut_from_side
 from equiarbor.errors import DomainError, ParameterError, PreconditionError, VerificationError
 from equiarbor.graphs import Graph, generate
-from equiarbor.resistance import WeightedNetwork, resistance
+from equiarbor.resistance import WeightedNetwork, _potentials, resistance
 
 import oracles
 
@@ -81,7 +80,13 @@ def test_star_leaf_bound_strictly_decreasing():
 
 
 def test_interior_voltages_worked_point():
-    assert interior_voltages(7, 2, 1) == (Fraction(13, 19), Fraction(7, 19))
+    # Under a unit voltage from U1 to V1, each interior voltage is its
+    # potential over U1's in the grounded unit-current solve.
+    det, potential = _potentials(reduced_cut_network(7, 2, 1), bounds.U1, bounds.V1)
+    assert (Fraction(potential[bounds.U2], potential[bounds.U1]),
+            Fraction(potential[bounds.V2], potential[bounds.U1])) == (
+        Fraction(13, 19), Fraction(7, 19))
+    assert Fraction(potential[bounds.U1], det) == degree_pair_bound(7, 2, 1)
 
 
 def test_reduced_network_edge_absences():
@@ -122,6 +127,21 @@ def test_kirchhoff_cross_check_spot_points():
     assert kirchhoff_cross_check(5, 1, 3)   # x = 1 boundary
     assert kirchhoff_cross_check(9, 4, 6)   # c = 0 boundary
     assert kirchhoff_cross_check(3, 2, 2)
+
+
+def test_kirchhoff_cross_check_is_one_nodal_solve(monkeypatch):
+    # The interior voltages, the current and the resistance all come from
+    # the potentials of one solve of the reduced network.
+    solve = exactalg.integer_solve
+    calls = []
+
+    def counted(rows, what):
+        calls.append(len(rows))
+        return solve(rows, what)
+
+    monkeypatch.setattr(exactalg, "integer_solve", counted)
+    assert kirchhoff_cross_check(7, 2, 1)
+    assert calls == [3]  # the 3x3 system of the network grounded at V1
 
 
 def test_reduced_network_solve_equals_bound_small_grid():

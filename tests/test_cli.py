@@ -126,9 +126,9 @@ def test_cut_enumerate_classify_above_24_vertices(family, params, lam, count):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--enumeration-limit", "24", "cut", "--family", "cycle", "--params", "30",
-      "--enumerate"], "exceed the enumeration limit"),
-    (["--enumeration-limit", "8", "cut", "--family", "petersen", "--classify"],
+    (["cut", "--family", "cycle", "--params", "600", "--enumerate"],
+     "exceed the enumeration limit"),
+    (["cut", "--family", "hypercube", "--params", "10", "--classify"],
      "exceed the enumeration limit"),
     (["cut", "disconnected.txt", "--enumerate"], "connected graph"),
 ])
@@ -522,23 +522,9 @@ def test_help_reaches_the_given_stdout(capsys):
     code, out, err = run(["--help"])
     assert (code, err) == (0, "")
     assert out.startswith("usage: equiarbor [-h]")
-    assert "--enumeration-limit" in out
+    assert "--format" in out and "--deterministic" in out
+    assert "limit" not in out  # the cut list's cap is fixed, not an option
     assert capsys.readouterr() == ("", "")
-
-
-def test_enumeration_limit_below_two_is_a_usage_error():
-    for limit in ("0", "-3"):
-        code, out, err = run(["--enumeration-limit", limit, "cut", "--family",
-                              "complete", "--params", "5", "--enumerate"])
-        assert (code, out) == (2, "")
-        assert (f"argument --enumeration-limit: {limit} is below 2, the fewest "
-                "vertices a cut has") in err
-    code, _, err = run(["--enumeration-limit", "x", "cut", "--family", "petersen"])
-    assert code == 2
-    assert "argument --enumeration-limit: invalid int value: 'x'" in err
-    code, out, _ = run(["--enumeration-limit", "2", "cut", "--family", "complete",
-                        "--params", "2", "--enumerate"])
-    assert code == 0 and len(json.loads(out)["cuts"]) == 1
 
 
 def test_consecutive_calls_share_no_parser_state():

@@ -213,11 +213,12 @@ def test_minimum_cuts_c6_matches_brute_force():
 
 
 def test_enumeration_scale_error():
-    big = generate("cycle", (30,))
-    with pytest.raises(ScaleError):
-        minimum_cuts(big, limit=24)
+    big = generate("cycle", (600,))
+    with pytest.raises(ScaleError, match="600 vertices exceed the enumeration "
+                       "limit 512; use edge_connectivity instead"):
+        minimum_cuts(big)
     assert edge_connectivity(big) == 2  # the max-flow path still works
-    assert len(minimum_cuts(big, limit=30)) == 30 * 29 // 2
+    assert len(minimum_cuts(generate("cycle", (30,)))) == 30 * 29 // 2
 
 
 def test_minimum_cuts_never_walk_the_whole_edge_list(monkeypatch):

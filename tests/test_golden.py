@@ -17,7 +17,6 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv,golden", [
     (["--format", "json"], "survey.json"),
     (["--format", "text"], "survey.txt"),
-    (["--format", "json", "--enumeration-limit", "8"], "survey.json"),
 ])
 def test_deterministic_survey_matches_golden_file(monkeypatch, argv, golden):
     monkeypatch.delenv(ENV_CATALOG, raising=False)
@@ -71,6 +70,12 @@ NETWORK = str(GOLDEN / "eliminate_network.json")
      "cut_classify_cycle12", ("json",)),
     (["cut", "--family", "johnson", "--params", "6", "3", "--enumerate", "--classify"],
      "cut_classify_johnson_6_3", ("json",)),
+    # Schemes beyond distance schemes, from tables the test oracles wrote: a
+    # cyclotomic scheme on Z_17 and K3 x C5, whose classes 1-3 are disconnected.
+    (["scheme", str(GOLDEN / "scheme_cyclotomic_17_4.txt"), "--verify-godsil"],
+     "scheme_godsil_cyclotomic_17_4", ("json",)),
+    (["scheme", str(GOLDEN / "scheme_k3xc5.txt"), "--verify-godsil"],
+     "scheme_godsil_k3xc5", ("json",)),
 ])
 def test_network_and_scheme_commands_match_golden_files(argv, stem, streams):
     out, err = io.StringIO(), io.StringIO()

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -257,15 +258,37 @@ def test_distance_partition_carries_the_oracle_intersection_numbers(family, para
     assert scheme.intersections == oracles.scan_verify_scheme(table).scheme.intersections
 
 
+# Schemes that are not distance schemes: cyclotomic schemes on Z_p, whose
+# classes >= 2 are not distance graphs of class 1, and K3 x C5, whose class 1
+# is three disjoint C5s.
+K3_X_C5 = ("product", (("complete", (3,)), ("cycle", (5,))))
+BEYOND_DISTANCE = [("cyclotomic", (13, 2)), ("cyclotomic", (17, 4)),
+                   ("cyclotomic", (41, 4)), K3_X_C5]
+
+
+def _scheme(family, params):
+    """The distance scheme of a generated graph, or a cyclotomic scheme or
+    a product of two distance schemes that ``verify_scheme`` accepts."""
+    if family == "cyclotomic":
+        table = oracles.cyclotomic_relation(*params)
+    elif family == "product":
+        table = oracles.product_relation(*(distance_table(generate(*f)) for f in params))
+    else:
+        return scheme_from_distance_partition(generate(family, params))
+    check = verify_scheme(table)
+    assert check.valid, check.violation
+    return check.scheme
+
+
 def _component(g: Graph, comp: frozenset[int]) -> Graph:
     index = {v: i for i, v in enumerate(sorted(comp))}
     return Graph(len(comp), [(index[u], index[v]) for u, v in g.edge_list()
                              if u in comp])
 
 
-@pytest.mark.parametrize("family, params", [("cycle", (40,)), ("hypercube", (6,))])
+@pytest.mark.parametrize("family, params", [("cycle", (40,)), ("hypercube", (6,)), K3_X_C5])
 def test_godsil_report_agrees_with_each_component(family, params):
-    scheme = scheme_from_distance_partition(generate(family, params))
+    scheme = _scheme(family, params)
     report = verify_godsil_theorems(scheme)
     assert [c.class_index for c in report.classes] == list(range(1, scheme.class_count + 1))
     assert any(not c.connected for c in report.classes)
@@ -295,9 +318,9 @@ def test_connected_class_reuses_the_memoized_verdict(monkeypatch):
 
 @pytest.mark.parametrize("family, params",
                          STRESS_SCHEMES + [("hypercube", (6,)), ("cycle", (40,)),
-                                           ("johnson", (8, 3))])
+                                           ("johnson", (8, 3))] + BEYOND_DISTANCE)
 def test_algebra_resistance_equals_the_laplacian_on_every_component(family, params):
-    scheme = scheme_from_distance_partition(generate(family, params))
+    scheme = _scheme(family, params)
     for i in range(1, scheme.class_count + 1):
         g = colour_class(scheme, i)
         comps = g.components()
@@ -306,6 +329,23 @@ def test_algebra_resistance_equals_the_laplacian_on_every_component(family, para
         for comp in comps:
             verdict = check_equiarboreal(_component(g, comp))
             assert verdict.is_equiarboreal and verdict.omega == omega, (i, sorted(comp))
+
+
+def test_cyclotomic_scheme_with_odd_coset_size_is_not_symmetric():
+    # (37 - 1)/4 = 9 is odd, so -1 is not a fourth power mod 37 and the
+    # class of x - y differs from the class of y - x.
+    table = oracles.cyclotomic_relation(37, 4)
+    check = verify_scheme(table)
+    assert not check.valid and check.violation.axiom == "symmetry"
+    assert check == oracles.scan_verify_scheme(table)
+
+
+@pytest.mark.parametrize("stem, family, params", [
+    ("cyclotomic_17_4", "cyclotomic", (17, 4)), ("k3xc5", *K3_X_C5)])
+def test_golden_scheme_tables_are_the_oracle_schemes(stem, family, params):
+    # The tables behind the ``scheme FILE --verify-godsil`` goldens.
+    text = (Path(__file__).parent / "golden" / f"scheme_{stem}.txt").read_text()
+    assert text == format_scheme_table(_scheme(family, params))
 
 
 def _with_one_more(scheme, i, j, k):
