@@ -2,14 +2,15 @@
 spanning-tree counts, equiarboreality, edge connectivity, and
 association-scheme structure on desk-scale graphs.
 
-Every scalar is an exact rational; there is no floating point anywhere in a
-computation path, so equality checks in the verification suites are exact.
+Every scalar is an exact rational and no float enters a computation path,
+so equality checks are exact.  ``determinant`` and ``solve`` take a matrix
+as a sequence of rows.
 """
 
 from .cuts import godsil_bound_check
 from .equiarboreal import EquiarborealVerdict, check_equiarboreal
 from .errors import EquiarborError
-from .exactalg import Rational, RationalMatrix, determinant, solve
+from .exactalg import Rational, determinant, solve
 from .graphs import Graph, generate, identify_vertices, parse_graph6
 from .resistance import (
     WeightedNetwork,
@@ -26,7 +27,6 @@ __all__ = [
     "EquiarborealVerdict",
     "Graph",
     "Rational",
-    "RationalMatrix",
     "WeightedNetwork",
     "check_equiarboreal",
     "determinant",

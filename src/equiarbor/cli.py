@@ -76,7 +76,7 @@ def _cmd_analyze(args, stdout, stderr) -> int:
             _check_size(size[0] - 1)
     g = _graph_from_args(args)
     verdict = check_equiarboreal(g)
-    lam = cuts.edge_connectivity(g) if g.vertex_count >= 2 else None
+    lam = cuts.edge_connectivity(g)
     witness = None
     bound = None
     if verdict.is_equiarboreal:

@@ -65,8 +65,8 @@ class DomainError(EquiarborError):
 class ScaleError(EquiarborError):
     """Work was requested above a size limit: the minimum-cut list of a
     graph above ``exactalg.SIZE_LIMIT`` vertices (use ``edge_connectivity``
-    instead), or a generated graph above the vertex limit or the edge
-    budget."""
+    instead), a generated graph above the vertex limit or the edge
+    budget, or a double star above the vertex limit of a network file."""
 
 
 class VerificationError(EquiarborError):

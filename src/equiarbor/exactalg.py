@@ -19,14 +19,14 @@ conductances can produce, sends it back to the pivoted elimination from the
 untouched rows.  Where the symmetric pass succeeds the pivoted one would
 have swapped no rows, so both give the same ``det`` and ``det A^-1 B``.
 
-Matrices are immutable; every function here is pure.
+The public functions take a matrix as a sequence of rows of ``Fraction``
+or int, leave it unchanged, and are pure; :func:`invert` returns rows.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,63 +66,20 @@ def parse_rational(text: str) -> Rational:
     return Fraction(int(s))
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense row-major matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        _check_size(max(self.rows, self.cols))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational | int]]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[Rational] = []
-        for row in rows:
-            if len(row) != c:
-                raise DimensionError("ragged rows")
-            flat.extend(Fraction(v) for v in row)
-        return cls(r, c, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, tuple(
-            Fraction(1) if i == j else Fraction(0)
-            for i in range(n) for j in range(n)
-        ))
-
-    def entry(self, i: int, j: int) -> Rational:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Rational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-
-def _scaled_rows(m: RationalMatrix, rhs: Sequence[Sequence[Rational]] = ()
+def _scaled_rows(a: Sequence[Sequence[Rational | int]],
+                 rhs: Sequence[Sequence[Rational | int]] = ()
                  ) -> tuple[list[list[int]], list[int]]:
-    """Rows of ``[m | rhs]`` as integers, each multiplied by the lcm of its
-    denominators; returns the rows and the per-row scale factors."""
+    """Rows of ``[a | rhs]`` as integers, each multiplied by the lcm of its
+    denominators, and the per-row scales.  The one check of matrix input:
+    ragged, non-square or over-limit ``a`` raises ``DimensionError`` first."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DimensionError(f"expected {n} rows of {n} entries")
+    _check_size(n)
     rows: list[list[int]] = []
     scales: list[int] = []
-    for i in range(m.rows):
-        row = m.row(i) + tuple(rhs[i]) if rhs else m.row(i)
+    for i, row in enumerate(a):
+        row = [Fraction(v) for v in (*row, *(rhs[i] if rhs else ()))]
         lcm = math.lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (lcm // v.denominator) for v in row])
         scales.append(lcm)
@@ -222,13 +179,10 @@ def _symmetric_eliminate(rows: Sequence[list[int]]
     return prev, det_x
 
 
-def determinant(m: RationalMatrix) -> Rational:
-    """Exact determinant: ``det(D A) / det D`` from :func:`integer_solve`
-    with no right-hand side, D the row scales that make ``[D A]`` integral.
-    """
-    if not m.is_square:
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    rows, scales = _scaled_rows(m)
+def determinant(a: Sequence[Sequence[Rational | int]]) -> Rational:
+    """Exact determinant of the rows ``a``: ``det(D A) / det D`` from
+    :func:`integer_solve` with no right-hand side, D the row scales."""
+    rows, scales = _scaled_rows(a)
     try:
         det, _ = integer_solve(rows, "determinant")
     except SingularSystemError:
@@ -271,35 +225,30 @@ def integer_solve(rows: Sequence[list[int]], what: str) -> tuple[int, list[list[
     return det, det_x
 
 
-def solve(a: RationalMatrix, b: Sequence[Rational | int]) -> tuple[Rational, ...]:
-    """Solve ``a @ x == b`` exactly.
+def solve(a: Sequence[Sequence[Rational | int]],
+          b: Sequence[Rational | int]) -> tuple[Rational, ...]:
+    """Solve ``a @ x == b`` exactly, ``a`` given by its rows.
 
     Pivot choice is the first row with a nonzero pivot; the integer identity
     ``(D A) (det * x) == det * (D b)``, D the row scales, is checked before
     the result is returned.
     """
-    if not a.is_square:
-        raise DimensionError(f"solve with a {a.rows}x{a.cols} coefficient matrix")
-    n = a.rows
-    if len(b) != n:
-        raise DimensionError(f"rhs length {len(b)} != {n}")
-    rows, _ = _scaled_rows(a, [(Fraction(v),) for v in b])
+    if len(b) != len(a):
+        raise DimensionError(f"rhs length {len(b)} != {len(a)}")
+    rows, _ = _scaled_rows(a, [(v,) for v in b])
     det, det_x = integer_solve(rows, "solve")
     return tuple(Fraction(row[0], det) for row in det_x)
 
 
-def invert(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse from one fraction-free Gauss-Jordan pass.
+def invert(a: Sequence[Sequence[Rational | int]]) -> list[list[Rational]]:
+    """Exact inverse, as rows, from one fraction-free Gauss-Jordan pass.
 
     Eliminating ``[D A | D]``, with D the diagonal row scales, leaves
     ``det * A^-1`` over the integers; the integer identity
     ``(D A) (det * A^-1) == det * D`` is checked before anything is returned.
     """
-    if not m.is_square:
-        raise DimensionError(f"inverse of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows, _ = _scaled_rows(m, unit)
+    rows, scales = _scaled_rows(a)
+    for i, (row, scale) in enumerate(zip(rows, scales)):
+        row.extend(scale if i == j else 0 for j in range(len(rows)))
     det, det_inv = integer_solve(rows, "inverse")
-    return RationalMatrix(n, n, tuple(Fraction(v, det) for row in det_inv for v in row))
-
+    return [[Fraction(v, det) for v in row] for row in det_inv]

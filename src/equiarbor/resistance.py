@@ -1,8 +1,9 @@
 """Exact effective resistances and spanning-tree counts.
 
 A :class:`WeightedNetwork` stores conductances (1/resistance) per unordered
-vertex pair.  Parallel edges are merged at construction time by conductance
-addition; an absent entry models an edge of infinite resistance, and a zero
+vertex pair.  Its constructor raises on a duplicate pair; ``from_resistances``
+and ``transform.substitute_network`` merge parallel edges by conductance
+addition.  An absent entry models an edge of infinite resistance, and a zero
 resistance is rejected (identify the endpoints instead).  Negative
 resistances are legal: some terminal-preserving transformations introduce
 them, and the solver simply reports a singular network if a reduced system

@@ -168,7 +168,7 @@ def _survey_entry(entry: GraphCatalogEntry) -> SurveyEntry:
             failed = True
             notes.extend(report.counterexamples)
     # After the theorem check, lambda reads the max-flows it already ran.
-    lam = edge_connectivity(g) if g.vertex_count >= 2 else None
+    lam = edge_connectivity(g)
 
     if g.is_simple:
         scheme = scheme_from_distance_partition(g)

@@ -1,8 +1,8 @@
 """Terminal-preserving network transformations and the S-equivalence oracle.
 
 Star-mesh (Kron) elimination is the single reduction primitive; series
-contraction is its degree-2 special case and parallel merging happens in
-network construction.  The complete-bipartite-to-double-star rewrite
+contraction is its degree-2 special case, and :func:`substitute_network`
+merges parallel pieces.  The complete-bipartite-to-double-star rewrite
 (Gervacio) introduces one negative resistance edge, which flows through the
 ordinary solver unchanged.
 """
@@ -18,9 +18,11 @@ from .errors import (
     InfiniteResistanceError,
     NonRealizableError,
     ParameterError,
+    ScaleError,
     SingularEliminationError,
 )
 from .exactalg import Rational
+from .graphs import _GRAPH6_MAX_N
 from .resistance import WeightedNetwork, resistance
 
 #: An ordered set of terminal vertices shared by the networks under
@@ -30,7 +32,7 @@ TerminalSet = Sequence[int]
 
 @dataclass(frozen=True)
 class TransformRecord:
-    kind: str  # series | parallel | star-mesh | bipartite-to-double-star
+    kind: str  # series | star-mesh | bipartite-to-double-star
     removed_vertices: tuple[int, ...]
     added_edges: tuple[tuple[int, int, Fraction], ...]
 
@@ -98,9 +100,13 @@ def bipartite_to_double_star(m: int, n: int) -> WeightedNetwork:
     the ``complete_bipartite`` generator labels), vertex m+n is the left
     centre and m+n+1 the right centre.  Leg resistances are 1/n and 1/m and
     the centre edge carries -1/(n*m); the originals are the terminals.
+    Raises ``ScaleError`` first above the network limit of 258,047 vertices.
     """
     if m < 1 or n < 1:
         raise ParameterError("bipartite_to_double_star needs m, n >= 1")
+    if m + n + 2 > _GRAPH6_MAX_N:
+        raise ScaleError(f"the double star of K{m},{n} has {m + n + 2} vertices, "
+                         f"above the network limit {_GRAPH6_MAX_N}")
     u0, v0 = m + n, m + n + 1
     cond = {(i, u0): n for i in range(m)} | {(m + j, v0): m for j in range(n)}
     cond[u0, v0] = -n * m

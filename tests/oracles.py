@@ -40,7 +40,6 @@ from equiarbor.errors import (
     SingularNetworkError,
     SingularSystemError,
 )
-from equiarbor.exactalg import RationalMatrix
 from equiarbor.graphs import Graph, identify_vertices
 from equiarbor.resistance import WeightedNetwork, spanning_tree_count
 from equiarbor.schemes import (
@@ -440,14 +439,13 @@ def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     return x
 
 
-def matvec(m: RationalMatrix, v: list[Fraction | int]) -> tuple[Fraction, ...]:
-    """The product ``m @ v`` over ``Fraction``, for multiplying results back."""
-    if len(v) != m.cols:
-        raise DimensionError(f"vector length {len(v)} != {m.cols}")
-    return tuple(
-        sum((m.entry(i, j) * Fraction(v[j]) for j in range(m.cols)), Fraction(0))
-        for i in range(m.rows)
-    )
+def matvec(m: list[list[Fraction | int]], v: list[Fraction | int]
+           ) -> tuple[Fraction, ...]:
+    """The product ``m @ v`` over ``Fraction``, ``m`` given by its rows, for
+    multiplying results back."""
+    if any(len(row) != len(v) for row in m):
+        raise DimensionError(f"vector length {len(v)} != row length")
+    return tuple(sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0)) for row in m)
 
 
 def fraction_invert(a: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -267,6 +267,12 @@ def test_transform_bipartite():
     assert "bipartite-to-double-star" in err
 
 
+def test_transform_bipartite_above_the_network_limit_exits_2():
+    code, out, err = run(["transform", "--bipartite", "129023", "129023"])
+    assert (code, out) == (2, "")
+    assert "above the network limit 258047" in err
+
+
 def test_transform_eliminate(tmp_path):
     net = WeightedNetwork.from_resistances(
         3, [(0, 1, 1), (1, 2, 1)], terminals=(0, 2))

@@ -10,7 +10,6 @@ from equiarbor import exactalg
 from equiarbor.catalog import default_catalog
 from equiarbor.errors import DimensionError, SingularSystemError, VerificationError
 from equiarbor.exactalg import (
-    RationalMatrix,
     determinant,
     format_rational,
     invert,
@@ -28,23 +27,23 @@ rationals = st.builds(Fraction,
 
 
 def test_determinant_identity():
-    assert determinant(RationalMatrix.identity(3)) == 1
+    assert determinant([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
 
 def test_determinant_2x2():
-    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    m = [[1, 2], [3, 4]]
     assert determinant(m) == -2
 
 
 def test_determinant_k4_laplacian_minor():
     # Any principal 3x3 minor of the K4 Laplacian equals tau(K4) = 4^2.
-    minor = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    minor = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
     assert determinant(minor) == 16
 
 
 def test_determinant_rational_entries():
-    m = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
-                                  [Fraction(1, 4), Fraction(1, 5)]])
+    m = [[Fraction(1, 2), Fraction(1, 3)],
+         [Fraction(1, 4), Fraction(1, 5)]]
     assert determinant(m) == Fraction(1, 10) - Fraction(1, 12)
 
 
@@ -59,47 +58,73 @@ def test_determinant_goes_through_integer_solve(monkeypatch):
     monkeypatch.setattr(exactalg, "integer_solve", counting)
     # Symmetric with a zero leading minor: the pivoted kernel swaps the
     # rows, and its sign reaches the determinant.
-    assert determinant(RationalMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert determinant(RationalMatrix.from_rows([[1, 2], [3, 4]])) == -2
-    assert determinant(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[1, 2], [3, 4]]) == -2
+    assert determinant([[1, 2], [2, 4]]) == 0
     assert calls == ["determinant"] * 3
 
 
 def test_determinant_requires_square():
     with pytest.raises(DimensionError):
-        determinant(RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        determinant([[1, 2, 3], [4, 5, 6]])
+
+
+ZERO_513 = [[0] * 513 for _ in range(513)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: determinant([[1, 2], [3]]),
+    lambda: solve([[1, 2], [3]], [1, 1]),
+    lambda: invert([[1, 2], [3]]),
+    lambda: determinant([[1, 2, 3], [4, 5, 6]]),
+    lambda: solve([[1, 2, 3], [4, 5, 6]], [1, 1]),
+    lambda: invert([[1, 2, 3], [4, 5, 6]]),
+    lambda: solve([[1, 2], [3, 4]], [1]),
+    lambda: determinant(ZERO_513),
+    lambda: solve(ZERO_513, [0] * 513),
+    lambda: invert(ZERO_513),
+], ids=["ragged-det", "ragged-solve", "ragged-invert",
+        "2x3-det", "2x3-solve", "2x3-invert", "short-rhs",
+        "513-det", "513-solve", "513-invert"])
+def test_bad_matrix_input_is_refused_before_elimination(monkeypatch, call):
+    def refuse(rows, what):
+        pytest.fail(f"{what} reached integer_solve")
+
+    monkeypatch.setattr(exactalg, "integer_solve", refuse)
+    with pytest.raises(DimensionError):
+        call()
 
 
 def test_solve_identity():
-    x = solve(RationalMatrix.identity(2), [5, 7])
+    x = solve([[1, 0], [0, 1]], [5, 7])
     assert x == (5, 7)
 
 
 def test_solve_interior_voltage_system():
     # The two nodal equations of the reduced cut network at k=7, x=2, y=1:
     # a=5, b=6, c=5; unknowns are the two interior voltages.
-    a = RationalMatrix.from_rows([[10, -5], [-5, 12]])
+    a = [[10, -5], [-5, 12]]
     v = solve(a, [5, 1])
     assert v == (Fraction(13, 19), Fraction(7, 19))
 
 
 def test_solve_singular_zero_matrix():
-    zero = RationalMatrix.from_rows([[0, 0], [0, 0]])
+    zero = [[0, 0], [0, 0]]
     with pytest.raises(SingularSystemError):
         solve(zero, [1, 0])
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionError):
-        solve(RationalMatrix.identity(2), [1, 2, 3])
+        solve([[1, 0], [0, 1]], [1, 2, 3])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(rationals, min_size=16, max_size=16),
        st.permutations(range(4)))
 def test_determinant_row_permutation_parity(entries, perm):
-    m = RationalMatrix(4, 4, tuple(entries))
-    permuted = RationalMatrix.from_rows([list(m.row(i)) for i in perm])
+    m = [entries[4 * i:4 * i + 4] for i in range(4)]
+    permuted = [m[i] for i in perm]
     # Parity of the permutation by counting inversions.
     inversions = sum(1 for i in range(4) for j in range(i + 1, 4)
                      if perm[i] > perm[j])
@@ -111,7 +136,7 @@ def test_determinant_row_permutation_parity(entries, perm):
 @given(st.lists(rationals, min_size=9, max_size=9),
        st.lists(rationals, min_size=3, max_size=3))
 def test_solve_multiply_roundtrip(entries, rhs):
-    m = RationalMatrix(3, 3, tuple(entries))
+    m = [entries[3 * i:3 * i + 3] for i in range(3)]
     if determinant(m) == 0:
         with pytest.raises(SingularSystemError):
             solve(m, rhs)
@@ -129,14 +154,14 @@ def test_rank_deficient_matrices_have_zero_determinant(row_pair, coeffs):
     a, b = coeffs
     r3 = [a * x + b * y for x, y in zip(r1, r2)]
     r4 = [x + y for x, y in zip(r1, r2)]
-    m = RationalMatrix.from_rows([r1, r2, r3, r4])
+    m = [r1, r2, r3, r4]
     assert determinant(m) == 0
     with pytest.raises(SingularSystemError):
         solve(m, [1, 0, 0, 0])
 
 
 def test_invert_roundtrip():
-    m = RationalMatrix.from_rows([[2, 1], [1, 1]])
+    m = [[2, 1], [1, 1]]
     inv = invert(m)
     assert oracles.matvec(inv, [1, 0]) == (1, -1)
     assert oracles.matvec(inv, [0, 1]) == (-1, 2)
@@ -151,10 +176,9 @@ def _outcome(fn, *args):
 
 
 def _assert_matches_oracle(rows, rhs):
-    m = RationalMatrix.from_rows(rows)
-    assert _outcome(solve, m, rhs) == _outcome(
+    assert _outcome(solve, rows, rhs) == _outcome(
         lambda: tuple(oracles.fraction_solve(rows, rhs)))
-    assert _outcome(lambda: invert(m).to_rows()) == _outcome(
+    assert _outcome(invert, rows) == _outcome(
         oracles.fraction_invert, rows)
 
 
@@ -214,7 +238,7 @@ def test_invert_residual_check_catches_a_corrupt_adjugate(monkeypatch):
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
     # Not symmetric, so the pivoted kernel runs.
-    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-2, -1, 3]])
+    m = [[3, -1, -1], [-1, 3, -1], [-2, -1, 3]]
     with pytest.raises(VerificationError, match="inverse residual check failed"):
         invert(m)
 
@@ -229,7 +253,7 @@ def test_solve_residual_check_catches_a_corrupt_entry(monkeypatch):
 
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
     # The rhs 1/2 scales row 0 by 2, so D A is not symmetric.
-    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    m = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
     with pytest.raises(VerificationError, match="solve residual check failed in row 0"):
         solve(m, [Fraction(1, 2), 0, 1])
 
@@ -247,7 +271,7 @@ def test_symmetric_kernel_corruption_fails_the_residual_check(monkeypatch, stage
 
     monkeypatch.setattr(exactalg, "_symmetric_eliminate", corrupted)
     monkeypatch.setattr(exactalg, "_eliminate", None)
-    m = RationalMatrix.from_rows([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    m = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
     with pytest.raises(VerificationError, match=f"{stage} residual check failed in row 0"):
         invert(m) if stage == "inverse" else solve(m, [1, 0, 1])
     assert reached == [16]

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiarbor import transform as transform_module
 from equiarbor.errors import (
     NonRealizableError,
     ParameterError,
+    ScaleError,
     SingularEliminationError,
 )
 from equiarbor.graphs import generate
@@ -156,6 +158,14 @@ def test_double_star_equals_its_resistance_form():
 def test_double_star_rejects_zero_parts():
     with pytest.raises(ParameterError):
         bipartite_to_double_star(0, 2)
+
+
+def test_double_star_above_the_network_limit_is_refused(monkeypatch):
+    # 129023 + 129023 + 2 = 258048 vertices, one above what a network file
+    # holds; the refusal comes before any conductance is built.
+    monkeypatch.setattr(transform_module, "WeightedNetwork", None)
+    with pytest.raises(ScaleError, match="258048 vertices, above the network limit 258047"):
+        bipartite_to_double_star(129023, 129023)
 
 
 # ---------------------------------------------------------------------------
