@@ -9,20 +9,20 @@ closed-form resistance across the chosen edge,
     bound(k, x, y) = (4ab - c^2) / (2ab(k+1) - k c^2)
 
 with a = k-x, b = k-y, c = k-x-y+1, which lower-bounds the common edge
-resistance of any equiarboreal host.  Everything here is verified two ways:
-the closed form against one literal nodal solve of the network per point,
-whose potentials give the interior voltages, the current and the
-resistance, and the grid inequalities (the 2/k threshold and the positive
-denominator) for every integer pair they quantify by an algebraic
-certificate.  Two polynomial identities in (k, x, y) are checked once per
-process on a product grid that proves them; each degree k then needs a few
-integer comparisons, with the range x + y <= k - sqrt(k) - 2 bounded by
-``math.isqrt``, never through floats.
+resistance of any equiarboreal host.  Both the closed form, for every
+(k, x, y), and the grid inequalities (the 2/k threshold and the positive
+denominator), for every integer pair they quantify, rest on one algebraic
+certificate: polynomial identities in (k, x, y), five of them tying the
+network's nodal solve to the bound's numerator and denominator, checked
+once per process on a product grid that proves them.  Each degree k then
+needs a few integer comparisons, with the range x + y <= k - sqrt(k) - 2
+bounded by ``math.isqrt``, never through floats.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -111,8 +111,9 @@ def reduced_cut_network(k: int, x: int, y: int) -> WeightedNetwork:
 
 
 def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
-    """Confirm the closed form end to end from one nodal solve of the
-    reduced network, V1 grounded and a unit current injected at U1.
+    """The per-point oracle for ``verify_reduced_network``: confirm the
+    closed form end to end from one nodal solve of the reduced network, V1
+    grounded and a unit current injected at U1.
 
     Checks, in order: the interior voltages under a unit voltage from U1
     to V1 (each potential over U1's) match their closed forms, the current
@@ -157,14 +158,18 @@ def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic certificates for the grid inequalities
+# The algebraic certificate
 #
 # In the shifted degrees X = x+1 and Y = y+1, with S = X+Y and s = k-S, the
 # bound's numerator N = 4ab - c^2 and denominator D = 2ab(k+1) - kc^2
-# (a = k-X, b = k-Y, c = k-S+1) satisfy two polynomial identities.  Each
-# side has degree <= 3 in k and <= 2 in X and in Y, so agreement on the
-# product grid {0..3} x {0..2} x {0..2} proves it (the product-set lemma
-# behind Schwartz 1980 and Zippel 1979).
+# (a = k-X, b = k-Y, c = k-S+1) satisfy the two identities of _IDENTITIES.
+# With integer conductances the reduced network's nodal solve, V1 grounded,
+# returns its 3x3 determinant det and U1's adjugate column P unscaled, and
+# five identities in (k, x, y) tie them to N and D: det = D and P[U1] = N by
+# the weighted matrix-tree theorem (Kirchhoff 1847).  Every side has degree
+# <= 3 in each variable, so agreement on {20..23} x {2..5} x {2..5}, where
+# all six conductances are positive, proves it (the product-set lemma behind
+# Schwartz 1980 and Zippel 1979).
 
 
 def _shifted_terms(k: int, X: int, Y: int) -> tuple[int, int]:
@@ -187,16 +192,31 @@ _IDENTITIES = (
 
 @functools.cache
 def _check_identities() -> None:
-    """Both identities on the 36 points of the product grid, once per
-    process; a disagreement raises, so it also fires under ``python -O``."""
-    for statement, lhs, rhs in _IDENTITIES:
-        for k in range(4):
-            for X in range(3):
-                for Y in range(3):
-                    if lhs(k, X, Y) != rhs(k, X, Y):
-                        raise VerificationError(
-                            f"identity {statement} fails at (k, X, Y) = "
-                            f"({k}, {X}, {Y})")
+    """Every identity on the 64 points of the product grid, one nodal solve
+    per point, once per process; a disagreement raises, so it also fires
+    under ``python -O``."""
+    for k, x, y in itertools.product(range(20, 24), range(2, 6), range(2, 6)):
+        det, p = _potentials(reduced_cut_network(k, x, y), U1, V1)
+        n, d = _shifted_terms(k, x, y)
+        a, c = k - x, k - x - y + 1
+        checks = [(s, lhs(k, x, y), rhs(k, x, y)) for s, lhs, rhs in _IDENTITIES] + [
+            ("det = D", det, d), ("P[U1] = N", p[U1], n),
+            ("P[U2] = 2ab + c(x-1)", p[U2], 2 * a * (k - y) + c * (x - 1)),
+            ("P[V2] = a(2x + c - 2)", p[V2], a * (2 * x + c - 2)),
+            ("kN - a P[U2] - (x-1) P[V2] = D", k * n - a * p[U2] - (x - 1) * p[V2], d)]
+        for statement, left, right in checks:
+            if left != right:
+                raise VerificationError(
+                    f"identity {statement} fails at (k, x, y) = ({k}, {x}, {y})")
+
+
+def verify_reduced_network(k: int) -> bool:
+    """``kirchhoff_cross_check`` holds at every pair the bound accepts at
+    degree k: there the network is connected with integer conductances, so
+    its nodal solve is the det and P of the identities.  O(1) per k."""
+    BoundParams.create(k, 1, 1)  # validates k: (1, 1) is accepted at every k >= 3
+    _check_identities()
+    return True
 
 
 def _denominator_certified(k: int) -> bool:

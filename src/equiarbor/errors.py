@@ -66,7 +66,8 @@ class ScaleError(EquiarborError):
     """Work was requested above a size limit: the minimum-cut list of a
     graph above ``exactalg.SIZE_LIMIT`` vertices (use ``edge_connectivity``
     instead), a generated graph above the vertex limit or the edge
-    budget, or a double star above the vertex limit of a network file."""
+    budget, a double star above the vertex limit of a network file, or a
+    ``scheme`` command's relation above 64 classes."""
 
 
 class VerificationError(EquiarborError):

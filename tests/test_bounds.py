@@ -155,10 +155,14 @@ def test_threshold_grids_small_range():
     for k in range(7, 13):
         assert verify_double_star_threshold(k)
         assert verify_denominator_positive(k)
+    for k in range(3, 13):
+        assert bounds.verify_reduced_network(k)
     with pytest.raises(ParameterError):
         verify_double_star_threshold(6)
     with pytest.raises(ParameterError):
         verify_denominator_positive(6)
+    with pytest.raises(ParameterError):
+        bounds.verify_reduced_network(2)
 
 
 def test_threshold_grids_match_fraction_oracles():
@@ -180,18 +184,48 @@ def test_shifted_terms_are_the_bound_numerator_and_denominator():
             assert bounds._shifted_terms(k, x, y) == (p.numerator, p.denominator)
 
 
-def test_identity_grid_checks_every_identity_on_36_points(monkeypatch):
-    seen = []
+def test_identity_grid_checks_every_identity_on_64_points(monkeypatch):
+    # One shared 4x4x4 grid for the two bound identities and the five of the
+    # reduced network, with one 3x3 nodal solve per point.
+    seen, solves = [], []
     monkeypatch.setattr(bounds, "_IDENTITIES", tuple(
         (statement, lambda k, X, Y, lhs=lhs: seen.append((k, X, Y)) or lhs(k, X, Y), rhs)
         for statement, lhs, rhs in bounds._IDENTITIES))
+    solve = exactalg.integer_solve
+    monkeypatch.setattr(exactalg, "integer_solve",
+                        lambda rows, what: solves.append(len(rows)) or solve(rows, what))
     bounds._check_identities.cache_clear()
     try:
         bounds._check_identities()
     finally:
         bounds._check_identities.cache_clear()
     assert len(bounds._IDENTITIES) == 2
-    assert len(seen) == 72 and len(set(seen)) == 36
+    assert len(seen) == 128 and len(set(seen)) == 64
+    assert solves == [3] * 64
+
+
+@pytest.mark.parametrize("edge", [(bounds.U2, bounds.V2), (bounds.U1, bounds.U2)])
+def test_certificate_rejects_a_mutant_network(monkeypatch, edge):
+    # One conductance raised by 1 (U2-V2 to c+1, or U1-U2 to a+1) changes
+    # the network's determinant at every grid point, so the certificate
+    # fails at the first; the per-point oracle rejects the mutant too.
+    real = bounds.reduced_cut_network
+
+    def mutant(k, x, y):
+        net = real(k, x, y)
+        return net.with_resistance(*edge, 1 / (net.conductance(*edge) + 1))
+
+    monkeypatch.setattr(bounds, "reduced_cut_network", mutant)
+    bounds._check_identities.cache_clear()
+    try:
+        with pytest.raises(VerificationError,
+                           match=r"identity det = D fails at \(k, x, y\) = \(20, 2, 2\)"):
+            bounds.verify_reduced_network(7)
+        assert not kirchhoff_cross_check(7, 2, 1)
+    finally:
+        bounds._check_identities.cache_clear()
+    monkeypatch.undo()
+    assert bounds.verify_reduced_network(7)
 
 
 @pytest.mark.parametrize("which", [(0, 1), (0, 2), (1, 1), (1, 2)])

@@ -6,14 +6,17 @@ from pathlib import Path
 
 import pytest
 
+from equiarbor import bounds as bounds_module
 from equiarbor import cli as cli_module
 from equiarbor import cuts as cuts_module
+from equiarbor import exactalg as exactalg_module
 from equiarbor import graphs as graphs_module
 from equiarbor import schemes as schemes_module
 from equiarbor import survey as survey_module
 from equiarbor import transform as transform_module
 from equiarbor.catalog import default_manifest
 from equiarbor.cli import run_command
+from equiarbor.errors import EquiarborError
 from equiarbor.graphs import fact_scope, generate
 from equiarbor.resistance import WeightedNetwork, dump_network
 from equiarbor.schemes import format_scheme_table, scheme_from_distance_partition
@@ -250,6 +253,21 @@ def test_scheme_verifies_the_table_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n, outcome", [
+    (129, "error: reached the axiom check\n"),
+    (130, "error: 65 classes exceed the scheme class limit 64\n"),
+])
+def test_scheme_above_the_class_limit_exits_2(monkeypatch, n, outcome):
+    # C129 has 64 distance classes and reaches the axiom check; C130 has 65
+    # and is refused before it, naming the limit.
+    def reached(table):
+        raise EquiarborError("reached the axiom check")
+
+    monkeypatch.setattr(schemes_module, "verify_scheme", reached)
+    code, out, err = run(["scheme", "--family", "cycle", "--params", str(n)])
+    assert (code, out, err) == (2, "", outcome)
+
+
 def test_cut_non_regular_graph_marks_theorem_inapplicable():
     code, out, _ = run(["cut", "--family", "star", "--params", "5"])
     assert code == 0
@@ -352,6 +370,26 @@ def test_verify_claims_small_range():
     assert [e["k"] for e in data["perK"]] == [7, 8, 9]
     assert all(e["doubleStarThreshold"] and e["denominatorPositivity"]
                and e["reducedNetworkGrid"] for e in data["perK"])
+
+
+def test_verify_claims_certifies_the_reduced_network_once(monkeypatch):
+    # 64 three-by-three nodal solves on a cleared cache, none on a second
+    # run in the same process, and no per-point solve at all.
+    solves = []
+    solve = exactalg_module.integer_solve
+    monkeypatch.setattr(exactalg_module, "integer_solve",
+                        lambda rows, what: solves.append(len(rows)) or solve(rows, what))
+    monkeypatch.setattr(bounds_module, "kirchhoff_cross_check",
+                        lambda k, x, y: pytest.fail("per-point solve"))
+    bounds_module._check_identities.cache_clear()
+    try:
+        first = run(["verify", "claims", "--k-range", "7..120"])
+        assert solves == [3] * 64
+        assert run(["verify", "claims", "--k-range", "7..120"]) == first
+        assert solves == [3] * 64
+    finally:
+        bounds_module._check_identities.cache_clear()
+    assert first[0] == 0 and first[2] == "verify claims 7..120: PASS\n"
 
 
 @pytest.mark.parametrize("k_range, ks", [("7..7", [7]), ("3..6", [3, 4, 5, 6])])
