@@ -135,13 +135,6 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
     return Fraction(potential[U1], det) == Fraction(disc, p.denominator)
 
 
-def valid_degree_pairs(k: int) -> list[tuple[int, int]]:
-    """Every (x, y) accepted by the bound at degree k."""
-    BoundParams.create(k, 1, 1)  # validates k: (1, 1) is accepted at every k >= 3
-    return [(x, y) for x in range(1, k) for y in range(1, min(k, k + 2 - x))
-            if _shifted_terms(k, x, y)[1] != 0]
-
-
 def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
     """Best bound over a cut: max of the degree-pair bound across its
     crossing edges."""

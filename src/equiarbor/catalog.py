@@ -105,14 +105,6 @@ _DEFAULT_ENTRIES: list[tuple] = [
     ("J(5,2)", "johnson", (5, 2), 6, False),
 ]
 
-#: Names of the catalog members whose distance partitions form schemes,
-#: feeding the colour-class verification suite.
-SCHEME_SOURCE_NAMES = (
-    "C5", "C6", "Petersen", "H(2,2)", "H(2,3)", "H(3,2)",
-    "J(4,2)", "J(5,2)", "Q3", "Q4",
-)
-
-
 def default_manifest() -> list[dict]:
     """The built-in catalog as manifest items."""
     items = []

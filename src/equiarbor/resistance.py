@@ -105,14 +105,6 @@ class WeightedNetwork:
                    {k: c for k, c in cond.items() if c != 0},
                    terminals)
 
-    @classmethod
-    def from_graph(cls, g: Graph, terminals: Iterable[int] | None = None
-                   ) -> "WeightedNetwork":
-        """Unit resistors, one per edge; multiplicity m merges to conductance m."""
-        return cls(g.vertex_count,
-                   {e: Fraction(m) for e, m in g.edge_items()},
-                   terminals)
-
     @property
     def vertex_count(self) -> int:
         return self._n
@@ -126,34 +118,12 @@ class WeightedNetwork:
             return Fraction(0)
         return self._cond.get(_norm_edge(u, v), Fraction(0))
 
-    def resistance_of_edge(self, u: int, v: int) -> Fraction | None:
-        c = self.conductance(u, v)
-        return None if c == 0 else 1 / c
-
     def edge_items(self) -> list[tuple[Pair, Fraction]]:
         """(pair, conductance) in lexicographic pair order."""
         return sorted(self._cond.items())
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return _adjacency(self._n, self._cond)[u] if 0 <= u < self._n else ()
-
-    def with_resistance(self, u: int, v: int, r: Rational | None
-                        ) -> "WeightedNetwork":
-        """Copy with the resistance of pair (u, v) replaced (None removes)."""
-        if u == v:
-            raise ParameterError("cannot set a loop resistance")
-        cond = dict(self._cond)
-        key = _norm_edge(u, v)
-        cond.pop(key, None)
-        if r is not None:
-            r = Fraction(r)
-            if r == 0:
-                raise ParameterError("zero resistance: identify the vertices instead")
-            cond[key] = 1 / r
-        return WeightedNetwork(self._n, cond, self._terminals)
-
-    def without_vertex_edges(self, w: int) -> dict[Pair, Fraction]:
-        return {k: c for k, c in self._cond.items() if w not in k}
 
     def components(self) -> list[frozenset[int]]:
         return _components(range(self._n), _adjacency(self._n, self._cond))

@@ -64,7 +64,7 @@ def eliminate_vertex(net: WeightedNetwork, w: int) -> WeightedNetwork:
         raise ParameterError(f"vertex {w} out of range")
     if net.terminals is not None and w in net.terminals:
         raise ParameterError(f"vertex {w} is a terminal")
-    cond = net.without_vertex_edges(w)
+    cond = {e: c for e, c in net.edge_items() if w not in e}
     for a, b, branch in _mesh_branches(net, w):
         cond[a, b] = cond.get((a, b), Fraction(0)) + branch
     return WeightedNetwork(net.vertex_count, cond, net.terminals)

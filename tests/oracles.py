@@ -537,7 +537,7 @@ def fraction_check_equiarboreal(g: Graph) -> EquiarborealVerdict:
     """Every edge resistance as a ``Fraction`` from
     ``fraction_resistance_matrix``, compared with the first edge's; the
     reference for ``check_equiarboreal`` on connected graphs with edges."""
-    omega = fraction_resistance_matrix(WeightedNetwork.from_graph(g))
+    omega = fraction_resistance_matrix(network_from_graph(g))
     edges = [e for e, _ in g.edge_items()]
     first = omega[edges[0][0]][edges[0][1]]
     for u, v in edges:
@@ -559,6 +559,43 @@ def mutant_module(monkeypatch, module: types.ModuleType, old: str, new: str
     monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
     exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
     return mutant
+
+
+# ---------------------------------------------------------------------------
+# Network fixtures and the bound's domain
+
+
+def network_from_graph(g: Graph) -> WeightedNetwork:
+    """Unit resistors, one per edge; multiplicity m merges to conductance m."""
+    return WeightedNetwork(g.vertex_count, dict(g.edge_items()))
+
+
+def edge_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction | None:
+    """The resistance of the edge u-v itself, None when it is absent."""
+    c = net.conductance(u, v)
+    return None if c == 0 else 1 / c
+
+
+def with_resistance(net: WeightedNetwork, u: int, v: int, r: Fraction | int
+                    ) -> WeightedNetwork:
+    """A copy of net with the resistance of the edge u-v set to r."""
+    key = (min(u, v), max(u, v))
+    cond = {e: c for e, c in net.edge_items() if e != key}
+    cond[key] = 1 / Fraction(r)
+    return WeightedNetwork(net.vertex_count, cond, net.terminals)
+
+
+def valid_degree_pairs(k: int) -> list[tuple[int, int]]:
+    """Every (x, y) in 1..k-1 with x + y <= k + 1 whose bound denominator
+    2ab(k+1) - kc^2 (a = k-x, b = k-y, c = k-x-y+1) is nonzero: the domain
+    ``BoundParams.create`` accepts at degree k >= 3."""
+    pairs = []
+    for x in range(1, k):
+        for y in range(1, min(k, k + 2 - x)):
+            a, b, c = k - x, k - y, k - x - y + 1
+            if 2 * a * b * (k + 1) - k * c * c != 0:
+                pairs.append((x, y))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

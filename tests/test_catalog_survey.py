@@ -1,5 +1,7 @@
 """Catalog manifests and the batch survey."""
 
+import dataclasses
+import io
 import json
 
 import pytest
@@ -16,8 +18,10 @@ from equiarbor.catalog import (
     default_manifest,
     entry_from_manifest,
 )
+from equiarbor.cli import run_command
 from equiarbor.errors import EquiarborError, ParameterError
 from equiarbor.graphs import generate
+from equiarbor.matching import MatchingResult
 from equiarbor.resistance import _reduced_laplacian
 from equiarbor.survey import survey
 
@@ -222,6 +226,79 @@ def test_survey_records_an_internal_error_and_continues(monkeypatch):
                      generated("C7", "cycle", 7)])
     assert [e.status for e in report.entries] == ["passed", "failed", "passed"]
     assert report.entries[1].notes == "internal error: RuntimeError: injected"
+
+
+def test_survey_failure_paths_fail_only_their_entry(monkeypatch, tmp_path):
+    # One entry per failure path, each forced on its own graph: a
+    # disconnected graph, a theorem counterexample, a failing colour class,
+    # a missing perfect matching and an EquiarborError.  The healthy C5 and
+    # C9 around them come out as they do alone, and the run exits 1.
+    petersen, q3, k4, c7 = (generate("petersen"), generate("hypercube", (3,)),
+                            generate("complete", (4,)), generate("cycle", (7,)))
+    real_theorem = survey_module.verify_degree_connectivity
+    real_godsil = survey_module.verify_godsil_theorems
+    real_matching = survey_module.has_perfect_matching
+    real_lambda = survey_module.edge_connectivity
+
+    def theorem(g):
+        report = real_theorem(g)
+        if g == petersen:
+            report = dataclasses.replace(report, counterexamples=("injected counterexample",))
+        return report
+
+    def godsil(scheme):
+        report = real_godsil(scheme)
+        if scheme.point_count == q3.vertex_count:
+            first = report.classes[0]
+            report = dataclasses.replace(report, classes=(
+                dataclasses.replace(first, lambda_value=first.degree - 1),) + report.classes[1:])
+        return report
+
+    def matching(g):
+        return MatchingResult(False, None, ()) if g == k4 else real_matching(g)
+
+    def lam(g):
+        if g == c7:
+            raise ParameterError("injected")
+        return real_lambda(g)
+
+    monkeypatch.setattr(survey_module, "verify_degree_connectivity", theorem)
+    monkeypatch.setattr(survey_module, "verify_godsil_theorems", godsil)
+    monkeypatch.setattr(survey_module, "has_perfect_matching", matching)
+    monkeypatch.setattr(survey_module, "edge_connectivity", lam)
+    healthy = [generated("C5", "cycle", 5), generated("C9", "cycle", 9)]
+    items = [healthy[0],
+             {"name": "2C3", "format": "edge-list",
+              "payload": "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"},
+             generated("Petersen", "petersen"), generated("Q3", "hypercube", 3),
+             generated("K4", "complete", 4), generated("C7", "cycle", 7), healthy[1]]
+    report = survey(items)
+    assert [(e.graph_name, e.status, e.main_theorem, e.matching, e.notes)
+            for e in report.entries] == [
+        ("C5", "passed", "pass", "skipped",
+         "scheme with 2 classes: all colour classes pass"),
+        ("2C3", "skipped", "skipped", "skipped", "disconnected; checks skipped"),
+        ("Petersen", "failed", "fail", "pass",
+         "injected counterexample; scheme with 2 classes: all colour classes pass"),
+        ("Q3", "failed", "pass", "pass", "scheme colour-class verification failed"),
+        ("K4", "failed", "pass", "fail", "scheme with 1 classes: all colour classes pass"),
+        ("C7", "failed", "skipped", "skipped", "error: injected"),
+        ("C9", "passed", "pass", "skipped",
+         "scheme with 4 classes: all colour classes pass"),
+    ]
+    assert (report.entries[1].regularity, report.entries[1].equiarboreal,
+            report.entries[1].lambda_value) == (2, None, None)
+    assert report.entries[5].regularity is None
+    alone = survey(healthy).entries
+    assert (report.entries[0], report.entries[-1]) == alone
+    assert report.summary == {"total": 7, "passed": 2, "failed": 4, "skipped": 1}
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(items))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["--deterministic", "survey", str(path)], out, err) == 1
+    assert json.loads(out.getvalue()) == report.to_json_dict()
+    assert err.getvalue() == "survey: 2 passed, 4 failed, 1 skipped\n"
 
 
 def test_survey_entry_inverts_each_graph_once(monkeypatch):

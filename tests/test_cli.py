@@ -340,6 +340,13 @@ def test_scheme_table_file(tmp_path):
     assert data["intersectionNumbers"][1][1][2] == 1
 
 
+def test_scheme_table_with_a_negative_class_exits_2(tmp_path):
+    # The parser takes any integer; the axiom check refuses the negative.
+    path = tmp_path / "negative.scheme"
+    path.write_text("3 1\n0 1 -1\n0 1\n0\n")
+    assert run(["scheme", str(path)]) == (2, "", "error: negative class index at (0, 2)\n")
+
+
 def test_scheme_invalid_reports_witness():
     code, out, _ = run(["scheme", "--family", "triangular_prism"])
     assert code == 0  # reporting invalidity is a result, not a failure

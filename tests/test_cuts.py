@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from equiarbor.cuts import (
 )
 from equiarbor.equiarboreal import EquiarborealVerdict
 from equiarbor.errors import (
+    ConnectivityError,
     ParameterError,
     PreconditionError,
     ScaleError,
@@ -663,6 +665,94 @@ def test_degree_connectivity_reads_minimum_cuts_above_24_vertices(family, params
         lam, min_cuts = known_fact(cuts_module._minimum_cuts, g)
     assert lam == report.k
     assert len(min_cuts) == g.vertex_count
+
+
+def _two_block_host(k: int, crossing: list[tuple[int, int]]) -> Graph:
+    """k-regular and simple: two blocks of k + 2 vertices, 0..k+1 and
+    k+2..2k+3, joined by the k ``crossing`` edges.  Each block is K_{k+2}
+    less a graph H in which a vertex of crossing degree d has degree d + 1,
+    built greedily (Havel-Hakimi), so every vertex ends at degree k."""
+    s = k + 2
+    deg = Counter(v for edge in crossing for v in edge)
+    edges = list(crossing)
+    for base in (0, s):
+        need = {v: 1 + deg[v] for v in range(base, base + s)}
+        removed = set()
+        while any(need.values()):
+            v = max(need, key=lambda w: (need[w], -w))
+            for w in sorted((w for w in need if w != v and need[w]),
+                            key=lambda w: (-need[w], w))[:need[v]]:
+                removed.add((min(v, w), max(v, w)))
+                need[w] -= 1
+            need[v] = 0
+        edges += [(u, v) for u, v in combinations(range(base, base + s), 2)
+                  if (u, v) not in removed]
+    return Graph(2 * s, edges)
+
+
+@pytest.mark.parametrize("k,pairs,expected", [
+    # A perfect matching across: every crossing edge is a K2 component.
+    (4, [(i, i) for i in range(1, 5)], ["{a} has a K2 component"]),
+    # A 4-cycle (degrees (2, 2)) beside a 3-edge matching.
+    (7, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (4, 4), (5, 5)],
+     ["{a} has a K2 component",
+      "{a} contains the forbidden double star for degrees (2, 2)"]),
+    # A 4-cycle, a star K_{1,3} with degree-1 leaves and one K2 edge.
+    (8, [(1, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6)],
+     ["{a} has a K2 component",
+      "{a} contains the forbidden double star for degrees (2, 2)",
+      "{a} has a degree-1 vertex",
+      "{a} contains a forbidden pendant star"]),
+    # K_{3,3}: every crossing edge joins degrees (3, 3), and 9 edges are
+    # fewer than 2 floor(9 - sqrt 9) - 2 = 10.
+    (9, [(x, y) for x in (1, 2, 3) for y in (1, 2, 3)],
+     ["{a} contains the forbidden double star for degrees (3, 3)",
+      "non-trivial cut of 9 < 10 edges"]),
+    # From degree 11 on, any non-trivial cut of k edges is a counterexample.
+    (11, [(i, i) for i in range(1, 12)],
+     ["non-trivial cut of 11 edges at degree 11: sides {side}"]),
+])
+def test_degree_connectivity_reports_the_cut_prohibitions(monkeypatch, k, pairs, expected):
+    # Hosts with lambda = k whose one non-trivial minimum cut, the block
+    # split, breaks the prohibitions that apply at k; the equiarboreal
+    # precondition is forced, as no such host is equiarboreal.
+    g = _two_block_host(k, [(x, k + 2 + y) for x, y in pairs])
+    assert g.is_simple and g.is_regular() == k
+    monkeypatch.setattr(cuts_module, "check_equiarboreal",
+                        lambda graph: EquiarborealVerdict(True, Fraction(1), None))
+    report = verify_degree_connectivity(g)
+    assert (report.k, report.lam, report.lambda_equals_degree) == (k, k, True)
+    assert report.parity_ok is (True if k % 2 == 0 else None)
+    side = list(range(k + 2))
+    assert report.counterexamples == tuple(
+        line.format(a=f"cut {side}", side=side) for line in expected)
+    assert not report.passed
+
+
+def test_degree_connectivity_reports_odd_lambda_at_even_degree(monkeypatch):
+    # Even-regular graphs have only even cuts, so only a patched minimum
+    # cut search can report lambda = 3 at degree 4.
+    monkeypatch.setattr(cuts_module, "_minimum_cuts", lambda graph: (3, ()))
+    report = verify_degree_connectivity(generate("complete", (5,)))
+    assert (report.k, report.lam, report.parity_ok) == (4, 3, False)
+    assert report.counterexamples == (
+        "lambda = 3 != degree 4", "even degree 4 but odd lambda 3")
+
+
+@pytest.mark.parametrize("side,message", [
+    (set(), "both sides of a cut must be nonempty"),
+    (set(range(5)), "both sides of a cut must be nonempty"),
+    ({0, 5}, "vertex 5 out of range"),
+    ({-1}, "vertex -1 out of range"),
+])
+def test_cut_from_side_rejects_a_bad_side(side, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        cut_from_side(generate("cycle", (5,)), side)
+
+
+def test_minimum_cuts_rejects_a_disconnected_graph():
+    with pytest.raises(ConnectivityError, match="^cut enumeration needs a connected graph$"):
+        minimum_cuts(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_degree_connectivity_preconditions():

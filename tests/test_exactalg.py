@@ -205,7 +205,7 @@ def test_solve_and_invert_equal_fraction_oracle(system):
 
 @pytest.mark.parametrize("entry", default_catalog(), ids=lambda e: e.name)
 def test_catalog_reduced_laplacians_equal_fraction_oracle(entry):
-    net = WeightedNetwork.from_graph(entry.graph)
+    net = oracles.network_from_graph(entry.graph)
     n = net.vertex_count
     rows = oracles.fraction_reduced_laplacian(net, list(range(n)), n - 1)
     rhs = [Fraction(i % 3, 1 + i % 4) for i in range(len(rows))]

@@ -26,7 +26,6 @@ from equiarbor.graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from equiarbor.resistance import WeightedNetwork
 
 import oracles
 
@@ -287,7 +286,7 @@ def test_components_and_neighbours_agree_with_networkx(g):
     multigraph.add_nodes_from(range(g.vertex_count))
     multigraph.add_edges_from(g.edge_list())
     expected = sorted(map(frozenset, nx.connected_components(multigraph)), key=min)
-    net = WeightedNetwork.from_graph(g)
+    net = oracles.network_from_graph(g)
     assert g.components() == expected
     assert net.components() == expected
     for u in range(-1, g.vertex_count + 1):      # no neighbours out of range

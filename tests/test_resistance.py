@@ -70,7 +70,7 @@ def test_spanning_trees_multigraph():
 
 def test_cycle_edge_resistance():
     for n in range(3, 11):
-        net = WeightedNetwork.from_graph(generate("cycle", (n,)))
+        net = oracles.network_from_graph(generate("cycle", (n,)))
         assert resistance(net, 0, 1) == Fraction(n - 1, n)
 
 
@@ -116,7 +116,7 @@ def test_resistance_infinite_between_components():
 
 
 def test_resistance_identical_vertices_rejected():
-    net = WeightedNetwork.from_graph(generate("cycle", (4,)))
+    net = oracles.network_from_graph(generate("cycle", (4,)))
     with pytest.raises(ParameterError):
         resistance(net, 1, 1)
 
@@ -174,7 +174,7 @@ def test_resistances_equal_fraction_oracle(net):
 def test_symmetric_kernel_inverts_multigraph_laplacians(g):
     # A grounded Laplacian with positive conductances has positive leading
     # minors, so the symmetric kernel runs and must equal the pivoted one.
-    net = WeightedNetwork.from_graph(g)
+    net = oracles.network_from_graph(g)
     for comp in g.components():
         vertices = sorted(comp)
         rows, _, _ = _reduced_laplacian(net.edge_items(), vertices, vertices[-1])
@@ -267,11 +267,33 @@ def test_over_limit_laplacian_is_refused_before_it_is_built():
     assert err.getvalue() == "error: matrix exceeds the 512 soft size limit\n"
 
 
+@pytest.mark.parametrize("n,conductances,terminals,message", [
+    (-1, {}, None, "negative vertex count"),
+    (3, {(1, 1): 1}, None, "loop at vertex 1"),
+    (3, {(0, 3): 1}, None, "edge 0-3 out of range"),
+    (3, {(-1, 2): 1}, None, "edge -1-2 out of range"),
+    (3, {(0, 1): 1, (1, 0): 2}, None, r"duplicate conductance entry for \(0, 1\)"),
+    (3, {(0, 1): 1}, (0, 3), "terminal 3 out of range"),
+])
+def test_network_constructor_rejects_bad_input(n, conductances, terminals, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        WeightedNetwork(n, conductances, terminals)
+
+
+def test_resist_rejects_an_edge_past_the_vertex_count(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [
+        {"u": 0, "v": 1, "r": "1"}, {"u": 1, "v": 3, "r": "1/2"}]}))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["resist", str(path), "0", "1"], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", "error: edge 1-3 out of range\n")
+
+
 def test_parallel_merge_and_cancellation():
     net = WeightedNetwork.from_resistances(2, [(0, 1, 2), (0, 1, 2)])
-    assert net.resistance_of_edge(0, 1) == 1
+    assert oracles.edge_resistance(net, 0, 1) == 1
     cancelled = WeightedNetwork.from_resistances(2, [(0, 1, 1), (0, 1, -1)])
-    assert cancelled.resistance_of_edge(0, 1) is None
+    assert oracles.edge_resistance(cancelled, 0, 1) is None
 
 
 def test_zero_resistance_rejected():
@@ -283,7 +305,7 @@ def test_tree_ratio_matches_laplacian_on_catalog():
     for family, params in [("complete", (4,)), ("cycle", (6,)),
                            ("petersen", ()), ("hamming", (2, 3))]:
         g = generate(family, params)
-        net = WeightedNetwork.from_graph(g)
+        net = oracles.network_from_graph(g)
         for (u, v), _ in g.edge_items():
             assert oracles.tree_ratio_resistance(g, u, v) == resistance(net, u, v)
 
@@ -311,7 +333,7 @@ def test_foster_sum_disconnected():
 
 
 def test_w_sum_star_centre():
-    net = WeightedNetwork.from_graph(generate("star", (5,)))
+    net = oracles.network_from_graph(generate("star", (5,)))
     assert w_sum(net, 0) == 4
 
 
@@ -341,7 +363,7 @@ def test_w_sum_isolated_vertex():
 def test_resistance_results_carry_method_tags():
     # The Laplacian solve and the tree ratio are the two methods; they agree.
     g = generate("cycle", (5,))
-    assert (resistance(WeightedNetwork.from_graph(g), 0, 1)
+    assert (resistance(oracles.network_from_graph(g), 0, 1)
             == oracles.tree_ratio_resistance(g, 0, 1) == Fraction(4, 5))
 
 

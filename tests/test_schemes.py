@@ -505,6 +505,16 @@ def test_scheme_table_rejects_bad_shapes():
         parse_scheme_table("2 2\n0 1\n0\n")  # header overstates classes
 
 
+@pytest.mark.parametrize("table,message", [
+    ([], "empty relation table"),
+    ([[0, 1], [1]], r"row 1 has length 1 != 2"),
+    ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], r"negative class index at \(0, 2\)"),
+])
+def test_verify_scheme_rejects_a_malformed_table(table, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        verify_scheme(table)
+
+
 @pytest.mark.parametrize("text", [
     "0 0\n", "-1 0\n", "2 x\n0 1\n0\n", "2 1\n0 one\n0\n", "2 1\n0 1.0\n0\n",
 ])

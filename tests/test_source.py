@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,60 @@ def test_benchmark_metric_names_a_public_function(name):
     assert not attr.startswith("_") and inspect.isfunction(target) \
         and target.__module__ == module.__name__, \
         f"{name}: equiarbor.{layer} defines no public {'.'.join(path)}"
+
+
+#: Public functions that nothing else in ``src/`` reads, kept as library API.
+KEPT = {
+    # The paper's electrical lemmas and its substitution principle.
+    "bounds.closed_form", "bounds.cut_lower_bound", "bounds.star_leaf_bound",
+    "transform.s_equivalent", "transform.substitute_network", "transform.synthesize_star",
+    # Writers, each the inverse of a parser that the commands use.
+    "graphs.emit_graph6", "graphs.format_edge_list", "schemes.format_scheme_table",
+    # Library entry points beside the commands' own.
+    "catalog.default_catalog", "matching.maximum_matching",
+}
+
+
+def _names(node):
+    """How often each identifier is read under ``node``, as a name or an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _public_definitions(tree):
+    """(qualified suffix, node) for each public top-level function and each
+    public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            if not node.name.startswith("_"):
+                yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_function_has_a_reader():
+    # Unused public API is dead weight that every start-up compiles: each
+    # public function or method is read somewhere in src/ outside its own
+    # body, exported by the package, named by a benchmark metric or KEPT.
+    trees = {path.stem: _tree(path) for path in MODULES}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    pinned = {name.rsplit(".", 1)[0] for name in _pinned_layers()}
+    defined, reached = set(), set()
+    for module, tree in trees.items():
+        for suffix, fn in _public_definitions(tree):
+            qualified = f"{module}.{suffix}"
+            defined.add(qualified)
+            exported = fn.name in equiarbor.__all__ and getattr(equiarbor, fn.name) is \
+                getattr(importlib.import_module(f"equiarbor.{module}"), suffix, None)
+            if everywhere[fn.name] > _names(fn)[fn.name] or exported or qualified in pinned:
+                reached.add(qualified)
+    unread = sorted(defined - reached - KEPT)
+    assert unread == [], f"public API that nothing in src/ reads: {unread}"
+    stale = sorted(KEPT & reached | KEPT - defined)
+    assert stale == [], f"KEPT names that src/ reads or no longer defines: {stale}"
 
 
 #: Runs in a fresh interpreter: two CLI calls, then whether networkx loaded.
