@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -42,50 +41,33 @@ from .resistance import WeightedNetwork, _potentials, resistance
 U1, V1, U2, V2 = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Validated parameters of the reduced cut network."""
+def _check_domain(k: int, x: int, y: int) -> None:
+    """Refuse (k, x, y) outside the bound's domain: k >= 3, 1 <= x, y <= k-1
+    and x + y <= k+1.
 
-    k: int
-    x: int
-    y: int
-    a: int  # k - x
-    b: int  # k - y
-    c: int  # k - x - y + 1
-
-    @classmethod
-    def create(cls, k: int, x: int, y: int) -> "BoundParams":
-        if k < 3:
-            raise ParameterError(f"degree k = {k} < 3")
-        if x < 1 or y < 1:
-            raise ParameterError(f"cut-graph degrees must be >= 1, got ({x}, {y})")
-        if x > k - 1 or y > k - 1:
-            raise DomainError(
-                f"degrees ({x}, {y}) exceed k-1 = {k - 1}; the collapsed side "
-                "would have no internal edges")
-        if x + y > k + 1:
-            raise DomainError(
-                f"x + y = {x + y} > k+1 = {k + 1}: the reduced network would "
-                "need a negative fixed edge, outside the proven validity range")
-        if _shifted_terms(k, x, y)[1] == 0:
-            raise DomainError(
-                f"bound denominator vanishes at (k, x, y) = ({k}, {x}, {y})")
-        return cls(k, x, y, k - x, k - y, k - x - y + 1)
-
-    @property
-    def numerator(self) -> int:
-        return _shifted_terms(self.k, self.x, self.y)[0]
-
-    @property
-    def denominator(self) -> int:
-        return _shifted_terms(self.k, self.x, self.y)[1]
+    Inside it the denominator D = 2ab(k+1) - kc^2 never vanishes: c >= 0,
+    c = a - (y-1) <= a and c = b - (x-1) <= b give c^2 <= ab, so
+    D >= (k+2)ab > 0.
+    """
+    if k < 3:
+        raise ParameterError(f"degree k = {k} < 3")
+    if x < 1 or y < 1:
+        raise ParameterError(f"cut-graph degrees must be >= 1, got ({x}, {y})")
+    if x > k - 1 or y > k - 1:
+        raise DomainError(
+            f"degrees ({x}, {y}) exceed k-1 = {k - 1}; the collapsed side "
+            "would have no internal edges")
+    if x + y > k + 1:
+        raise DomainError(
+            f"x + y = {x + y} > k+1 = {k + 1}: the reduced network would "
+            "need a negative fixed edge, outside the proven validity range")
 
 
 def degree_pair_bound(k: int, x: int, y: int) -> Fraction:
     """The reduced-network resistance for a crossing edge with cut-graph
     degrees (x, y) in a k-regular graph."""
-    p = BoundParams.create(k, x, y)
-    return Fraction(p.numerator, p.denominator)
+    _check_domain(k, x, y)
+    return Fraction(*_shifted_terms(k, x, y))
 
 
 def star_leaf_bound(k: int, x: int) -> Fraction:
@@ -104,9 +86,10 @@ def reduced_cut_network(k: int, x: int, y: int) -> WeightedNetwork:
     parallel pieces as conductances: 1, k-x, k-y, x-1, y-1 and c.  A zero
     conductance (x = 1, y = 1, or c = 0) is an absent edge.
     """
-    p = BoundParams.create(k, x, y)
-    return WeightedNetwork(4, {(U1, V1): 1, (U1, U2): p.a, (V1, V2): p.b,
-                               (U1, V2): x - 1, (U2, V1): y - 1, (U2, V2): p.c},
+    _check_domain(k, x, y)
+    return WeightedNetwork(4, {(U1, V1): 1, (U1, U2): k - x, (V1, V2): k - y,
+                               (U1, V2): x - 1, (U2, V1): y - 1,
+                               (U2, V2): k - x - y + 1},
                            terminals=(U1, V1))
 
 
@@ -120,19 +103,19 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
     that voltage drives simplifies to (2ab(k+1) - kc^2)/(4ab - c^2), and
     the resistance, U1's potential, is exactly the closed-form bound.
     """
-    p = BoundParams.create(k, x, y)
     det, potential = _potentials(reduced_cut_network(k, x, y), U1, V1)
+    a, b, c = k - x, k - y, k - x - y + 1
+    disc, den = _shifted_terms(k, x, y)
     v_u2 = Fraction(potential[U2], potential[U1])
     v_v2 = Fraction(potential[V2], potential[U1])
-    disc = p.numerator
-    if v_u2 != Fraction(2 * p.a * p.b + p.c * (x - 1), disc):
+    if v_u2 != Fraction(2 * a * b + c * (x - 1), disc):
         return False
-    if v_v2 != Fraction(p.a * (2 * x + p.c - 2), disc):
+    if v_v2 != Fraction(a * (2 * x + c - 2), disc):
         return False
-    current = k - (p.a * v_u2 + (x - 1) * v_v2)
-    if current != Fraction(p.denominator, disc):
+    current = k - (a * v_u2 + (x - 1) * v_v2)
+    if current != Fraction(den, disc):
         return False
-    return Fraction(potential[U1], det) == Fraction(disc, p.denominator)
+    return Fraction(potential[U1], det) == Fraction(disc, den)
 
 
 def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
@@ -207,19 +190,9 @@ def verify_reduced_network(k: int) -> bool:
     """``kirchhoff_cross_check`` holds at every pair the bound accepts at
     degree k: there the network is connected with integer conductances, so
     its nodal solve is the det and P of the identities.  O(1) per k."""
-    BoundParams.create(k, 1, 1)  # validates k: (1, 1) is accepted at every k >= 3
+    _check_domain(k, 1, 1)  # validates k: (1, 1) is accepted at every k >= 3
     _check_identities()
     return True
-
-
-def _denominator_certified(k: int) -> bool:
-    # By the second identity, D over the pairs with X + Y = S is smallest at
-    # the most unbalanced one, (2, S-2), since X, Y >= 2 gives |X-Y| <= S-4.
-    # That smallest value is concave in S, so it is positive on 4 <= S <= k+1
-    # iff it is positive at both ends: 2D = 2(k-1)(k^2+k-8) at (2, 2) and
-    # 2D = 4(k+1)(k-2) at (2, k-1).
-    _check_identities()
-    return _shifted_terms(k, 2, 2)[1] > 0 and _shifted_terms(k, 2, k - 1)[1] > 0
 
 
 def verify_double_star_threshold(k: int) -> bool:
@@ -237,7 +210,7 @@ def verify_double_star_threshold(k: int) -> bool:
     if k < 7:
         raise ParameterError(f"threshold grid is stated for k >= 7, got {k}")
     s = k - _floor_k_minus_sqrt_k(k)  # the least s of the range
-    return s >= 0 and s * s >= k and _denominator_certified(k)
+    return s >= 0 and s * s >= k and verify_denominator_positive(k)
 
 
 def verify_denominator_positive(k: int) -> bool:
@@ -249,7 +222,13 @@ def verify_denominator_positive(k: int) -> bool:
     """
     if k < 7:
         raise ParameterError(f"positivity grid is stated for k >= 7, got {k}")
-    return _denominator_certified(k)
+    # By the second identity, D over the pairs with X + Y = S is smallest at
+    # the most unbalanced one, (2, S-2), since X, Y >= 2 gives |X-Y| <= S-4.
+    # That smallest value is concave in S, so it is positive on 4 <= S <= k+1
+    # iff it is positive at both ends: 2D = 2(k-1)(k^2+k-8) at (2, 2) and
+    # 2D = 4(k+1)(k-2) at (2, k-1).
+    _check_identities()
+    return _shifted_terms(k, 2, 2)[1] > 0 and _shifted_terms(k, 2, k - 1)[1] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,6 @@ class Graph:
         return out
 
     def multiplicity(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
         return self._edges.get(_norm_edge(u, v), 0)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -163,9 +161,7 @@ class Graph:
         return self._adj
 
     def is_connected(self) -> bool:
-        if self._n <= 1:
-            return True
-        return len(self.components()) == 1
+        return len(self.components()) <= 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -332,7 +328,8 @@ def generate(family: str, params: Sequence[int] = ()) -> Graph:
 
 
 def _g6_read_n(data: bytes) -> tuple[int, int]:
-    """Return (n, bytes consumed) from a graph6 header."""
+    """Return (n, bytes consumed) from a graph6 header.  The 8-byte form
+    ("~~") is refused, so n is at most ``_GRAPH6_MAX_N``."""
     if not data:
         raise Graph6ParseError("empty graph6 string", 0)
     b0 = data[0]
@@ -360,8 +357,6 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     data = s.encode("ascii", errors="replace")
     n, pos = _g6_read_n(data)
-    if n > _GRAPH6_MAX_N:
-        raise Graph6ParseError(f"vertex count {n} above supported range", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:

@@ -114,8 +114,6 @@ class WeightedNetwork:
         return self._terminals
 
     def conductance(self, u: int, v: int) -> Fraction:
-        if u == v:
-            return Fraction(0)
         return self._cond.get(_norm_edge(u, v), Fraction(0))
 
     def edge_items(self) -> list[tuple[Pair, Fraction]]:
@@ -127,9 +125,6 @@ class WeightedNetwork:
 
     def components(self) -> list[frozenset[int]]:
         return _components(range(self._n), _adjacency(self._n, self._cond))
-
-    def is_connected(self) -> bool:
-        return self._n <= 1 or len(self.components()) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedNetwork):
@@ -264,7 +259,7 @@ def resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:
     n = net.vertex_count
     if n == 0:
         return []
-    if not net.is_connected():
+    if len(net.components()) > 1:
         raise ConnectivityError("resistance matrix needs a connected network")
     det, m = _grounded_adjugate(net.edge_items(), n)
     pairs = list(combinations(range(n), 2))

@@ -29,7 +29,7 @@ from typing import Iterable
 import networkx as nx
 from hypothesis import strategies as st
 
-from equiarbor.bounds import BoundParams, degree_pair_bound
+from equiarbor.bounds import degree_pair_bound
 from equiarbor.cuts import EdgeCut, _small_degree_sum_rows, cut_from_side
 from equiarbor.equiarboreal import EquiarborealVerdict
 from equiarbor.errors import (
@@ -240,6 +240,42 @@ def sweep_cuts_up_to(g: Graph, max_size: int) -> list[EdgeCut]:
     return cuts
 
 
+def bounded_cut_sides(g: Graph, limit: int) -> list[frozenset[int]]:
+    """Side-A sets (holding vertex 0) of every cut of at most ``limit``
+    edges, sorted by (|A|, lexicographic A): vertices are placed one at a
+    time in BFS order from vertex 0, and a partial placement is dropped once
+    the edges between its two sides exceed ``limit``, since placing more
+    vertices never takes a crossing edge away.  Reaches graphs far past the
+    2^(n-1) walk of ``sweep_cuts_up_to`` when few cuts are small."""
+    n = g.vertex_count
+    dist = bfs_distances(g, 0)
+    order = sorted(range(n), key=lambda v: (dist[v] < 0, dist[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), m in g.edge_items():
+        first, last = sorted((u, v), key=rank.__getitem__)
+        earlier[last].append((first, m))
+    in_a = [False] * n
+    sides = []
+
+    def place(i: int, crossing: int) -> None:
+        if i == n:
+            if not all(in_a):
+                sides.append(frozenset(v for v in range(n) if in_a[v]))
+            return
+        v = order[i]
+        for to_a in (True, False):
+            added = sum(m for u, m in earlier[v] if in_a[u] != to_a)
+            if crossing + added <= limit:
+                in_a[v] = to_a
+                place(i + 1, crossing + added)
+
+    in_a[0] = True
+    place(1, 0)
+    sides.sort(key=lambda a: (len(a), sorted(a)))
+    return sides
+
+
 def exhaustive_max_matching_size(g: Graph) -> int:
     """Maximum matching size by branching on the first uncovered vertex."""
     edges = [e for e, _ in g.edge_items()]
@@ -394,8 +430,9 @@ def scan_denominator_positive(k: int) -> bool:
 
 def row_meets_two_over_k(k: int, x: int, ys: Iterable[int]) -> bool:
     """Whether the shifted bound at (x+1, y+1) is at least 2/k for every y
-    in ys.  N/D >= 2/k is decided as N*k >= 2D, reversed when D < 0; a
-    vanishing D raises BoundParams' DomainError."""
+    in ys.  N/D >= 2/k is decided as N*k >= 2D, reversed when D < 0; D
+    vanishes only outside the bound's domain, so there the pair test raises
+    the DomainError of ``degree_pair_bound``."""
     a, k2 = k - x - 1, 2 * (k + 1)
     for y in ys:
         ab, c = a * (k - y - 1), a - y
@@ -404,7 +441,7 @@ def row_meets_two_over_k(k: int, x: int, ys: Iterable[int]) -> bool:
             if num_k < 2 * den:
                 return False
         elif den == 0:
-            BoundParams.create(k, x + 1, y + 1)  # raises the DomainError
+            degree_pair_bound(k, x + 1, y + 1)  # raises the DomainError
         elif num_k > 2 * den:
             return False
     return True
@@ -586,16 +623,9 @@ def with_resistance(net: WeightedNetwork, u: int, v: int, r: Fraction | int
 
 
 def valid_degree_pairs(k: int) -> list[tuple[int, int]]:
-    """Every (x, y) in 1..k-1 with x + y <= k + 1 whose bound denominator
-    2ab(k+1) - kc^2 (a = k-x, b = k-y, c = k-x-y+1) is nonzero: the domain
-    ``BoundParams.create`` accepts at degree k >= 3."""
-    pairs = []
-    for x in range(1, k):
-        for y in range(1, min(k, k + 2 - x)):
-            a, b, c = k - x, k - y, k - x - y + 1
-            if 2 * a * b * (k + 1) - k * c * c != 0:
-                pairs.append((x, y))
-    return pairs
+    """Every (x, y) in 1..k-1 with x + y <= k + 1: the domain
+    ``degree_pair_bound`` accepts at degree k >= 3."""
+    return [(x, y) for x in range(1, k) for y in range(1, min(k, k + 2 - x))]
 
 
 # ---------------------------------------------------------------------------

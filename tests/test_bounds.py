@@ -1,14 +1,15 @@
 """The reduced-cut-network bound, its oracle identities, and grid checks."""
 
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiarbor import bounds, exactalg
 from equiarbor.bounds import (
-    BoundParams,
     closed_form,
     cut_lower_bound,
     degree_pair_bound,
@@ -21,7 +22,7 @@ from equiarbor.bounds import (
 from equiarbor.cuts import _small_degree_sum_rows, cut_from_side
 from equiarbor.errors import DomainError, ParameterError, PreconditionError, VerificationError
 from equiarbor.graphs import Graph, generate
-from equiarbor.resistance import WeightedNetwork, _potentials, resistance
+from equiarbor.resistance import WeightedNetwork, _potentials, resistance, resistance_matrix
 
 import oracles
 
@@ -63,6 +64,31 @@ def test_degree_pair_bound_domain():
         degree_pair_bound(7, 5, 5)  # x + y > k + 1
     with pytest.raises(ParameterError):
         degree_pair_bound(2, 1, 1)
+
+
+@pytest.mark.parametrize("k, x, y, error, message", [
+    (2, 0, 9, ParameterError, "degree k = 2 < 3"),
+    (7, 0, 9, ParameterError, "cut-graph degrees must be >= 1, got (0, 9)"),
+    (7, 7, 5, DomainError, "degrees (7, 5) exceed k-1 = 6; the collapsed side would "
+     "have no internal edges"),
+    (7, 5, 4, DomainError, "x + y = 9 > k+1 = 8: the reduced network would need a "
+     "negative fixed edge, outside the proven validity range"),
+])
+def test_domain_check_order_and_messages(k, x, y, error, message):
+    # Each input breaks every later check too, so the first check wins.
+    for refuse in (degree_pair_bound, reduced_cut_network, kirchhoff_cross_check):
+        with pytest.raises(error) as info:
+            refuse(k, x, y)
+        assert str(info.value) == message
+
+
+def test_denominator_is_at_least_k_plus_2_times_ab_on_the_domain():
+    # 0 <= c <= min(a, b) gives c^2 <= ab, so D >= (k+2)ab > 0: the bound's
+    # denominator never vanishes where the domain check lets a pair through.
+    for k in range(3, 60):
+        for x, y in oracles.valid_degree_pairs(k):
+            a, b = k - x, k - y
+            assert bounds._shifted_terms(k, x, y)[1] >= (k + 2) * a * b > 0, (k, x, y)
 
 
 def test_star_leaf_specialization():
@@ -179,8 +205,10 @@ def test_certificate_matches_integer_walk():
 def test_shifted_terms_are_the_bound_numerator_and_denominator():
     for k in range(7, 31):
         for x, y in oracles.valid_degree_pairs(k):
-            p = BoundParams.create(k, x, y)
-            assert bounds._shifted_terms(k, x, y) == (p.numerator, p.denominator)
+            a, b, c = k - x, k - y, k - x - y + 1
+            n, d = bounds._shifted_terms(k, x, y)
+            assert (n, d) == (4 * a * b - c * c, 2 * a * b * (k + 1) - k * c * c)
+            assert degree_pair_bound(k, x, y) == Fraction(n, d)
 
 
 def test_identity_grid_checks_every_identity_on_64_points(monkeypatch):
@@ -312,10 +340,10 @@ def test_integer_pair_test_matches_fraction_bound():
         for x in range(1, k):
             for y in range(1, k):
                 try:
-                    BoundParams.create(k, x + 1, y + 1)
+                    bound = degree_pair_bound(k, x + 1, y + 1)
                 except DomainError:
                     continue
-                meets = degree_pair_bound(k, x + 1, y + 1) >= Fraction(2, k)
+                meets = bound >= Fraction(2, k)
                 assert oracles.row_meets_two_over_k(k, x, (y,)) == meets, (k, x, y)
                 outcomes.add(meets)
                 below_outside += not meets and (x, y) not in inside and k < 30
@@ -339,8 +367,8 @@ def test_integer_pair_test_sign_of_denominator():
                 assert (oracles.row_meets_two_over_k(k, x, (y,))
                         == (Fraction(num, den) >= Fraction(2, k))), (k, x, y)
     assert negative > 0
-    # (k, x, y) = (8, 5, 5) zeroes the denominator; like the bound at
-    # (8, 6, 6), the pair test raises BoundParams' DomainError.
+    # (k, x, y) = (8, 5, 5) zeroes the denominator, outside the bound's
+    # domain; like the bound at (8, 6, 6), the pair test raises DomainError.
     with pytest.raises(DomainError):
         degree_pair_bound(8, 6, 6)
     with pytest.raises(DomainError):
@@ -476,3 +504,66 @@ def test_cut_lower_bound_preconditions():
     with pytest.raises(PreconditionError):
         cut_lower_bound(generate("star", (5,)),
                         cut_from_side(generate("star", (5,)), {0, 1}), 3)
+
+
+# ---------------------------------------------------------------------------
+# The cut lemma on real graphs
+
+
+def _clique_pair(k: int, m: int) -> Graph:
+    """Two copies of K_{k+1}, each without the m-edge matching 01, 23, ...;
+    the 2m freed endpoints of one copy are matched to those of the other,
+    so the graph is k-regular with a non-trivial cut of 2m edges."""
+    n = k + 1
+    gone = {(2 * i, 2 * i + 1) for i in range(m)}
+    edges = [(side + u, side + v) for side in (0, n)
+             for u in range(n) for v in range(u + 1, n) if (u, v) not in gone]
+    return Graph(2 * n, edges + [(i, n + i) for i in range(2 * m)])
+
+
+def _cut_lemma_hosts() -> list[Graph]:
+    """Every connected regular atlas graph of degree >= 3, the two-block
+    hosts above, and the clique pairs for k = 7..12 and m <= k/2."""
+    hosts = [Graph(ref.number_of_nodes(), list(ref.edges())) for ref in nx.graph_atlas_g()]
+    hosts = [g for g in hosts if (g.is_regular() or 0) >= 3 and g.is_connected()]
+    hosts += [_two_blocks_matching_cut()[0], _five_regular_pendant_star_host()[0]]
+    return hosts + [_clique_pair(k, m) for k in range(7, 13) for m in range(1, k // 2 + 1)]
+
+
+def test_bounded_cut_sides_match_the_bipartition_sweep():
+    for g in _cut_lemma_hosts():
+        if g.vertex_count <= 10:
+            k = g.is_regular()
+            assert oracles.bounded_cut_sides(g, k) == [
+                cut.side_a for cut in oracles.sweep_cuts_up_to(g, k)], g
+
+
+def test_cut_lemma_on_regular_hosts():
+    # In a k-regular graph, every crossing edge uv of a non-trivial cut of
+    # at most k edges, with cut-graph degrees (x, y), has R(u, v) >=
+    # bound(k, x, y).  Such a cut has x + y - 1 <= k, so no pair is refused.
+    checked, tight = 0, []
+    for g in _cut_lemma_hosts():
+        k = g.is_regular()
+        omega = resistance_matrix(oracles.network_from_graph(g))
+        for side in oracles.bounded_cut_sides(g, k):
+            cut = cut_from_side(g, side)
+            if cut.is_trivial:
+                continue
+            degree = Counter(v for edge in cut.crossing for v in edge)
+            for u, v in cut.crossing:
+                bound = degree_pair_bound(k, degree[u], degree[v])
+                assert omega[u][v] >= bound, (g, u, v)
+                checked += 1
+                if omega[u][v] == bound:
+                    tight.append((g, (u, v)))
+    assert checked == 415
+    # Only the prism's three rungs meet the bound: removing them leaves two
+    # triangles, and each rung has R = 3/5 = bound(3, 1, 1).
+    (prism,) = {g for g, _ in tight}
+    rungs = [edge for _, edge in tight]
+    triangles = Graph(6, [e for e in prism.edge_list() if e not in rungs])
+    assert len(rungs) == 3 and prism.vertex_count == 6 and prism.is_regular() == 3
+    assert sorted(map(len, triangles.components())) == [3, 3]
+    assert triangles.edge_count == 6
+    assert degree_pair_bound(3, 1, 1) == Fraction(3, 5)

@@ -48,6 +48,19 @@ def test_multiplicity_accumulates():
     assert not g.is_simple
 
 
+def test_multiplicity_of_a_vertex_with_itself_is_zero():
+    # The constructor refuses loops, so no (u, u) entry is ever stored.
+    g = Graph(3, [(0, 1), (1, 2, 3)])
+    assert [g.multiplicity(u, u) for u in range(3)] == [0, 0, 0]
+    assert not g.has_edge(1, 1)
+
+
+def test_graphs_below_two_vertices_are_connected():
+    assert Graph(0).is_connected() and Graph(0).components() == []
+    assert Graph(1).is_connected()
+    assert not Graph(2).is_connected()
+
+
 @pytest.mark.parametrize("family,params,n,m,k", [
     ("complete", (4,), 4, 6, 3),
     ("complete", (5,), 5, 10, 4),

@@ -1,0 +1,150 @@
+"""Input checks no other test reaches: each refusal's exception class and
+message, and for the CLI its exit code 2 and stderr line."""
+
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+from equiarbor import bounds, cuts, equiarboreal, graphs, schemes, transform
+from equiarbor.cli import run_command
+from equiarbor.errors import Graph6ParseError, ParameterError, PreconditionError
+from equiarbor.graphs import Graph, generate
+from equiarbor.resistance import (
+    WeightedNetwork,
+    network_from_json_dict,
+    resistance,
+    spanning_tree_count,
+    w_sum,
+)
+from equiarbor.transform import SEquivalence
+
+EDGE = WeightedNetwork(3, {(0, 1): 1})  # vertex 2 is isolated
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["analyze"], {}, "either a graph file or --family is required"),
+    (["transform", "--eliminate", "1"], {}, "--eliminate needs a network file"),
+    (["scheme"], {}, "a scheme table file or --from-distance is required"),
+    (["verify", "claims", "--k-range", "7-40"], {}, "bad --k-range '7-40'; expected A..B"),
+    (["survey", "manifest.json"], {"manifest.json": '{"graphs": []}'},
+     "manifest must be a JSON array"),
+    (["resist", "bad_r.json", "0", "1"],
+     {"bad_r.json": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "r": "x"}]})},
+     "not a rational literal: 'x'"),
+], ids=["no-graph", "eliminate-without-network", "scheme-without-input",
+        "k-range-without-dots", "manifest-object", "network-r-unparsable"])
+def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(argv, out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # graphs
+    (lambda: Graph(-1), ParameterError, "negative vertex count"),
+    (lambda: generate("complete", (0,)), ParameterError, "complete(n) needs n >= 1"),
+    (lambda: generate("cycle", (2,)), ParameterError, "cycle(n) needs n >= 3"),
+    (lambda: generate("star", (1,)), ParameterError, "star(n) needs n >= 2"),
+    (lambda: generate("double_star", (0, 1)), ParameterError,
+     "double_star(m, n) needs m, n >= 1"),
+    (lambda: generate("hypercube", (0,)), ParameterError, "hypercube(d) needs d >= 1"),
+    (lambda: graphs.parse_graph6("~~~~"), Graph6ParseError,
+     "graphs above 258047 vertices are unsupported (byte offset 1)"),
+    (lambda: graphs.parse_graph6("~??"), Graph6ParseError,
+     "truncated extended header (byte offset 3)"),
+    (lambda: graphs.parse_graph6("~? ?"), Graph6ParseError,
+     "bad header byte 32 (byte offset 2)"),
+    # The largest 4-byte header decodes to 258047 vertices, the supported top.
+    (lambda: graphs.parse_graph6("~}~~"), Graph6ParseError,
+     "bit vector needs 5548999681 bytes, found 0 (byte offset 4)"),
+    (lambda: graphs.emit_graph6(Graph(2, [(0, 1, 2)])), ParameterError,
+     "graph6 cannot encode multiplicities"),
+    (lambda: graphs.emit_graph6(Graph(258048)), ParameterError,
+     "vertex count 258048 above supported range"),
+    (lambda: graphs.parse_edge_list("3 1\n0 1 2\n"), ParameterError,
+     "bad edge line '0 1 2'"),
+    (lambda: graphs.identify_vertices(generate("cycle", (5,)), [{0, 1}, set()]),
+     ParameterError, "empty identification group"),
+    (lambda: graphs.identify_vertices(generate("cycle", (5,)), [{0, 5}]),
+     ParameterError, "vertex 5 out of range"),
+    # resistance
+    # Two loop entries that cancel would leave the constructor no loop to see.
+    (lambda: WeightedNetwork.from_resistances(3, [(0, 1, 1), (2, 2, 1), (2, 2, -1)]),
+     ParameterError, "loop at vertex 2"),
+    (lambda: spanning_tree_count(Graph(0)), ParameterError,
+     "spanning trees of the empty graph are undefined"),
+    (lambda: resistance(EDGE, 0, 3), ParameterError,
+     "probe vertex out of range 0..2"),
+    (lambda: resistance(EDGE, -1, 1), ParameterError,
+     "probe vertex out of range 0..2"),
+    (lambda: w_sum(EDGE, 3), ParameterError, "vertex 3 out of range"),
+    (lambda: network_from_json_dict(
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "r": "1/0"}]}), ParameterError,
+     "zero denominator: '1/0'"),
+    # schemes
+    (lambda: schemes.scheme_from_distance_partition(Graph(2, [(0, 1, 2)])),
+     ParameterError, "distance partition needs a simple graph"),
+    (lambda: schemes.parse_scheme_table("2 1\n0 1\n0 0\n"), ParameterError,
+     "row 1 should list 1 upper-triangular entries"),
+    (lambda: schemes.parse_scheme_table("2 2\n0 1\n0\n"), ParameterError,
+     "header declares 2 classes but the table uses 1"),
+    # transform
+    (lambda: transform.eliminate_vertex(EDGE, 3), ParameterError, "vertex 3 out of range"),
+    (lambda: transform.s_equivalent(EDGE, EDGE, []), ParameterError, "empty terminal set"),
+    (lambda: transform.s_equivalent(WeightedNetwork(2, {(0, 1): 1}), EDGE, [0, 2]),
+     ParameterError, "terminal 2 missing from a network"),
+    (lambda: transform.substitute_network(EDGE, [], WeightedNetwork(1, {}), [0, 1]),
+     ParameterError, "more attachment points than replacement vertices"),
+    # cuts
+    (lambda: cuts.minimum_cuts(Graph(1)), ParameterError,
+     "minimum cuts need at least 2 vertices"),
+    (lambda: cuts.cuts_up_to(generate("petersen"), 4), ParameterError,
+     "only minimum cuts are enumerated; 4 exceeds lambda = 3"),
+    # bounds
+    (lambda: bounds.star_leaf_bound(7, 2), ParameterError,
+     "pendant star needs order x >= 3, got 2"),
+    (lambda: bounds.cut_lower_bound(generate("petersen"), cuts.cut_from_side(
+        generate("petersen"), range(5)), 3), PreconditionError, "cut has 5 > k = 3 edges"),
+    # equiarboreal
+    (lambda: equiarboreal.EquiarborealVerdict(True, None, None), ParameterError,
+     "positive verdict must carry omega only"),
+    (lambda: equiarboreal.EquiarborealVerdict(
+        True, Fraction(1), ((0, 1), (1, 2), Fraction(1), Fraction(2))), ParameterError,
+     "positive verdict must carry omega only"),
+    (lambda: equiarboreal.EquiarborealVerdict(False, None, None), ParameterError,
+     "negative verdict must carry a witness"),
+], ids=["graph-negative", "complete-0", "cycle-2", "star-1", "double-star-0-1",
+        "hypercube-0", "graph6-eight-byte-header", "graph6-truncated-extended-header", "graph6-bad-extended-header-byte",
+        "graph6-largest-header", "emit-graph6-multigraph", "emit-graph6-too-large",
+        "edge-list-bad-line", "identify-empty-group", "identify-out-of-range",
+        "from-resistances-loop", "spanning-trees-empty", "probe-above-range",
+        "probe-below-range", "w-sum-out-of-range", "network-json-zero-denominator",
+        "distance-partition-multigraph", "scheme-row-length", "scheme-class-count",
+        "eliminate-out-of-range", "s-equivalent-empty", "s-equivalent-missing-terminal",
+        "substitute-attachments", "minimum-cuts-one-vertex",
+        "cuts-up-to-above-lambda", "star-leaf-order-2", "cut-above-k",
+        "positive-verdict-without-omega", "positive-verdict-with-witness",
+        "negative-verdict-without-witness"])
+def test_library_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_graph6_prefix_is_stripped():
+    assert graphs.parse_graph6(">>graph6<<C~") == generate("complete", (4,))
+    assert graphs.parse_graph6(">>graph6<<C~\n") == graphs.parse_graph6("C~")
+
+
+def test_s_equivalent_reports_a_disconnected_terminal_pair():
+    # Infinite resistance is a value of its own: None in the witness.
+    path = WeightedNetwork(3, {(0, 1): 1, (1, 2): 1})
+    assert transform.s_equivalent(EDGE, EDGE, [0, 2]) == SEquivalence(True, None)
+    assert transform.s_equivalent(EDGE, path, [0, 2]) == SEquivalence(
+        False, (0, 2, None, Fraction(2)))

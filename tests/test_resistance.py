@@ -327,6 +327,21 @@ def test_foster_sum_values():
     assert foster_sum(Graph(3, [(0, 1, 2), (1, 2), (0, 2, 3)])) == 2
 
 
+def test_resistance_matrix_below_two_vertices_and_disconnected():
+    assert resistance_matrix(WeightedNetwork(0, {})) == []
+    assert resistance_matrix(WeightedNetwork(1, {})) == [[0]]
+    with pytest.raises(ConnectivityError) as info:
+        resistance_matrix(WeightedNetwork(3, {(0, 1): 1}))
+    assert str(info.value) == "resistance matrix needs a connected network"
+
+
+def test_conductance_of_a_vertex_to_itself_is_zero():
+    # The constructors refuse loops, so no (u, u) entry is ever stored.
+    net = WeightedNetwork.from_resistances(3, [(0, 1, 2), (1, 2, 1), (0, 1, 2)])
+    assert [net.conductance(u, u) for u in range(3)] == [0, 0, 0]
+    assert net.conductance(1, 0) == 1
+
+
 def test_foster_sum_disconnected():
     with pytest.raises(ConnectivityError):
         foster_sum(Graph(3, [(0, 1)]))
