@@ -25,7 +25,7 @@ from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal
 from .errors import (ConnectivityError, DimensionError, EquiarborError,
                      PreconditionError, ScaleError, VerificationError)
-from .exactalg import _check_size, format_rational
+from .exactalg import _check_size, format_rational, json_text
 from .graphs import Graph, fact_scope, generate, member_size, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
 
@@ -65,7 +65,7 @@ def _emit(args: argparse.Namespace, payload: dict, stdout: TextIO) -> None:
                 value = json.dumps(value, separators=(",", ":"))
             print(f"{key}: {value}", file=stdout)
     else:
-        stdout.write(json.dumps(payload, indent=2) + "\n")
+        stdout.write(json_text(payload) + "\n")
 
 
 def _cmd_analyze(args, stdout, stderr) -> int:
@@ -115,6 +115,12 @@ def _cut_to_json(cut: cuts.EdgeCut) -> dict:
     }
 
 
+@functools.cache
+def _pair_labels(size: int) -> tuple[str, ...]:
+    """The ``"x,y"`` keys of a classification's double-star map, in its order."""
+    return tuple(f"{x},{y}" for x, y in cuts._degree_sum_pairs(size))
+
+
 def _cmd_cut(args, stdout, stderr) -> int:
     g = _graph_from_args(args)
     listed = args.enumerate or args.classify
@@ -150,10 +156,9 @@ def _cmd_cut(args, stdout, stderr) -> int:
                 "b1Size": cls.b1_size,
                 "k2ComponentFree": cls.k2_component_free,
                 "minDegreeInCutGraph": cls.min_degree_in_cut_graph,
-                "stronglySxFree": {str(x): ok for x, ok
-                                   in sorted(cls.strongly_sx_free.items())},
-                "stronglySxyFree": {f"{x},{y}": ok for (x, y), ok
-                                    in sorted(cls.strongly_sxy_free.items())},
+                "stronglySxFree": {str(x): ok for x, ok in cls.strongly_sx_free.items()},
+                "stronglySxyFree": dict(zip(_pair_labels(c.size),
+                                            cls.strongly_sxy_free.values())),
             })
         payload["classifications"] = classifications
     payload["theorem"] = theorem

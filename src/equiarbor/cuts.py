@@ -316,9 +316,16 @@ def classify_cut(g: Graph, cut: EdgeCut) -> CutClassification:
     return _classify_cut(cut)
 
 
+@functools.cache
+def _degree_sum_pairs(size: int) -> tuple[tuple[int, int], ...]:
+    """Every (x, y) with x, y >= 1 and x + y <= size, in increasing order."""
+    return tuple((x, y) for x in range(1, size) for y in range(1, size - x + 1))
+
+
 def _classify_cut(cut: EdgeCut) -> CutClassification:
     """``classify_cut`` of a cut built by ``_cut``, unchecked; the adjacency
-    covers the cut graph's vertices only."""
+    covers the cut graph's vertices only.  Both star maps hold their keys in
+    increasing order."""
     deg = _cut_graph_degrees(cut)
     adj: dict[int, set[int]] = {v: set() for v in deg}
     for u, v in cut.crossing:
@@ -337,8 +344,10 @@ def _classify_cut(cut: EdgeCut) -> CutClassification:
     degree_pairs = {(deg[u], deg[v]) for (u, v) in cut.crossing}
     # A K2 component is a crossing edge whose ends meet no other.
     k2_free = (1, 1) not in degree_pairs
-    sxy_free = {(x, y): (x + 1, y + 1) not in degree_pairs
-                for x in range(1, size) for y in range(1, size - x + 1)}
+    sxy_free = dict.fromkeys(_degree_sum_pairs(size), True)
+    for x, y in degree_pairs:  # a degree-1 end or parallel edges fall outside
+        if (x - 1, y - 1) in sxy_free:
+            sxy_free[x - 1, y - 1] = False
 
     return CutClassification(
         is_trivial=cut.is_trivial,

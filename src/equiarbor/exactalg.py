@@ -21,6 +21,8 @@ have swapped no rows, so both give the same ``det`` and ``det A^-1 B``.
 
 The public functions take a matrix as a sequence of rows of ``Fraction``
 or int, leave it unchanged, and are pure; :func:`invert` returns rows.
+Results leave as text: :func:`format_rational` writes a rational and
+:func:`json_text` every JSON document the command line prints.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import DimensionError, SingularSystemError, VerificationError
@@ -51,6 +54,42 @@ def format_rational(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+#: The writer of each leaf type.  Dispatch on the exact type keeps True and 1
+#: apart, and sends a float, a ``Fraction`` or a set on to ``TypeError``.
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+
+
+def json_text(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, written directly.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set; this
+    writer gives the same bytes about twice as fast.  Strings and keys go
+    through the same ASCII escape ``json.dumps`` uses, ints through
+    ``int.__repr__``.  Any other leaf type, and a dict key that is not a
+    ``str``, raises ``TypeError``; rationals reach a payload as strings.
+    ``newline`` is the line break and indent of the enclosing level.
+    """
+    if (leaf := _JSON_LEAVES.get(type(value))) is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [leaf(v) if (leaf := _JSON_LEAVES.get(type(v))) else json_text(v, inner)
+                 for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + (
+                     leaf(v) if (leaf := _JSON_LEAVES.get(type(v))) else json_text(v, inner))
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def parse_rational(text: str) -> Rational:

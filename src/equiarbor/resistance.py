@@ -38,7 +38,7 @@ from .errors import (
     SingularNetworkError,
     SingularSystemError,
 )
-from .exactalg import Rational, format_rational, parse_rational
+from .exactalg import Rational, format_rational, json_text, parse_rational
 from .graphs import (
     _GRAPH6_MAX_N,
     Graph,
@@ -257,8 +257,6 @@ def resistance_matrix(net: WeightedNetwork) -> list[list[Fraction]]:
     M = det L^-1, with the grounded row and column read as zero.
     """
     n = net.vertex_count
-    if n == 0:
-        return []
     if len(net.components()) > 1:
         raise ConnectivityError("resistance matrix needs a connected network")
     det, m = _grounded_adjugate(net.edge_items(), n)
@@ -356,4 +354,4 @@ def load_network(path: str) -> WeightedNetwork:
 
 
 def dump_network(net: WeightedNetwork) -> str:
-    return json.dumps(network_to_json_dict(net), indent=2) + "\n"
+    return json_text(network_to_json_dict(net)) + "\n"

@@ -20,7 +20,6 @@ exactly when some entry failed.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .catalog import GraphCatalogEntry, entry_from_manifest
 from .cuts import edge_connectivity, verify_degree_connectivity
 from .equiarboreal import check_equiarboreal
 from .errors import EquiarborError
-from .exactalg import format_rational
+from .exactalg import format_rational, json_text
 from .graphs import fact_scope
 from .matching import has_perfect_matching
 from .schemes import scheme_from_distance_partition, verify_godsil_theorems
@@ -133,7 +132,7 @@ class SurveyReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json_text(self.to_json_dict()) + "\n"
 
 
 def _survey_entry(entry: GraphCatalogEntry) -> SurveyEntry:

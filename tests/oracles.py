@@ -22,6 +22,7 @@ import inspect
 import random
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -238,6 +239,17 @@ def sweep_cuts_up_to(g: Graph, max_size: int) -> list[EdgeCut]:
     cuts = [cut_from_side(g, side) for side in hits]
     cuts.sort(key=lambda c: (len(c.side_a), sorted(c.side_a)))
     return cuts
+
+
+def strongly_sxy_free(cut: EdgeCut) -> dict[tuple[int, int], bool]:
+    """The double-star map of a cut graph, by comprehension over every pair:
+    (x, y) with x, y >= 1 and x + y <= |C| is False exactly when a crossing
+    edge joins ends of cut-graph degrees x + 1 and y + 1."""
+    deg = Counter(v for edge in cut.crossing for v in edge)
+    degree_pairs = {(deg[u], deg[v]) for (u, v) in cut.crossing}
+    size = cut.size
+    return {(x, y): (x + 1, y + 1) not in degree_pairs
+            for x in range(1, size) for y in range(1, size - x + 1)}
 
 
 def bounded_cut_sides(g: Graph, limit: int) -> list[frozenset[int]]:

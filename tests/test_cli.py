@@ -617,6 +617,43 @@ def test_text_format_prints_nested_values_as_json():
                    "lambda: 3\n")
 
 
+def test_every_json_document_is_indented_json_dumps(tmp_path):
+    # One writer prints every document; each must read back to the same bytes.
+    table = tmp_path / "c5.scheme"
+    table.write_text(format_scheme_table(scheme_from_distance_partition(generate("cycle", (5,)))))
+    network = tmp_path / "path.json"
+    network.write_text(dump_network(WeightedNetwork.from_resistances(
+        3, [(0, 1, 1), (1, 2, 1)], terminals=(0, 2))))
+    manifest = tmp_path / "cat.json"
+    manifest.write_text(json.dumps([
+        {"name": "ok", "format": "generator", "payload": {"family": "cycle", "params": [5]}},
+        {"name": "broken", "format": "graph6", "payload": "C~", "expected_regularity": 4},
+    ]))
+    classify = ["--enumerate", "--classify"]
+    calls = [
+        (["analyze", "--family", "petersen"], 0),
+        (["analyze", "--family", "triangular_prism"], 0),
+        (["cut", "--family", "complete", "--params", "20", *classify], 0),
+        (["cut", "--family", "johnson", "--params", "6", "3", *classify], 0),
+        (["cut", "--family", "cycle", "--params", "12", *classify], 0),
+        (["cut", "--family", "petersen", *classify], 0),
+        (["cut", "--family", "star", "--params", "6", *classify], 0),
+        (["scheme", str(table), "--verify-godsil"], 0),
+        (["scheme", "--family", "triangular_prism", "--verify-godsil"], 1),
+        (["matching", "--family", "petersen"], 0),
+        (["matching", "--family", "star", "--params", "6"], 0),
+        (["verify", "claims", "--k-range", "3..40"], 0),
+        (["--deterministic", "survey"], 0),
+        (["--deterministic", "survey", str(manifest)], 1),
+        (["transform", "--bipartite", "3", "4"], 0),
+        (["transform", str(network), "--eliminate", "1"], 0),
+    ]
+    for argv, want in calls:
+        code, out, _ = run(argv)
+        assert code == want, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 def test_analyze_refuses_an_over_limit_family_member_before_building_it(monkeypatch):
     def refuse(*params):
         pytest.fail("the over-limit member was built")

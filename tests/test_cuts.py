@@ -581,6 +581,24 @@ def test_classification_on_multigraphs(g, data):
     assert dict(cls.strongly_sxy_free) == sxy
 
 
+def test_double_star_map_matches_the_comprehension_in_key_order():
+    # The map is built from cached keys in increasing order, which cut
+    # --classify's JSON relies on; cut sizes 2..19.
+    hosts = [Graph(ref.number_of_nodes(), list(ref.edges())) for ref in nx.graph_atlas_g()]
+    hosts = [g for g in hosts if (g.is_regular() or 0) >= 2 and g.is_connected()]
+    hosts += [generate("complete", (20,)), generate("johnson", (6, 3)), generate("cycle", (12,))]
+    sizes = set()
+    for g in hosts:
+        for cut in minimum_cuts(g):
+            cls = cuts_module._classify_cut(cut)
+            want = oracles.strongly_sxy_free(cut)
+            assert list(cls.strongly_sxy_free.items()) == list(want.items())
+            assert list(want) == sorted(want)
+            assert list(cls.strongly_sx_free) == sorted(cls.strongly_sx_free)
+            sizes.add(cut.size)
+    assert (min(sizes), max(sizes)) == (2, 19)
+
+
 def test_classify_rejects_stale_crossing():
     g = generate("cycle", (6,))
     cut = cut_from_side(g, {0, 1})

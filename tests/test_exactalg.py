@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants, solves, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from equiarbor.exactalg import (
     determinant,
     format_rational,
     invert,
+    json_text,
     parse_rational,
     solve,
 )
@@ -318,3 +320,35 @@ def test_parse_rational():
     for bad in ("3/-5", "1.5", "", "a/b", "3/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+#: Every value the JSON writer accepts: text with control, non-ASCII and
+#: lone surrogate characters, ints far past 64 bits, and nested containers.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-2**200, max_value=2**200)
+    | st.text(st.characters(exclude_categories=())),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4),
+                                     inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_text_equals_indented_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_writes_empty_containers_and_keeps_bools_apart():
+    assert json_text({"a": [], "b": {}, "c": ()}) == json.dumps(
+        {"a": [], "b": {}, "c": ()}, indent=2)
+    assert json_text(True) == "true"
+    assert json_text(1) == "1"
+    assert json_text([True, 1, False, 0, None]) == json.dumps([True, 1, False, 0, None], indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, [{"a": 0.0}],
+                                   {None: 1}, {True: 1}, {(1, 2): 3}])
+def test_json_text_refuses_what_no_payload_holds(value):
+    with pytest.raises(TypeError):
+        json_text(value)
