@@ -190,6 +190,13 @@ def _cmd_scheme(args, stdout, stderr) -> int:
             g = _load_graph_file(args.from_distance)
         else:
             g = generate(args.family, tuple(args.params or ()))
+        # The class count is the diameter, at least vertex 0's eccentricity:
+        # one BFS row can refuse before the n x n table is built.  A row that
+        # misses a vertex is left to the table's connectivity check.
+        row = schemes._distances_from(g, 0) if g.vertex_count else [0]
+        if min(row) >= 0 and (ecc := max(row)) > SCHEME_CLASS_LIMIT:
+            raise ScaleError(
+                f"at least {ecc} classes exceed the scheme class limit {SCHEME_CLASS_LIMIT}")
         table = schemes.distance_table(g)
     else:
         if not args.input:

@@ -14,10 +14,14 @@ residual identity ``(D A)(det A^-1 B) == det (D B)`` before it returns
 When ``D A`` is symmetric, as every Laplacian is, :func:`integer_solve`
 first tries a pivot-free symmetric Bareiss pass: forward elimination on the
 upper triangle, fraction-free back substitution, and for an inverse only the
-entries with i >= j, mirrored.  A zero leading minor, which only negative
-conductances can produce, sends it back to the pivoted elimination from the
-untouched rows.  Where the symmetric pass succeeds the pivoted one would
-have swapped no rows, so both give the same ``det`` and ``det A^-1 B``.
+entries with i >= j, mirrored.  A step leaves a row whose multiplier is zero
+untouched, so a row holds its entries as of the step it was last touched
+and is brought forward by one exact scaling when it is next needed; sparse
+rows, as in a nodal solve in degree order, skip most steps.  A zero leading
+minor, which only negative conductances can produce, sends it back to the
+pivoted elimination from the untouched rows.  Where the symmetric pass
+succeeds the pivoted one would have swapped no rows, so both give the same
+``det`` and ``det A^-1 B``.
 
 The public functions take a matrix as a sequence of rows of ``Fraction``
 or int, leave it unchanged, and are pure; :func:`invert` returns rows.
@@ -164,7 +168,11 @@ def _symmetric_eliminate(rows: Sequence[list[int]]
     The Bareiss entry ``a[i][j]`` after k steps is the leading k x k minor
     bordered by row i and column j, so it stays symmetric: forward
     elimination keeps only the upper triangle of A, reading ``a[i][k]`` as
-    ``a[k][i]``, and updates B alongside.  Back substitution is
+    ``a[k][i]``, and updates B alongside.  A step whose multiplier
+    ``a[i][k]`` is zero would only rescale row i by ``pivot / prev``; those
+    quotients telescope, so a row holds its entries as of the step it was
+    last touched, and one exact scaling brings it forward when it next
+    gets a nonzero multiplier or pivots.  Back substitution is
     fraction-free too: ``det * x`` is integral, so each row divides exactly
     by its diagonal pivot.  When B is ``s I`` its eliminated rows stay lower
     triangular and ``det A^-1 B`` is symmetric, so only the entries with
@@ -178,29 +186,42 @@ def _symmetric_eliminate(rows: Sequence[list[int]]
         for i, row in enumerate(rows))
     scale = rows[0][n] if inverse else 0
     upper = [row[i:n] for i, row in enumerate(rows)]
-    # For an inverse, row i of B holds only its columns below the current
-    # step; its diagonal entry is ``scale * prev`` and the rest are zero.
+    # Row i holds its entries as of step[i]; pivots[s] is the divisor of
+    # step s, so ``x * pivots[k] // pivots[s]`` brings an entry from step s
+    # to step k exactly.  For an inverse, row i of B holds only its columns
+    # below step[i]: the columns it has not reached are zero, and a pivot
+    # row's diagonal entry is ``scale * prev``.
     rhs = [[] for _ in rows] if inverse else [row[n:] for row in rows]
-    prev = 1
+    step = [0] * n
+    pivots = [1]
     for k in range(n):
+        prev = pivots[k]
+        if (s := step[k]) != k:
+            old = pivots[s]
+            upper[k] = [x * prev // old for x in upper[k]]
+            rhs[k] = [x * prev // old for x in rhs[k]]
         pivot_row = upper[k]
         pivot = pivot_row[0]
         if not pivot:
             return None
         if inverse:
-            rhs[k].append(scale * prev)
+            rhs[k] += [0] * (k - s) + [scale * prev]
         b_k = rhs[k]
         for i in range(k + 1, n):
-            f = pivot_row[i - k]
-            b_i = rhs[i] + [0] if inverse else rhs[i]
-            if f:
+            if f := pivot_row[i - k]:
+                s, b_i = step[i], rhs[i]
+                if s != k:
+                    old = pivots[s]
+                    upper[i] = [x * prev // old for x in upper[i]]
+                    b_i = [x * prev // old for x in b_i]
+                if inverse:
+                    b_i = b_i + [0] * (k + 1 - s)
                 upper[i] = [(x * pivot - f * y) // prev
                             for x, y in zip(upper[i], pivot_row[i - k:])]
                 rhs[i] = [(x * pivot - f * y) // prev for x, y in zip(b_i, b_k)]
-            else:
-                upper[i] = [x * pivot // prev for x in upper[i]]
-                rhs[i] = [x * pivot // prev for x in b_i]
-        prev = pivot
+                step[i] = k + 1
+        pivots.append(pivot)
+    prev = pivots[n]
     # upper[i] is now row i of the triangular factor and rhs[i] its right
     # side, both as they stood when row i pivoted.
     det_x: list[list[int]] = [[] for _ in rows]

@@ -227,17 +227,23 @@ def resistance(net: WeightedNetwork, u: int, v: int) -> Fraction:
 
 def _potentials(net: WeightedNetwork, u: int, v: int) -> tuple[int, dict[int, int]]:
     """``(det, {vertex: det * potential})`` over the component of u and v
-    except the grounded v, with a unit current injected at u."""
+    except the grounded v, with a unit current injected at u.  The rows go
+    by ascending degree, ties to the smaller vertex; a symmetric reordering
+    changes neither det, with its sign, nor the potentials."""
     n = net.vertex_count
     if not (0 <= u < n and 0 <= v < n):
         raise ParameterError(f"probe vertex out of range 0..{n - 1}")
     if u == v:
         raise ParameterError("identical probe vertices")
-    comp = next(c for c in net.components() if u in c)
+    adj = _adjacency(n, net._cond)
+    comp = _components((u,), adj)[0]
     if v not in comp:
         raise InfiniteResistanceError(
             f"vertices {u} and {v} lie in different components")
-    rows, scales, pos = _reduced_laplacian(net.edge_items(), sorted(comp), grounded=v)
+    # Low degree first (Tinney & Walker 1967): a vertex eliminated early
+    # gives zero multipliers to every row it is not adjacent to.
+    order = sorted(comp, key=lambda x: (len(adj[x]), x))
+    rows, scales, pos = _reduced_laplacian(net.edge_items(), order, grounded=v)
     p = pos[u]
     for i, row in enumerate(rows):
         row.append(scales[p] if i == p else 0)

@@ -233,23 +233,24 @@ def _first_difference(hist, first) -> int:
     return min(ij for ij in keys if hist[ij] != first[ij])
 
 
+def _distances_from(g: Graph, source: int) -> list[int]:
+    """Graph distances from ``source`` by BFS, -1 where unreachable."""
+    dist = [-1] * g.vertex_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 def distance_table(g: Graph) -> list[list[int]]:
     """All-pairs graph distances by BFS; requires a connected graph."""
     require_connected(g, "distance table")
-    n = g.vertex_count
-    table = [[0] * n for _ in range(n)]
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        table[s] = dist
-    return table
+    return [_distances_from(g, s) for s in range(g.vertex_count)]
 
 
 def scheme_from_distance_partition(g: Graph) -> Optional[AssociationScheme]:

@@ -255,17 +255,34 @@ def test_scheme_verifies_the_table_once(monkeypatch):
 
 @pytest.mark.parametrize("n, outcome", [
     (129, "error: reached the axiom check\n"),
-    (130, "error: 65 classes exceed the scheme class limit 64\n"),
+    (130, "error: at least 65 classes exceed the scheme class limit 64\n"),
 ])
 def test_scheme_above_the_class_limit_exits_2(monkeypatch, n, outcome):
-    # C129 has 64 distance classes and reaches the axiom check; C130 has 65
-    # and is refused before it, naming the limit.
+    # C129 has 64 distance classes and reaches the axiom check; C130 has 65,
+    # all seen from vertex 0, and is refused from that one BFS row before
+    # the distance table is built, naming the limit.
     def reached(table):
         raise EquiarborError("reached the axiom check")
 
     monkeypatch.setattr(schemes_module, "verify_scheme", reached)
     code, out, err = run(["scheme", "--family", "cycle", "--params", str(n)])
     assert (code, out, err) == (2, "", outcome)
+
+
+def test_scheme_refuses_a_diameter_above_the_class_limit_from_the_full_table(tmp_path):
+    # A path on 101 vertices numbered from its middle: vertex 0 sees only 50
+    # classes, so the 100 of the diameter are counted in the whole table.
+    order = [50 + (i + 1) // 2 * (-1) ** i for i in range(101)]
+    at = {x: i for i, x in enumerate(order)}
+    path = tmp_path / "path.txt"
+    path.write_text("101 100\n" + "".join(f"{at[x]} {at[x + 1]}\n" for x in range(100)))
+    code, out, err = run(["scheme", "--from-distance", str(path)])
+    assert (code, out, err) == (2, "", "error: 100 classes exceed the scheme class limit 64\n")
+    # A path of 70 from vertex 0 plus an isolated vertex is refused as
+    # disconnected, though vertex 0 alone sees 69 classes.
+    path.write_text("71 69\n" + "".join(f"{x} {x + 1}\n" for x in range(69)))
+    code, out, err = run(["scheme", "--from-distance", str(path)])
+    assert (code, out, err) == (2, "", "error: distance table requires a connected graph\n")
 
 
 def test_cut_non_regular_graph_marks_theorem_inapplicable():

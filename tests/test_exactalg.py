@@ -280,16 +280,23 @@ def test_symmetric_kernel_corruption_fails_the_residual_check(monkeypatch, stage
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
-    st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+    st.integers(0, 4), st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n),
+    st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n))))
 def test_symmetric_kernel_equals_the_pivoted_kernel(case):
     # Random symmetric integer matrices, singular ones and ones with zero
-    # leading minors included; B is s I or one column.
-    n, flat, s, b = case
-    a = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
-    for rows in ([row[:n] + [s * int(i == j) for j in range(n)] for i, row in enumerate(a)],
-                 [row[:n] + [v] for row, v in zip(a, b)]):
+    # leading minors included; B is s I, one column or two.  At sparsity d
+    # an off-diagonal entry survives only when its draw in 0..4 is at least
+    # d, so mostly-zero matrices make rows skip several steps before they
+    # are touched again.
+    n, flat, d, keep, s, b = case
+    a = [[flat[min(i, j) * n + max(i, j)]
+          if i == j or keep[min(i, j) * n + max(i, j)] >= d else 0
+          for j in range(n)] for i in range(n)]
+    for rows in ([row + [s * int(i == j) for j in range(n)] for i, row in enumerate(a)],
+                 [row + [v] for row, v in zip(a, b)],
+                 [row + [v, w] for row, v, w in zip(a, b, b[n:])]):
         before = [list(row) for row in rows]
         solved = exactalg._symmetric_eliminate(rows)
         assert rows == before

@@ -4,7 +4,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,11 +19,13 @@ from equiarbor.errors import (
     InfiniteResistanceError,
     ParameterError,
     SingularNetworkError,
+    SingularSystemError,
     VerificationError,
 )
 from equiarbor.graphs import Graph, generate, identify_vertices
 from equiarbor.resistance import (
     WeightedNetwork,
+    _potentials,
     _reduced_laplacian,
     dump_network,
     foster_sum,
@@ -34,6 +36,7 @@ from equiarbor.resistance import (
     spanning_tree_count,
     w_sum,
 )
+from equiarbor.transform import bipartite_to_double_star
 
 import oracles
 
@@ -220,6 +223,75 @@ def test_corrupt_fallback_fails_the_residual_check(monkeypatch):
     monkeypatch.setattr(exactalg, "_eliminate", corrupted)
     with pytest.raises(VerificationError, match="inverse residual check failed in row 0"):
         resistance_matrix(ZERO_MINOR_NETWORK)
+
+
+def _natural_order_potentials(net, u, v):
+    """``_potentials`` from the rows in natural vertex order, or "singular"."""
+    comp = next(c for c in net.components() if u in c)
+    rows, scales, pos = _reduced_laplacian(net.edge_items(), sorted(comp), v)
+    p = pos[u]
+    try:
+        det, det_y = exactalg.integer_solve(
+            [row + [scales[p] if i == p else 0] for i, row in enumerate(rows)], "solve")
+    except SingularSystemError:
+        return "singular"
+    return det, {x: scales[i] * det_y[i][0] for x, i in pos.items()}
+
+
+def _random_signed_network(rng, n):
+    g = oracles.random_connected_graph(rng, n)
+    return WeightedNetwork.from_resistances(n, [
+        (u, v, rng.choice((-1, 1)) * oracles.random_positive_rational(rng))
+        for (u, v), _ in g.edge_items()])
+
+
+def test_degree_order_nodal_solve_equals_the_natural_order_solve():
+    # Reordering the rows and columns alike keeps det, with its sign, and
+    # every potential; the pivoted fallback runs on either side whenever a
+    # leading minor of that order vanishes.
+    rng = random.Random(29)
+    nets = [oracles.random_positive_network(rng, n) for n in range(2, 15)]
+    nets += [_random_signed_network(rng, n) for n in range(2, 15)]
+    nets += [bipartite_to_double_star(m, n) for m, n in [(1, 2), (2, 3), (3, 4), (4, 6)]]
+    for net in nets:
+        for u, v in permutations(range(net.vertex_count), 2):
+            try:
+                got = _potentials(net, u, v)
+            except SingularNetworkError:
+                got = "singular"
+            assert got == _natural_order_potentials(net, u, v)
+
+
+def test_nodal_solve_corruption_fails_the_residual_check(monkeypatch):
+    symmetric_eliminate = exactalg._symmetric_eliminate
+    reached = []
+
+    def corrupted(rows):
+        det, det_x = symmetric_eliminate(rows)
+        det_x[-1][0] += 1
+        reached.append(len(rows))
+        return det, det_x
+
+    monkeypatch.setattr(exactalg, "_symmetric_eliminate", corrupted)
+    monkeypatch.setattr(exactalg, "_eliminate", None)
+    net = oracles.random_positive_network(random.Random(29), 9)
+    with pytest.raises(VerificationError, match="solve residual check failed in row"):
+        resistance(net, 2, 7)
+    assert reached == [8]
+
+
+def test_zero_leading_minor_of_the_degree_order_takes_the_pivoted_fallback(monkeypatch):
+    # Vertex 0 has the least degree, so it leads the degree order too, and
+    # its conductances +1 and -1 cancel on the diagonal.
+    net = WeightedNetwork.from_resistances(
+        5, [(0, 1, 1), (0, 2, -1), *((a, b, 1) for a, b in combinations(range(1, 5), 2))])
+    eliminate = exactalg._eliminate
+    calls = []
+    monkeypatch.setattr(exactalg, "_eliminate",
+                        lambda rows: calls.append([list(row) for row in rows]) or eliminate(rows))
+    assert resistance(net, 3, 4) == Fraction(1, 2) == oracles.fraction_resistance(net, 3, 4)
+    assert len(calls) == 1
+    assert len(calls[0]) == 4 and calls[0][0][0] == 0
 
 
 def test_positive_rational_network_takes_the_symmetric_kernel(monkeypatch):
