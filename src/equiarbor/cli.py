@@ -203,7 +203,7 @@ def _cmd_scheme(args, stdout, stderr) -> int:
             raise EquiarborError("a scheme table file or --from-distance is required")
         with open(args.input, "r", encoding="utf-8") as fh:
             table = schemes.parse_scheme_table(fh.read())
-    if (classes := max(map(max, table))) > SCHEME_CLASS_LIMIT:
+    if (classes := max(map(max, table), default=0)) > SCHEME_CLASS_LIMIT:
         raise ScaleError(f"{classes} classes exceed the scheme class limit {SCHEME_CLASS_LIMIT}")
     check = schemes.verify_scheme(table)
     payload: dict = {"valid": check.valid}

@@ -76,15 +76,52 @@ def _components(vertices: Iterable[int],
     return comps
 
 
-class Graph:
+class _PairMap:
+    """Vertices ``0..n-1`` and a value per unordered vertex pair, keyed
+    ``(u, v)`` with u < v: the core shared by :class:`Graph` (values are
+    multiplicities) and ``resistance.WeightedNetwork`` (conductances).  A
+    subclass validates its pairs after this constructor has checked the
+    vertex count, and stores them in ``_pairs``."""
+
+    __slots__ = ("_n", "_pairs", "_adj")
+
+    def __init__(self, vertex_count: int):
+        if vertex_count < 0:
+            raise ParameterError("negative vertex count")
+        self._n = vertex_count
+        self._adj: tuple[tuple[int, ...], ...] | None = None  # built on first use
+
+    @property
+    def vertex_count(self) -> int:
+        return self._n
+
+    def edge_items(self) -> list:
+        """(pair, value) in lexicographic pair order."""
+        return sorted(self._pairs.items())
+
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        return self._neighbour_table()[u] if 0 <= u < self._n else ()
+
+    def components(self) -> list[frozenset[int]]:
+        return _components(range(self._n), self._neighbour_table())
+
+    def _neighbour_table(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            self._adj = _adjacency(self._n, self._pairs)
+        return self._adj
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._n}, {self.edge_items()})"
+
+
+class Graph(_PairMap):
     """Immutable undirected multigraph with integer edge multiplicities."""
 
-    __slots__ = ("_n", "_edges", "_degrees", "_adj")
+    __slots__ = ("_degrees",)
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Edge | tuple[int, int, int]] = ()):
-        if vertex_count < 0:
-            raise ParameterError("negative vertex count")
+        super().__init__(vertex_count)
         acc: dict[Edge, int] = {}
         for e in edges:
             if len(e) == 3:
@@ -100,27 +137,17 @@ class Graph:
                 raise ParameterError(f"edge {u}-{v} out of range 0..{vertex_count - 1}")
             key = _norm_edge(u, v)
             acc[key] = acc.get(key, 0) + mult
-        self._n = vertex_count
-        self._edges = acc
+        self._pairs = acc
         degrees = [0] * vertex_count
         for (u, v), m in acc.items():
             degrees[u] += m
             degrees[v] += m
         self._degrees = tuple(degrees)
-        self._adj: tuple[tuple[int, ...], ...] | None = None  # built on first use
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
 
     @property
     def edge_count(self) -> int:
         """Total number of edges counting multiplicity."""
-        return sum(self._edges.values())
-
-    def edge_items(self) -> list[tuple[Edge, int]]:
-        """(edge, multiplicity) pairs in lexicographic edge order."""
-        return sorted(self._edges.items())
+        return sum(self._pairs.values())
 
     def edge_list(self) -> list[Edge]:
         """Edges in lexicographic order, repeated per multiplicity."""
@@ -130,7 +157,7 @@ class Graph:
         return out
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._edges.get(_norm_edge(u, v), 0)
+        return self._pairs.get(_norm_edge(u, v), 0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0
@@ -138,12 +165,9 @@ class Graph:
     def degree(self, u: int) -> int:
         return self._degrees[u]
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._neighbour_table()[u] if 0 <= u < self._n else ()
-
     @property
     def is_simple(self) -> bool:
-        return all(m == 1 for m in self._edges.values())
+        return all(m == 1 for m in self._pairs.values())
 
     def is_regular(self) -> int | None:
         """The common degree, or None if the graph is not regular."""
@@ -152,28 +176,17 @@ class Graph:
         k = self._degrees[0]
         return k if all(d == k for d in self._degrees) else None
 
-    def components(self) -> list[frozenset[int]]:
-        return _components(range(self._n), self._neighbour_table())
-
-    def _neighbour_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            self._adj = _adjacency(self._n, self._edges)
-        return self._adj
-
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._pairs == other._pairs
 
     def __hash__(self) -> int:
         # Cheap and consistent with __eq__, which decides equality.
         return hash((self._n, self._degrees))
-
-    def __repr__(self) -> str:
-        return f"Graph({self._n}, {self.edge_items()})"
 
 
 # ---------------------------------------------------------------------------

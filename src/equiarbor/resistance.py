@@ -1,8 +1,10 @@
 """Exact effective resistances and spanning-tree counts.
 
 A :class:`WeightedNetwork` stores conductances (1/resistance) per unordered
-vertex pair.  Its constructor raises on a duplicate pair; ``from_resistances``
-and ``transform.substitute_network`` merge parallel edges by conductance
+vertex pair, on the pair-map core it shares with ``Graph``, so its neighbour
+table is built once and kept.  Its constructor raises on a duplicate pair
+and drops a zero conductance; ``from_resistances`` and
+``transform.substitute_network`` merge parallel edges by conductance
 addition.  An absent entry models an edge of infinite resistance, and a zero
 resistance is rejected (identify the endpoints instead).  Negative
 resistances are legal: some terminal-preserving transformations introduce
@@ -39,27 +41,19 @@ from .errors import (
     SingularSystemError,
 )
 from .exactalg import Rational, format_rational, json_text, parse_rational
-from .graphs import (
-    _GRAPH6_MAX_N,
-    Graph,
-    _adjacency,
-    _components,
-    _norm_edge,
-    require_connected,
-)
+from .graphs import _GRAPH6_MAX_N, Graph, _PairMap, _norm_edge, require_connected
 
 Pair = tuple[int, int]
 
 
-class WeightedNetwork:
+class WeightedNetwork(_PairMap):
     """Immutable electrical network over vertices ``0..n-1``."""
 
-    __slots__ = ("_n", "_cond", "_terminals")
+    __slots__ = ("_terminals",)
 
     def __init__(self, vertex_count: int, conductances: Mapping[Pair, Rational],
                  terminals: Iterable[int] | None = None):
-        if vertex_count < 0:
-            raise ParameterError("negative vertex count")
+        super().__init__(vertex_count)
         cond: dict[Pair, Fraction] = {}
         for (u, v), c in conductances.items():
             if u == v:
@@ -73,8 +67,7 @@ class WeightedNetwork:
             if key in cond:
                 raise ParameterError(f"duplicate conductance entry for {key}")
             cond[key] = c
-        self._n = vertex_count
-        self._cond = cond
+        self._pairs = cond
         if terminals is None:
             self._terminals = None
         else:
@@ -101,39 +94,20 @@ class WeightedNetwork:
                     f"zero resistance on {u}-{v}: identify the vertices instead")
             key = _norm_edge(u, v)
             cond[key] = cond.get(key, Fraction(0)) + 1 / r
-        return cls(vertex_count,
-                   {k: c for k, c in cond.items() if c != 0},
-                   terminals)
-
-    @property
-    def vertex_count(self) -> int:
-        return self._n
+        return cls(vertex_count, cond, terminals)
 
     @property
     def terminals(self) -> frozenset[int] | None:
         return self._terminals
 
     def conductance(self, u: int, v: int) -> Fraction:
-        return self._cond.get(_norm_edge(u, v), Fraction(0))
-
-    def edge_items(self) -> list[tuple[Pair, Fraction]]:
-        """(pair, conductance) in lexicographic pair order."""
-        return sorted(self._cond.items())
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return _adjacency(self._n, self._cond)[u] if 0 <= u < self._n else ()
-
-    def components(self) -> list[frozenset[int]]:
-        return _components(range(self._n), _adjacency(self._n, self._cond))
+        return self._pairs.get(_norm_edge(u, v), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedNetwork):
             return NotImplemented
-        return (self._n == other._n and self._cond == other._cond
+        return (self._n == other._n and self._pairs == other._pairs
                 and self._terminals == other._terminals)
-
-    def __repr__(self) -> str:
-        return f"WeightedNetwork({self._n}, {self.edge_items()})"
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +209,13 @@ def _potentials(net: WeightedNetwork, u: int, v: int) -> tuple[int, dict[int, in
         raise ParameterError(f"probe vertex out of range 0..{n - 1}")
     if u == v:
         raise ParameterError("identical probe vertices")
-    adj = _adjacency(n, net._cond)
-    comp = _components((u,), adj)[0]
+    comp = next(c for c in net.components() if u in c)
     if v not in comp:
         raise InfiniteResistanceError(
             f"vertices {u} and {v} lie in different components")
     # Low degree first (Tinney & Walker 1967): a vertex eliminated early
     # gives zero multipliers to every row it is not adjacent to.
-    order = sorted(comp, key=lambda x: (len(adj[x]), x))
+    order = sorted(comp, key=lambda x: (len(net.neighbors(x)), x))
     rows, scales, pos = _reduced_laplacian(net.edge_items(), order, grounded=v)
     p = pos[u]
     for i, row in enumerate(rows):

@@ -8,10 +8,12 @@ adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
 elimination over ``Fraction``, resistances and the equiarboreal verdict
 from a ``Fraction`` Laplacian and those solves and inverses, scheme
 intersection numbers by counting z for every (i, j, k) and pair, schemes
-beyond distance schemes (cyclotomic schemes and direct products), the bound
-grids by filtering the whole (x, y) square and comparing ``Fraction``
-values, or by walking every pair of the range with integer
-cross-multiplication (the package proves the grids algebraically).
+beyond distance schemes (cyclotomic schemes and direct products), regular
+equiarboreal graphs beyond schemes (semisymmetric graphs from their LCF
+codes, built by networkx), the bound grids by filtering the whole (x, y)
+square and comparing ``Fraction`` values, or by walking every pair of the
+range with integer cross-multiplication (the package proves the grids
+algebraically).
 Agreement between these and the package is the point of the tests
 importing them.
 """
@@ -358,6 +360,24 @@ def product_relation(r: list[list[int]], s: list[list[int]]) -> list[list[int]]:
     width = 1 + max(max(row) for row in s)
     return [[r[x1][y1] * width + s[x2][y2] for y1 in range(len(r)) for y2 in range(len(s))]
             for x1 in range(len(r)) for x2 in range(len(s))]
+
+
+def lcf_graph(shifts: list[int], repeats: int) -> Graph:
+    """The graph of an LCF code, built by networkx: the cycle 0..n-1 with n =
+    len(shifts) * repeats, plus the chord i -- i + shifts[i mod len(shifts)]
+    at every vertex i (Frucht 1977)."""
+    g = nx.LCF_graph(len(shifts) * repeats, shifts, repeats)
+    return Graph(g.number_of_nodes(), g.edges())
+
+
+#: Semisymmetric graphs by LCF code: edge-transitive, so equiarboreal, but
+#: not vertex-transitive, so not distance-regular.  Folkman's graph (Folkman
+#: 1967) is 4-regular on 20 vertices with girth 4; the Gray graph (Bouwer
+#: 1968) is cubic on 54 vertices with girth 8.
+SEMISYMMETRIC = {
+    "Folkman": ([5, -7, -7, 5], 5),
+    "Gray": ([-25, 7, -7, 13, -13, 25], 9),
+}
 
 
 def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:

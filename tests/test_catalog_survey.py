@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,12 @@ from equiarbor.catalog import (
 )
 from equiarbor.cli import run_command
 from equiarbor.errors import EquiarborError, ParameterError
-from equiarbor.graphs import generate
+from equiarbor.graphs import emit_graph6, generate
 from equiarbor.matching import MatchingResult
 from equiarbor.resistance import _reduced_laplacian
 from equiarbor.survey import survey
+
+import oracles
 
 
 def generated(name, family, *params, **extra):
@@ -357,3 +360,29 @@ def test_survey_decides_the_distance_partition_without_a_witness(monkeypatch):
                      generated("Prism", "triangular_prism")])
     for entry in report.entries:
         assert "distance partition is not an association scheme" in entry.notes
+
+
+def test_semisymmetric_graphs_pass_without_a_distance_scheme(tmp_path):
+    # Edge-transitive but not vertex-transitive: every edge has one
+    # resistance, so the main theorem applies, yet neither graph is
+    # distance-regular, so no colour class of a scheme covers it.
+    items = []
+    for name, code in oracles.SEMISYMMETRIC.items():
+        g = oracles.lcf_graph(*code)
+        ref = oracles.to_networkx(g)
+        assert nx.is_bipartite(ref)
+        assert (g.vertex_count, g.edge_count, nx.girth(ref)) == \
+            {"Folkman": (20, 40, 4), "Gray": (54, 81, 8)}[name]
+        items.append({"name": name, "format": "graph6", "payload": emit_graph6(g)})
+    manifest = tmp_path / "semisymmetric.json"
+    manifest.write_text(json.dumps(items))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["--deterministic", "survey", str(manifest)], out, err) == 0
+    assert err.getvalue() == "survey: 2 passed, 0 failed, 0 skipped\n"
+    note = "distance partition is not an association scheme"
+    assert [(e["graphName"], e["regularity"], e["equiarboreal"], e["omega"], e["lambda"],
+             e["mainTheoremPass"], e["matchingPass"], e["notes"])
+            for e in json.loads(out.getvalue())["entries"]] == [
+        ("Folkman", 4, True, "19/40", 4, "pass", "pass", note),
+        ("Gray", 3, True, "53/81", 3, "pass", "pass", note),
+    ]

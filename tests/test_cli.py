@@ -285,6 +285,47 @@ def test_scheme_refuses_a_diameter_above_the_class_limit_from_the_full_table(tmp
     assert (code, out, err) == (2, "", "error: distance table requires a connected graph\n")
 
 
+@pytest.mark.parametrize("name, text", [("empty.g6", "?\n"), ("empty.edges", "0 0\n")],
+                         ids=["graph6", "edge-list"])
+def test_scheme_refuses_a_graph_with_no_vertices(tmp_path, name, text):
+    # No vertex gives an empty relation table, which the axiom check refuses.
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["scheme", "--from-distance", str(path)]) == \
+        (2, "", "error: empty relation table\n")
+
+
+def test_cut_exits_1_on_a_failing_degree_connectivity_report(monkeypatch):
+    report = cuts_module.DegreeConnectivityReport(
+        k=3, lam=2, lambda_equals_degree=False, parity_ok=None,
+        counterexamples=("lambda = 2 != degree 3",))
+    monkeypatch.setattr(cuts_module, "verify_degree_connectivity", lambda g: report)
+    code, out, _ = run(["cut", "--family", "petersen"])
+    assert code == 1
+    assert json.loads(out)["theorem"] == {
+        "applicable": True, "k": 3, "lambdaEqualsDegree": False, "passed": False,
+        "counterexamples": ["lambda = 2 != degree 3"]}
+
+
+def test_scheme_verify_godsil_exits_1_when_a_class_lambda_misses_its_degree(monkeypatch):
+    monkeypatch.setattr(schemes_module, "edge_connectivity", lambda g: g.is_regular() - 1)
+    code, out, _ = run(["scheme", "--family", "petersen", "--verify-godsil"])
+    assert code == 1
+    godsil = json.loads(out)["godsil"]
+    assert godsil["passed"] is False
+    assert [(c["degree"], c["lambda"]) for c in godsil["classes"]] == [(3, 2), (6, 5)]
+
+
+def test_verify_claims_exits_1_when_a_certificate_fails(monkeypatch):
+    monkeypatch.setattr(bounds_module, "verify_reduced_network", lambda k: k != 8)
+    code, out, err = run(["verify", "claims", "--k-range", "7..9"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert [e["reducedNetworkGrid"] for e in data["perK"]] == [True, False, True]
+    assert err == "verify claims 7..9: FAIL\n"
+
+
 def test_cut_non_regular_graph_marks_theorem_inapplicable():
     code, out, _ = run(["cut", "--family", "star", "--params", "5"])
     assert code == 0

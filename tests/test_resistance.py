@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equiarbor import exactalg
+from equiarbor import graphs as graphs_module
 from equiarbor.cli import run_command
 from equiarbor.errors import (
     ConnectivityError,
@@ -366,6 +367,42 @@ def test_parallel_merge_and_cancellation():
     assert oracles.edge_resistance(net, 0, 1) == 1
     cancelled = WeightedNetwork.from_resistances(2, [(0, 1, 1), (0, 1, -1)])
     assert oracles.edge_resistance(cancelled, 0, 1) is None
+
+
+def test_a_cancelled_pair_past_the_vertex_count_is_refused():
+    # The merged conductances reach the constructor unfiltered, so its range
+    # check sees a pair even when its conductances cancel to zero.
+    with pytest.raises(ParameterError, match="^edge 0-5 out of range$"):
+        WeightedNetwork.from_resistances(2, [(0, 5, 1), (0, 5, -1)])
+
+
+def test_network_builds_its_neighbour_table_once(monkeypatch, tmp_path):
+    # Graph and WeightedNetwork share one pair-map core, which builds the
+    # neighbour table on first use and keeps it.
+    built = []
+    adjacency = graphs_module._adjacency
+    monkeypatch.setattr(graphs_module, "_adjacency",
+                        lambda n, pairs: built.append(n) or adjacency(n, pairs))
+    net = WeightedNetwork.from_resistances(4, [(0, 1, 1), (1, 2, "1/2"), (2, 3, 3), (0, 3, 2)])
+    assert net.neighbors(1) == (0, 2)
+    assert net.components() == [frozenset(range(4))]
+    assert (resistance(net, 0, 2), resistance(net, 1, 3)) == (Fraction(15, 13), Fraction(21, 13))
+    assert built == [4]
+    path = tmp_path / "net.json"
+    path.write_text(dump_network(net))
+    built.clear()
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["transform", str(path), "--eliminate", "1"], out, err) == 0
+    assert built == [4]  # the mesh and its record read one table
+    for cls in (Graph, WeightedNetwork):
+        assert not {"vertex_count", "edge_items", "neighbors", "components",
+                    "__repr__"} & vars(cls).keys()
+
+
+def test_repr_names_the_type_and_its_sorted_pairs():
+    assert repr(Graph(3, [(2, 1), (1, 0, 2)])) == "Graph(3, [((0, 1), 2), ((1, 2), 1)])"
+    assert repr(WeightedNetwork(3, {(2, 0): Fraction(1, 2), (1, 0): 0})) == \
+        "WeightedNetwork(3, [((0, 2), Fraction(1, 2))])"
 
 
 def test_zero_resistance_rejected():
