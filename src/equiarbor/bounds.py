@@ -9,33 +9,27 @@ closed-form resistance across the chosen edge,
     bound(k, x, y) = (4ab - c^2) / (2ab(k+1) - k c^2)
 
 with a = k-x, b = k-y, c = k-x-y+1, which lower-bounds the common edge
-resistance of any equiarboreal host.  Both the closed form, for every
-(k, x, y), and the grid inequalities (the 2/k threshold and the positive
-denominator), for every integer pair they quantify, rest on one algebraic
-certificate: polynomial identities in (k, x, y), five of them tying the
-network's nodal solve to the bound's numerator and denominator, checked
-once per process on a product grid that proves them.  Each degree k then
-needs a few integer comparisons, with the range x + y <= k - sqrt(k) - 2
-bounded by ``math.isqrt``, never through floats.
+resistance of any equiarboreal host (``cuts.verify_degree_connectivity``
+checks it on every non-trivial minimum cut at degree >= 4).  Both the
+closed form, for every (k, x, y), and the grid inequalities (the 2/k
+threshold and the positive denominator), for every integer pair they
+quantify, rest on one algebraic certificate: polynomial identities in
+(k, x, y), five of them tying the network's nodal solve to the bound's
+numerator and denominator, checked once per process on a product grid that
+proves them.  Each degree k then needs a few integer comparisons, with the
+range x + y <= k - sqrt(k) - 2 bounded by ``math.isqrt``, never through
+floats.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
-from typing import Mapping
 
-from .errors import (
-    DomainError,
-    ParameterError,
-    PreconditionError,
-    VerificationError,
-)
-from .exactalg import Rational
-from .cuts import EdgeCut, _cut_graph_degrees, _floor_k_minus_sqrt_k, cut_from_side
-from .graphs import Graph
-from .resistance import WeightedNetwork, _potentials, resistance
+from .errors import DomainError, ParameterError, VerificationError
+from .resistance import WeightedNetwork, _potentials
 
 # Vertex labels of the reduced cut network.
 U1, V1, U2, V2 = 0, 1, 2, 3
@@ -68,14 +62,6 @@ def degree_pair_bound(k: int, x: int, y: int) -> Fraction:
     degrees (x, y) in a k-regular graph."""
     _check_domain(k, x, y)
     return Fraction(*_shifted_terms(k, x, y))
-
-
-def star_leaf_bound(k: int, x: int) -> Fraction:
-    """Specialization to a pendant star: a degree-(x-1) centre whose edge
-    partner has cut-graph degree 1.  Strictly decreasing in x."""
-    if x < 3:
-        raise ParameterError(f"pendant star needs order x >= 3, got {x}")
-    return Fraction(3 * k + x - 5, k * k + (x - 1) * k - 2)
 
 
 def reduced_cut_network(k: int, x: int, y: int) -> WeightedNetwork:
@@ -116,21 +102,6 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
     if current != Fraction(den, disc):
         return False
     return Fraction(potential[U1], det) == Fraction(disc, den)
-
-
-def cut_lower_bound(g: Graph, cut: EdgeCut, k: int) -> Fraction:
-    """Best bound over a cut: max of the degree-pair bound across its
-    crossing edges."""
-    if g.is_regular() != k:
-        raise PreconditionError(f"graph is not {k}-regular")
-    if cut.is_trivial:
-        raise PreconditionError("bound requires a non-trivial cut")
-    if cut.size > k:
-        raise PreconditionError(f"cut has {cut.size} > k = {k} edges")
-    if cut_from_side(g, cut.side_a) != cut:
-        raise ParameterError("crossing set does not match the bipartition")
-    deg = _cut_graph_degrees(cut)
-    return max(degree_pair_bound(k, deg[u], deg[v]) for (u, v) in cut.crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +166,11 @@ def verify_reduced_network(k: int) -> bool:
     return True
 
 
+def _floor_k_minus_sqrt_k(k: int) -> int:
+    # floor(k - sqrt(k)) = k - ceil(sqrt(k)), computed with integer roots.
+    return k - (math.isqrt(k - 1) + 1) if k >= 2 else 0
+
+
 def verify_double_star_threshold(k: int) -> bool:
     """For every x, y >= 1 with x + y <= k - sqrt(k) - 2, the shifted bound
     at degrees (x+1, y+1) is at least 2/k.
@@ -229,92 +205,3 @@ def verify_denominator_positive(k: int) -> bool:
     # 2D = 4(k+1)(k-2) at (2, k-1).
     _check_identities()
     return _shifted_terms(k, 2, 2)[1] > 0 and _shifted_terms(k, 2, k - 1)[1] > 0
-
-
-# ---------------------------------------------------------------------------
-# Worked closed-form networks
-#
-# Each evaluator pairs the algebraic formula with a literal build-and-solve
-# of the same network; a mismatch raises, it is never a warning.
-
-_CLOSED_FORM_PARAMS = {
-    "cycle4": ("p", "q"),
-    "theta": ("x", "y"),
-    "theta_half": ("x", "y"),
-    "k4_cross": ("x", "y"),
-    "cut_reduction": ("k", "x", "y"),
-}
-
-
-def _cycle4(p: Fraction, q: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
-    # 4-cycle u1-u2-v2-v1 with unit rungs u1v1 and u2v2; probe across u1v1.
-    value = (p + q + 1) / (p + q + 2)
-    net = WeightedNetwork.from_resistances(
-        4, [(0, 1, p), (1, 2, Fraction(1)), (2, 3, q), (3, 0, Fraction(1))])
-    return value, net, 0, 3
-
-
-def _theta(x: Fraction, y: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
-    # Three unit edges u1v1, u1v2, u2v2 plus side edges u1u2 = x, v1v2 = y.
-    value = ((1 + x) + (2 + x) * y) / (x * y + 2 * x + 2 * y + 3)
-    net = WeightedNetwork.from_resistances(
-        4, [(0, 2, Fraction(1)), (0, 3, Fraction(1)), (1, 3, Fraction(1)),
-            (0, 1, x), (2, 3, y)])
-    return value, net, 0, 2
-
-
-def _theta_half(x: Fraction, y: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
-    # As the theta network but the u2v2 edge carries 1/2 (two merged edges).
-    value = (2 * x + y * (2 * x + 3) + 1) / (2 * x + (2 * x + 3) * (y + 1) + 1)
-    net = WeightedNetwork.from_resistances(
-        4, [(0, 2, Fraction(1)), (0, 3, Fraction(1)), (1, 3, Fraction(1, 2)),
-            (0, 1, x), (2, 3, y)])
-    return value, net, 0, 2
-
-
-def _k4_cross(x: Fraction, y: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
-    # All four unit cross edges between {u1,u2} and {v1,v2} plus weighted
-    # diagonals; the closed form comes from the double-star rewrite.
-    value = (1 + 2 * x) / (4 + 4 * x) + (1 + 2 * y) / (4 + 4 * y) - Fraction(1, 4)
-    net = WeightedNetwork.from_resistances(
-        4, [(0, 2, Fraction(1)), (0, 3, Fraction(1)), (1, 2, Fraction(1)),
-            (1, 3, Fraction(1)), (0, 1, x), (2, 3, y)])
-    return value, net, 0, 2
-
-
-def closed_form(network_id: str, params: Mapping[str, Rational]) -> Fraction:
-    """Evaluate a named worked network's closed-form resistance, always
-    cross-checked against the generic solver on the constructed network."""
-    if network_id not in _CLOSED_FORM_PARAMS:
-        raise ParameterError(
-            f"unknown network id {network_id!r}; known: "
-            f"{sorted(_CLOSED_FORM_PARAMS)}")
-    wanted = _CLOSED_FORM_PARAMS[network_id]
-    missing = [name for name in wanted if name not in params]
-    if missing:
-        raise ParameterError(f"{network_id} needs parameters {wanted}")
-    vals = {name: Fraction(params[name]) for name in wanted}
-    for name, v in vals.items():
-        if v <= 0:
-            raise ParameterError(f"parameter {name} = {v} must be positive")
-
-    if network_id == "cut_reduction":
-        ints = {}
-        for name, v in vals.items():
-            if v.denominator != 1:
-                raise ParameterError(f"parameter {name} = {v} must be an integer")
-            ints[name] = int(v)
-        value = degree_pair_bound(ints["k"], ints["x"], ints["y"])
-        net = reduced_cut_network(ints["k"], ints["x"], ints["y"])
-        probe = (U1, V1)
-    else:
-        builder = {"cycle4": _cycle4, "theta": _theta,
-                   "theta_half": _theta_half, "k4_cross": _k4_cross}[network_id]
-        value, net, u, v = builder(*(vals[name] for name in wanted))
-        probe = (u, v)
-
-    solved = resistance(net, *probe)
-    if solved != value:
-        raise VerificationError(
-            f"closed form {value} != solved {solved} for {network_id} {vals}")
-    return value

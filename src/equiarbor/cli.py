@@ -31,6 +31,7 @@ from .resistance import dump_network, load_network, resistance
 
 ENV_CATALOG = "EQUIARBOR_CATALOG"
 SCHEME_CLASS_LIMIT = 64  # scheme's intersection numbers grow as classes cubed
+CLASSIFY_LIMIT = 64  # a classification's double-star map grows as lambda squared
 
 
 def _load_graph_file(path: str) -> Graph:
@@ -126,6 +127,8 @@ def _cmd_cut(args, stdout, stderr) -> int:
     listed = args.enumerate or args.classify
     if listed:
         min_cuts = cuts.minimum_cuts(g)
+        if args.classify and (lam := min_cuts[0].size) > CLASSIFY_LIMIT:
+            raise ScaleError(f"lambda = {lam} exceeds the classification limit {CLASSIFY_LIMIT}")
     elif g.vertex_count < 2:
         cuts.edge_connectivity(g)  # raises its error before the theorem check can
     exit_code = 0
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true",
                    help="list every minimum cut")
     p.add_argument("--classify", action="store_true",
-                   help="classify every minimum cut's cut graph")
+                   help=f"classify every minimum cut's cut graph (lambda <= {CLASSIFY_LIMIT})")
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("transform", help="terminal-preserving rewrites")

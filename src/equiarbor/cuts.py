@@ -33,12 +33,12 @@ checked here too, beside the lambda it compares against.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
+from .bounds import _floor_k_minus_sqrt_k, degree_pair_bound
 from .equiarboreal import check_equiarboreal
 from .errors import (
     ConnectivityError,
@@ -377,11 +377,6 @@ class DegreeConnectivityReport:
         return not self.counterexamples
 
 
-def _floor_k_minus_sqrt_k(k: int) -> int:
-    # floor(k - sqrt(k)) = k - ceil(sqrt(k)), computed with integer roots.
-    return k - (math.isqrt(k - 1) + 1) if k >= 2 else 0
-
-
 def _small_degree_sum_rows(k: int) -> list[tuple[int, range]]:
     """Every (x, y) with x, y >= 1 and x + y <= k - sqrt(k) - 2, grouped by
     x in increasing order: (x, range of y).  The bound is an integer,
@@ -402,7 +397,12 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
     When lambda = k the minimum cuts are all the cuts of at most k edges;
     when lambda < k (impossible under the preconditions, by the main
     theorem) only the minimum cuts are listed.  Below degree 4 with
-    lambda = k no cut property applies, so only lambda is computed.
+    lambda = k no cut property applies, so only lambda is computed.  Each
+    non-trivial minimum cut of a simple graph at k >= 4 must also obey the
+    paper's cut lemma, every crossing edge's ``degree_pair_bound`` at most
+    omega; one that does not raises ``VerificationError``.  The lemma does
+    not hold for multigraphs (doubled C4 has omega 3/8 and a cut with
+    bound 5/12), so they skip it.
     """
     if not g.is_connected():
         raise ConnectivityError("degree-connectivity check needs a connected graph")
@@ -432,10 +432,22 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
         counterexamples.extend(
             f"cut of size {lam} < {k}: sides {sorted(cut.side_a)}" for cut in min_cuts)
     elif k >= 4:
+        simple = g.is_simple
         for cut in min_cuts:
             if cut.is_trivial:
                 continue  # trivial cuts are allowed
             a = sorted(cut.side_a)
+            if simple:
+                # The lemma's reduced network shorts a simple graph only.
+                # There connectivity keeps each cut-graph degree <= k-1 and
+                # the cut's size keeps x + y <= k+1, so every pair is in the
+                # bound's domain.
+                deg = _cut_graph_degrees(cut)
+                bound = max(degree_pair_bound(k, deg[u], deg[v]) for u, v in cut.crossing)
+                if bound > verdict.omega:
+                    raise VerificationError(
+                        f"cut lemma fails on the cut with sides {a}: "
+                        f"bound {bound} > omega {verdict.omega}")
             if k >= 11:
                 counterexamples.append(
                     f"non-trivial cut of {lam} edges at degree {k}: sides {a}")

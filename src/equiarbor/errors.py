@@ -49,10 +49,6 @@ class SingularEliminationError(EquiarborError):
     """Star-mesh elimination of a vertex whose conductance sum is zero."""
 
 
-class NonRealizableError(EquiarborError):
-    """Requested three-terminal star violates the triangle inequality."""
-
-
 class PreconditionError(EquiarborError):
     """A theorem-instance check was invoked on a graph that does not
     satisfy the theorem's hypotheses."""
@@ -66,11 +62,12 @@ class ScaleError(EquiarborError):
     """Work was requested above a size limit: the minimum-cut list of a
     graph above ``exactalg.SIZE_LIMIT`` vertices (use ``edge_connectivity``
     instead), a generated graph above the vertex limit or the edge
-    budget, a double star above the vertex limit of a network file, or a
-    ``scheme`` command's relation above 64 classes."""
+    budget, a double star above the vertex limit of a network file, a
+    ``scheme`` command's relation above 64 classes, or a ``cut --classify``
+    whose minimum cuts cross more than 64 edges."""
 
 
 class VerificationError(EquiarborError):
-    """An internal cross-check failed.  This is a hard failure: it means a
-    closed form and the generic solver disagree, which should be
-    impossible on valid inputs."""
+    """An internal cross-check failed.  This is a hard failure: two exact
+    computations of one fact disagree, or a proven bound does not hold,
+    which should be impossible on valid inputs."""

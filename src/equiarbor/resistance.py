@@ -4,7 +4,7 @@ A :class:`WeightedNetwork` stores conductances (1/resistance) per unordered
 vertex pair, on the pair-map core it shares with ``Graph``, so its neighbour
 table is built once and kept.  Its constructor raises on a duplicate pair
 and drops a zero conductance; ``from_resistances`` and
-``transform.substitute_network`` merge parallel edges by conductance
+``transform.eliminate_vertex`` merge parallel edges by conductance
 addition.  An absent entry models an edge of infinite resistance, and a zero
 resistance is rejected (identify the endpoints instead).  Negative
 resistances are legal: some terminal-preserving transformations introduce

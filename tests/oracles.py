@@ -13,7 +13,9 @@ equiarboreal graphs beyond schemes (semisymmetric graphs from their LCF
 codes, built by networkx), the bound grids by filtering the whole (x, y)
 square and comparing ``Fraction`` values, or by walking every pair of the
 range with integer cross-multiplication (the package proves the grids
-algebraically).
+algebraically), and the paper's lemmas as plain formulas: the worked
+closed-form networks, the cut bound, star synthesis, and S-equivalence
+over ``Fraction`` resistances with the principle of substitution.
 Agreement between these and the package is the point of the tests
 importing them.
 """
@@ -25,6 +27,7 @@ import random
 import sys
 import types
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -32,7 +35,7 @@ from typing import Iterable
 import networkx as nx
 from hypothesis import strategies as st
 
-from equiarbor.bounds import degree_pair_bound
+from equiarbor.bounds import U1, V1, degree_pair_bound, reduced_cut_network
 from equiarbor.cuts import EdgeCut, _small_degree_sum_rows, cut_from_side
 from equiarbor.equiarboreal import EquiarborealVerdict
 from equiarbor.errors import (
@@ -658,6 +661,115 @@ def valid_degree_pairs(k: int) -> list[tuple[int, int]]:
     """Every (x, y) in 1..k-1 with x + y <= k + 1: the domain
     ``degree_pair_bound`` accepts at degree k >= 3."""
     return [(x, y) for x in range(1, k) for y in range(1, min(k, k + 2 - x))]
+
+
+# ---------------------------------------------------------------------------
+# The paper's worked networks, cut bound, star synthesis and substitution
+#
+# Each worked network gives (closed form, network, u, v): the tests solve
+# the network across u-v and compare.
+
+
+def cycle4(p: Fraction, q: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
+    """The 4-cycle u1-u2-v2-v1 with sides p and q and unit rungs u1v1 and
+    u2v2, probed across u1v1."""
+    return (p + q + 1) / (p + q + 2), WeightedNetwork.from_resistances(
+        4, [(0, 1, p), (1, 2, 1), (2, 3, q), (3, 0, 1)]), 0, 3
+
+
+def theta(x: Fraction, y: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
+    """Unit edges u1v1, u1v2 and u2v2 plus sides u1u2 = x and v1v2 = y."""
+    return ((1 + x) + (2 + x) * y) / (x * y + 2 * x + 2 * y + 3), \
+        WeightedNetwork.from_resistances(
+            4, [(0, 2, 1), (0, 3, 1), (1, 3, 1), (0, 1, x), (2, 3, y)]), 0, 2
+
+
+def theta_half(x: Fraction, y: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
+    """As ``theta``, but u2v2 carries 1/2 (two merged edges)."""
+    return (2 * x + y * (2 * x + 3) + 1) / (2 * x + (2 * x + 3) * (y + 1) + 1), \
+        WeightedNetwork.from_resistances(
+            4, [(0, 2, 1), (0, 3, 1), (1, 3, Fraction(1, 2)), (0, 1, x), (2, 3, y)]), 0, 2
+
+
+def k4_cross(x: Fraction, y: Fraction) -> tuple[Fraction, WeightedNetwork, int, int]:
+    """All four unit cross edges between {u1, u2} and {v1, v2} plus the
+    diagonals u1u2 = x and v1v2 = y; the closed form comes from the
+    double-star rewrite."""
+    value = (1 + 2 * x) / (4 + 4 * x) + (1 + 2 * y) / (4 + 4 * y) - Fraction(1, 4)
+    return value, WeightedNetwork.from_resistances(
+        4, [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (0, 1, x), (2, 3, y)]), 0, 2
+
+
+def cut_reduction(k: int, x: int, y: int) -> tuple[Fraction, WeightedNetwork, int, int]:
+    """The reduced cut network, probed across its crossing edge."""
+    return degree_pair_bound(k, x, y), reduced_cut_network(k, x, y), U1, V1
+
+
+def star_leaf_bound(k: int, x: int) -> Fraction:
+    """The cut bound at a pendant star: a degree-(x-1) centre whose edge
+    partner has cut-graph degree 1."""
+    return Fraction(3 * k + x - 5, k * k + (x - 1) * k - 2)
+
+
+def cut_lower_bound(cut: EdgeCut, k: int) -> Fraction:
+    """The cut lemma over a non-trivial cut of at most k edges in a k-regular
+    graph: the largest degree-pair bound across its crossing edges."""
+    degree = Counter(v for edge in cut.crossing for v in edge)
+    return max(degree_pair_bound(k, degree[u], degree[v]) for u, v in cut.crossing)
+
+
+def synthesize_star(r12: Fraction | int, r13: Fraction | int, r23: Fraction | int
+                    ) -> tuple[Fraction, Fraction, Fraction]:
+    """Leg resistances of the 3-leaf star with pairwise resistances r12, r13
+    and r23: half of each triangle-inequality slack, so a negative leg means
+    no star realizes them."""
+    r12, r13, r23 = Fraction(r12), Fraction(r13), Fraction(r23)
+    return (r12 + r13 - r23) / 2, (r12 + r23 - r13) / 2, (r13 + r23 - r12) / 2
+
+
+@dataclass(frozen=True)
+class SEquivalence:
+    """``witness`` is the lexicographically first terminal pair whose
+    resistances differ, with both values (None for a disconnected pair)."""
+
+    equivalent: bool
+    witness: tuple[int, int, Fraction | None, Fraction | None] | None = None
+
+    def __bool__(self) -> bool:
+        return self.equivalent
+
+
+def _pair_resistance(net: WeightedNetwork, u: int, v: int) -> Fraction | None:
+    try:
+        return fraction_resistance(net, u, v)
+    except InfiniteResistanceError:
+        return None
+
+
+def s_equivalent(a: WeightedNetwork, b: WeightedNetwork,
+                 terminals: Iterable[int]) -> SEquivalence:
+    """Whether every pair of terminals has the same ``fraction_resistance``
+    in both networks."""
+    for u, v in combinations(sorted(set(terminals)), 2):
+        ra, rb = _pair_resistance(a, u, v), _pair_resistance(b, u, v)
+        if ra != rb:
+            return SEquivalence(False, (u, v, ra, rb))
+    return SEquivalence(True)
+
+
+def substitute_network(host: WeightedNetwork, removed: Iterable[tuple[int, int]],
+                       replacement: WeightedNetwork, attach: list[int]) -> WeightedNetwork:
+    """The principle of substitution: delete the ``removed`` host edges and
+    add ``replacement``, whose vertex i is host vertex ``attach[i]`` and whose
+    further vertices are appended.  Parallel pieces add as conductances."""
+    n = host.vertex_count + replacement.vertex_count - len(attach)
+    mapping = list(attach) + list(range(host.vertex_count, n))
+    gone = {(min(u, v), max(u, v)) for u, v in removed}
+    cond = {e: c for e, c in host.edge_items() if e not in gone}
+    for (u, v), c in replacement.edge_items():
+        key = (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
+        cond[key] = cond.get(key, Fraction(0)) + c
+    return WeightedNetwork(n, cond, host.terminals)
 
 
 # ---------------------------------------------------------------------------

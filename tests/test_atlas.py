@@ -2,7 +2,8 @@
 brute-force oracles: lambda and the minimum cuts, the equiarboreal verdict
 with its omega and witness, the matching size with the Tutte-Berge barrier,
 and the distance-partition scheme verdict.  The paper's theorem is checked
-on each connected regular equiarboreal one."""
+on each connected regular equiarboreal one, and lambda = minimum degree on
+every connected equiarboreal one, regular or not."""
 
 import networkx as nx
 
@@ -57,3 +58,41 @@ def test_atlas_census():
             assert has_perfect_matching(g).has_perfect
     assert (len(graphs), len(equiarboreal), len(regular)) == (995, 48, 12)
     assert (barriers, schemes) == (18, 12)
+
+
+def _from_networkx(ref: nx.Graph) -> Graph:
+    ref = nx.convert_node_labels_to_integers(ref)
+    return Graph(ref.number_of_nodes(), list(ref.edges()))
+
+
+def _theta(*lengths: int) -> Graph:
+    """Internally disjoint paths of the given lengths between two vertices."""
+    ref = nx.Graph()
+    for i, length in enumerate(lengths):
+        nx.add_path(ref, ["s", *((i, j) for j in range(1, length)), "t"])
+    return _from_networkx(ref)
+
+
+def _subdivided(ref: nx.Graph) -> Graph:
+    """Each edge replaced by a path of two edges."""
+    return _from_networkx(nx.Graph(e for u, v in ref.edges()
+                                   for e in (((u, v), u), ((u, v), v))))
+
+
+def test_lambda_equals_minimum_degree_on_equiarboreal_graphs():
+    # The paper proves lambda = k for regular equiarboreal graphs.  Beyond
+    # regularity, lambda is the minimum degree on every connected
+    # equiarboreal atlas graph and on these constructions; theta(2, 3, 3) is
+    # a control that is not equiarboreal.
+    atlas = [g for g in _connected_atlas_graphs() if check_equiarboreal(g).is_equiarboreal]
+    irregular = [g for g in atlas if g.is_regular() is None]
+    trees = [g for g in irregular if g.edge_count == g.vertex_count - 1]
+    assert (len(atlas), len(irregular), len(trees)) == (48, 36, 23)
+    built = [_from_networkx(nx.complete_bipartite_graph(3, 5)), _theta(3, 3, 3),
+             _subdivided(nx.complete_graph(4)), _subdivided(nx.petersen_graph()),
+             _from_networkx(nx.windmill_graph(5, 3))]  # the friendship graph F5
+    for g in atlas + built:
+        assert check_equiarboreal(g).is_equiarboreal, g
+        assert edge_connectivity(g) == min(map(g.degree, range(g.vertex_count))), g
+    assert [edge_connectivity(g) for g in built] == [3, 2, 2, 2, 2]
+    assert not check_equiarboreal(_theta(2, 3, 3)).is_equiarboreal

@@ -128,6 +128,22 @@ def test_cut_enumerate_classify_above_24_vertices(family, params, lam, count):
     assert data["theorem"]["passed"] is True
 
 
+@pytest.mark.parametrize("n, times", [(4, 2), (5, 2), (4, 3)],
+                         ids=["doubled-c4", "doubled-c5", "tripled-c4"])
+def test_cut_passes_on_multiplied_cycles(tmp_path, n, times):
+    # Each has a non-trivial minimum cut whose reduced-network bound exceeds
+    # omega (5/12 > 3/8 on doubled C4); the cut lemma holds for simple graphs
+    # only, so the verdict must not apply it here.
+    edges = [(i, (i + 1) % n) for i in range(n)] * times
+    path = tmp_path / "multi.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run(["cut", str(path)])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["lambda"] == 2 * times
+    assert data["theorem"]["passed"] is True
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cut", "--family", "cycle", "--params", "600", "--enumerate"],
      "exceed the enumeration limit"),
@@ -267,6 +283,30 @@ def test_scheme_above_the_class_limit_exits_2(monkeypatch, n, outcome):
     monkeypatch.setattr(schemes_module, "verify_scheme", reached)
     code, out, err = run(["scheme", "--family", "cycle", "--params", str(n)])
     assert (code, out, err) == (2, "", outcome)
+
+
+def _parallel_edges(tmp_path, m: int) -> str:
+    """An edge-list file of two vertices joined by m parallel edges, so
+    lambda = m and the one minimum cut crosses all of them."""
+    path = tmp_path / f"parallel_{m}.txt"
+    path.write_text(f"2 {m}\n" + "0 1\n" * m)
+    return str(path)
+
+
+def test_cut_classify_at_the_classification_limit(tmp_path):
+    # A classification's double-star map has lambda(lambda-1)/2 entries; one
+    # more parallel edge is refused (tests/test_input_checks.py).
+    code, out, err = run(["cut", _parallel_edges(tmp_path, 64), "--classify"])
+    assert (code, err) == (0, "")
+    (cls,) = json.loads(out)["classifications"]
+    assert len(cls["stronglySxyFree"]) == 64 * 63 // 2
+
+
+def test_cut_enumerate_alone_is_not_capped(tmp_path):
+    code, out, err = run(["cut", _parallel_edges(tmp_path, 400), "--enumerate"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cuts"] == [
+        {"sideA": [0], "sideB": [1], "crossing": [[0, 1]] * 400}]
 
 
 def test_scheme_refuses_a_diameter_above_the_class_limit_from_the_full_table(tmp_path):

@@ -708,7 +708,9 @@ def _two_block_host(k: int, crossing: list[tuple[int, int]]) -> Graph:
     return Graph(2 * s, edges)
 
 
-@pytest.mark.parametrize("k,pairs,expected", [
+#: (k, crossing pairs of a two-block host, the prohibitions its block split
+#: breaks at degree k).
+_PROHIBITION_HOSTS = [
     # A perfect matching across: every crossing edge is a K2 component.
     (4, [(i, i) for i in range(1, 5)], ["{a} has a K2 component"]),
     # A 4-cycle (degrees (2, 2)) beside a 3-edge matching.
@@ -729,7 +731,10 @@ def _two_block_host(k: int, crossing: list[tuple[int, int]]) -> Graph:
     # From degree 11 on, any non-trivial cut of k edges is a counterexample.
     (11, [(i, i) for i in range(1, 12)],
      ["non-trivial cut of 11 edges at degree 11: sides {side}"]),
-])
+]
+
+
+@pytest.mark.parametrize("k,pairs,expected", _PROHIBITION_HOSTS)
 def test_degree_connectivity_reports_the_cut_prohibitions(monkeypatch, k, pairs, expected):
     # Hosts with lambda = k whose one non-trivial minimum cut, the block
     # split, breaks the prohibitions that apply at k; the equiarboreal
@@ -745,6 +750,23 @@ def test_degree_connectivity_reports_the_cut_prohibitions(monkeypatch, k, pairs,
     assert report.counterexamples == tuple(
         line.format(a=f"cut {side}", side=side) for line in expected)
     assert not report.passed
+
+
+@pytest.mark.parametrize("k,pairs", [(k, pairs) for k, pairs, _ in _PROHIBITION_HOSTS])
+def test_degree_connectivity_checks_the_cut_lemma(monkeypatch, k, pairs):
+    # The prohibition hosts, with omega forced below the cut lemma's bound
+    # on their block split: every edge of an equiarboreal host has at least
+    # that resistance, so the verdict raises.  The prohibition test forces
+    # omega = 1, above every one of these bounds.
+    g = _two_block_host(k, [(x, k + 2 + y) for x, y in pairs])
+    monkeypatch.setattr(cuts_module, "check_equiarboreal",
+                        lambda graph: EquiarborealVerdict(True, Fraction(1, 100), None))
+    side = list(range(k + 2))
+    bound = oracles.cut_lower_bound(cut_from_side(g, side), k)
+    with pytest.raises(VerificationError) as info:
+        verify_degree_connectivity(g)
+    assert str(info.value) == (
+        f"cut lemma fails on the cut with sides {side}: bound {bound} > omega 1/100")
 
 
 def test_degree_connectivity_reports_odd_lambda_at_even_degree(monkeypatch):

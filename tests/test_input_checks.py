@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from equiarbor import bounds, cuts, equiarboreal, graphs, schemes, transform
+from equiarbor import cuts, equiarboreal, graphs, schemes, transform
 from equiarbor.cli import run_command
-from equiarbor.errors import Graph6ParseError, ParameterError, PreconditionError
+from equiarbor.errors import Graph6ParseError, ParameterError
 from equiarbor.graphs import Graph, generate
 from equiarbor.resistance import (
     WeightedNetwork,
@@ -18,7 +18,8 @@ from equiarbor.resistance import (
     spanning_tree_count,
     w_sum,
 )
-from equiarbor.transform import SEquivalence
+
+import oracles
 
 EDGE = WeightedNetwork(3, {(0, 1): 1})  # vertex 2 is isolated
 
@@ -33,8 +34,11 @@ EDGE = WeightedNetwork(3, {(0, 1): 1})  # vertex 2 is isolated
     (["resist", "bad_r.json", "0", "1"],
      {"bad_r.json": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "r": "x"}]})},
      "not a rational literal: 'x'"),
+    (["cut", "p65.txt", "--enumerate", "--classify"], {"p65.txt": "2 65\n" + "0 1\n" * 65},
+     "lambda = 65 exceeds the classification limit 64"),
 ], ids=["no-graph", "eliminate-without-network", "scheme-without-input",
-        "k-range-without-dots", "manifest-object", "network-r-unparsable"])
+        "k-range-without-dots", "manifest-object", "network-r-unparsable",
+        "classify-above-lambda-64"])
 def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -95,21 +99,11 @@ def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
      "header declares 2 classes but the table uses 1"),
     # transform
     (lambda: transform.eliminate_vertex(EDGE, 3), ParameterError, "vertex 3 out of range"),
-    (lambda: transform.s_equivalent(EDGE, EDGE, []), ParameterError, "empty terminal set"),
-    (lambda: transform.s_equivalent(WeightedNetwork(2, {(0, 1): 1}), EDGE, [0, 2]),
-     ParameterError, "terminal 2 missing from a network"),
-    (lambda: transform.substitute_network(EDGE, [], WeightedNetwork(1, {}), [0, 1]),
-     ParameterError, "more attachment points than replacement vertices"),
     # cuts
     (lambda: cuts.minimum_cuts(Graph(1)), ParameterError,
      "minimum cuts need at least 2 vertices"),
     (lambda: cuts.cuts_up_to(generate("petersen"), 4), ParameterError,
      "only minimum cuts are enumerated; 4 exceeds lambda = 3"),
-    # bounds
-    (lambda: bounds.star_leaf_bound(7, 2), ParameterError,
-     "pendant star needs order x >= 3, got 2"),
-    (lambda: bounds.cut_lower_bound(generate("petersen"), cuts.cut_from_side(
-        generate("petersen"), range(5)), 3), PreconditionError, "cut has 5 > k = 3 edges"),
     # equiarboreal
     (lambda: equiarboreal.EquiarborealVerdict(True, None, None), ParameterError,
      "positive verdict must carry omega only"),
@@ -125,9 +119,7 @@ def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
         "from-resistances-loop", "spanning-trees-empty", "probe-above-range",
         "probe-below-range", "w-sum-out-of-range", "network-json-zero-denominator",
         "distance-partition-multigraph", "scheme-row-length", "scheme-class-count",
-        "eliminate-out-of-range", "s-equivalent-empty", "s-equivalent-missing-terminal",
-        "substitute-attachments", "minimum-cuts-one-vertex",
-        "cuts-up-to-above-lambda", "star-leaf-order-2", "cut-above-k",
+        "eliminate-out-of-range", "minimum-cuts-one-vertex", "cuts-up-to-above-lambda",
         "positive-verdict-without-omega", "positive-verdict-with-witness",
         "negative-verdict-without-witness"])
 def test_library_refusal(call, error, message):
@@ -145,6 +137,6 @@ def test_graph6_prefix_is_stripped():
 def test_s_equivalent_reports_a_disconnected_terminal_pair():
     # Infinite resistance is a value of its own: None in the witness.
     path = WeightedNetwork(3, {(0, 1): 1, (1, 2): 1})
-    assert transform.s_equivalent(EDGE, EDGE, [0, 2]) == SEquivalence(True, None)
-    assert transform.s_equivalent(EDGE, path, [0, 2]) == SEquivalence(
+    assert oracles.s_equivalent(EDGE, EDGE, [0, 2]) == oracles.SEquivalence(True, None)
+    assert oracles.s_equivalent(EDGE, path, [0, 2]) == oracles.SEquivalence(
         False, (0, 2, None, Fraction(2)))

@@ -69,9 +69,6 @@ def test_benchmark_metric_names_a_public_function(name):
 
 #: Public functions that nothing else in ``src/`` reads, kept as library API.
 KEPT = {
-    # The paper's electrical lemmas and its substitution principle.
-    "bounds.closed_form", "bounds.cut_lower_bound", "bounds.star_leaf_bound",
-    "transform.s_equivalent", "transform.substitute_network", "transform.synthesize_star",
     # Writers, each the inverse of a parser that the commands use.
     "graphs.emit_graph6", "graphs.format_edge_list", "schemes.format_scheme_table",
     # Library entry points beside the commands' own.
