@@ -25,7 +25,7 @@ from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal
 from .errors import (ConnectivityError, DimensionError, EquiarborError,
                      PreconditionError, ScaleError, VerificationError)
-from .exactalg import _check_size, format_rational, json_text
+from .exactalg import SIZE_LIMIT, _check_size, format_rational, json_text
 from .graphs import Graph, fact_scope, generate, member_size, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
 
@@ -196,16 +196,20 @@ def _cmd_scheme(args, stdout, stderr) -> int:
         # The class count is the diameter, at least vertex 0's eccentricity:
         # one BFS row can refuse before the n x n table is built.  A row that
         # misses a vertex is left to the table's connectivity check.
-        row = schemes._distances_from(g, 0) if g.vertex_count else [0]
+        row = g.distances(0) if g.vertex_count else [0]
         if min(row) >= 0 and (ecc := max(row)) > SCHEME_CLASS_LIMIT:
             raise ScaleError(
                 f"at least {ecc} classes exceed the scheme class limit {SCHEME_CLASS_LIMIT}")
+        if g.vertex_count > SIZE_LIMIT:
+            raise ScaleError(f"{g.vertex_count} points exceed the scheme point limit {SIZE_LIMIT}")
         table = schemes.distance_table(g)
     else:
         if not args.input:
             raise EquiarborError("a scheme table file or --from-distance is required")
         with open(args.input, "r", encoding="utf-8") as fh:
             table = schemes.parse_scheme_table(fh.read())
+        if len(table) > SIZE_LIMIT:
+            raise ScaleError(f"{len(table)} points exceed the scheme point limit {SIZE_LIMIT}")
     if (classes := max(map(max, table), default=0)) > SCHEME_CLASS_LIMIT:
         raise ScaleError(f"{classes} classes exceed the scheme class limit {SCHEME_CLASS_LIMIT}")
     check = schemes.verify_scheme(table)

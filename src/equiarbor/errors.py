@@ -59,12 +59,12 @@ class DomainError(EquiarborError):
 
 
 class ScaleError(EquiarborError):
-    """Work was requested above a size limit: the minimum-cut list of a
-    graph above ``exactalg.SIZE_LIMIT`` vertices (use ``edge_connectivity``
-    instead), a generated graph above the vertex limit or the edge
-    budget, a double star above the vertex limit of a network file, a
-    ``scheme`` command's relation above 64 classes, or a ``cut --classify``
-    whose minimum cuts cross more than 64 edges."""
+    """Work was requested above a size limit: a minimum-cut list (use
+    ``edge_connectivity`` instead) or a ``scheme`` command's relation above
+    ``exactalg.SIZE_LIMIT`` vertices or points, a ``scheme`` relation above
+    64 classes, a generated graph above the vertex limit or the edge budget,
+    a double star above the vertex limit of a network file, or a ``cut
+    --classify`` whose minimum cuts cross more than 64 edges."""
 
 
 class VerificationError(EquiarborError):

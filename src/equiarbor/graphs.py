@@ -1,5 +1,5 @@
-"""Multigraph representation, graph6 codec, and the generator families
-used by the verification catalog.
+"""Multigraph representation with one breadth-first search (components and
+distance rows), graph6 codec, and the catalog's generator families.
 
 Vertices are always ``0..n-1``.  The core type is a multigraph because
 vertex identification produces parallel edges; simple graphs are the
@@ -54,26 +54,27 @@ def _adjacency(n: int, pairs: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
 
+def _bfs(adj: Sequence[Sequence[int]], start: int, dist: list[int]) -> list[int]:
+    """Search ``adj`` breadth-first from ``start`` through the vertices whose
+    ``dist`` is -1; write their distances there and return them as reached."""
+    dist[start] = 0
+    order = [start]
+    for x in order:
+        d = dist[x] + 1
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = d
+                order.append(y)
+    return order
+
+
 def _components(vertices: Iterable[int],
                 adj: Sequence[Sequence[int]]) -> list[frozenset[int]]:
     """Connected components reachable from ``vertices`` along ``adj``,
-    each listed once, by depth-first search.  With ``vertices`` increasing,
-    the components come ordered by their least vertex."""
-    seen: set[int] = set()
-    comps = []
-    for start in vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, comp = [start], [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+    each listed once, by one breadth-first search each.  With ``vertices``
+    increasing, the components come ordered by their least vertex."""
+    dist = [-1] * len(adj)
+    return [frozenset(_bfs(adj, start, dist)) for start in vertices if dist[start] < 0]
 
 
 class _PairMap:
@@ -178,6 +179,12 @@ class Graph(_PairMap):
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
+
+    def distances(self, source: int) -> list[int]:
+        """Graph distances from ``source`` in 0..n-1; -1 where unreachable."""
+        dist = [-1] * self._n
+        _bfs(self._neighbour_table(), source, dist)
+        return dist
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -368,7 +375,10 @@ def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     n, pos = _g6_read_n(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

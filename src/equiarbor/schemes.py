@@ -1,5 +1,5 @@
-"""Symmetric association schemes: construction, axiom verification, and
-colour-class extraction.
+"""Symmetric association schemes: construction from ``Graph.distances``
+rows, axiom verification, and colour-class extraction.
 
 A scheme is stored as a total relation table mapping ordered point pairs to
 class indices 0..n, class 0 being the identity relation.  Verification
@@ -30,7 +30,7 @@ inverted too, as a cross-check.
 from __future__ import annotations
 
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -233,24 +233,10 @@ def _first_difference(hist, first) -> int:
     return min(ij for ij in keys if hist[ij] != first[ij])
 
 
-def _distances_from(g: Graph, source: int) -> list[int]:
-    """Graph distances from ``source`` by BFS, -1 where unreachable."""
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 def distance_table(g: Graph) -> list[list[int]]:
-    """All-pairs graph distances by BFS; requires a connected graph."""
+    """All-pairs ``Graph.distances`` rows; requires a connected graph."""
     require_connected(g, "distance table")
-    return [_distances_from(g, s) for s in range(g.vertex_count)]
+    return [g.distances(s) for s in range(g.vertex_count)]
 
 
 def scheme_from_distance_partition(g: Graph) -> Optional[AssociationScheme]:

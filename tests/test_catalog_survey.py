@@ -231,6 +231,17 @@ def test_survey_records_an_internal_error_and_continues(monkeypatch):
     assert report.entries[1].notes == "internal error: RuntimeError: injected"
 
 
+def test_survey_reports_a_non_ascii_graph6_payload_as_unreadable():
+    # A non-ASCII payload fails as unreadable; it must not pass for "C?",
+    # 4 isolated vertices that the survey would skip as disconnected.
+    report = survey([{"name": "bad", "format": "graph6", "payload": "C\u00e9"},
+                     generated("C5", "cycle", 5)])
+    bad = report.entries[0]
+    assert (bad.graph_name, bad.status, bad.notes) == (
+        "bad", "failed", "unreadable entry: non-ASCII character '\u00e9' (byte offset 1)")
+    assert report.summary == {"total": 2, "passed": 1, "failed": 1, "skipped": 0}
+
+
 def test_survey_failure_paths_fail_only_their_entry(monkeypatch, tmp_path):
     # One entry per failure path, each forced on its own graph: a
     # disconnected graph, a theorem counterexample, a failing colour class,

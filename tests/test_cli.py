@@ -285,6 +285,28 @@ def test_scheme_above_the_class_limit_exits_2(monkeypatch, n, outcome):
     assert (code, out, err) == (2, "", outcome)
 
 
+@pytest.mark.parametrize("argv, outcome", [
+    (["--family", "hypercube", "--params", "9"], "error: reached the axiom check\n"),
+    (["--family", "complete", "--params", "513"],
+     "error: 513 points exceed the scheme point limit 512\n"),
+    (["k512.txt"], "error: reached the axiom check\n"),
+    (["k513.txt"], "error: 513 points exceed the scheme point limit 512\n"),
+], ids=["Q9", "K513", "K512-table", "K513-table"])
+def test_scheme_above_the_point_limit_exits_2(tmp_path, monkeypatch, argv, outcome):
+    # A relation on exactalg.SIZE_LIMIT = 512 points reaches the axiom check;
+    # one more point is refused, for a graph before its distance table is
+    # built and for a table file before its axioms are checked.
+    def reached(table):
+        raise EquiarborError("reached the axiom check")
+
+    monkeypatch.setattr(schemes_module, "verify_scheme", reached)
+    monkeypatch.chdir(tmp_path)
+    for n in (512, 513):  # K_n's one-class table
+        rows = (" ".join(["0"] + ["1"] * (n - 1 - i)) for i in range(n))
+        (tmp_path / f"k{n}.txt").write_text(f"{n} 1\n" + "\n".join(rows) + "\n")
+    assert run(["scheme", *argv]) == (2, "", outcome)
+
+
 def _parallel_edges(tmp_path, m: int) -> str:
     """An edge-list file of two vertices joined by m parallel edges, so
     lambda = m and the one minimum cut crosses all of them."""

@@ -183,6 +183,14 @@ def test_minimum_cuts_c4_exhaustive():
     assert sides == set(oracles.brute_force_min_cut_sides(generate("cycle", (4,))))
 
 
+@pytest.mark.parametrize("family, params", [("cycle", (4,)), ("petersen", ()), ("star", (5,))])
+def test_cuts_up_to_lambda_lists_the_minimum_cuts(family, params):
+    g = generate(family, params)
+    lam = edge_connectivity(g)
+    assert cuts_module.cuts_up_to(g, lam) == minimum_cuts(g)
+    assert cuts_module.cuts_up_to(g, lam - 1) == []
+
+
 def test_minimum_cuts_petersen_all_vertex_stars():
     p = generate("petersen")
     cuts = minimum_cuts(p)

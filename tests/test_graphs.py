@@ -308,6 +308,25 @@ def test_components_and_neighbours_agree_with_networkx(g):
         assert g.neighbors(u) == net.neighbors(u) == scan
 
 
+@settings(max_examples=200, deadline=None)
+@given(oracles.multigraphs())
+def test_distances_agree_with_networkx(g):
+    multigraph = nx.MultiGraph()
+    multigraph.add_nodes_from(range(g.vertex_count))
+    multigraph.add_edges_from(g.edge_list())
+    for s in range(g.vertex_count):
+        lengths = nx.single_source_shortest_path_length(multigraph, s)
+        assert g.distances(s) == [lengths.get(v, -1) for v in range(g.vertex_count)]
+
+
+def test_graphs_and_networks_are_unequal_to_other_types():
+    # Each __eq__ declines a foreign type, so equality falls back to identity.
+    g = generate("cycle", (3,))
+    net = oracles.network_from_graph(g)
+    assert g.__eq__(net) is NotImplemented and net.__eq__(g) is NotImplemented
+    assert g != net and net != g and g != "C3"
+
+
 # ---------------------------------------------------------------------------
 # Parser fuzzing: parse, or raise EquiarborError; nothing else escapes.
 

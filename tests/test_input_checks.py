@@ -36,9 +36,13 @@ EDGE = WeightedNetwork(3, {(0, 1): 1})  # vertex 2 is isolated
      "not a rational literal: 'x'"),
     (["cut", "p65.txt", "--enumerate", "--classify"], {"p65.txt": "2 65\n" + "0 1\n" * 65},
      "lambda = 65 exceeds the classification limit 64"),
+    # A star has one class, so only the point limit refuses it, before the
+    # n x n distance table is built.
+    (["scheme", "--family", "star", "--params", "4800"], {},
+     "4800 points exceed the scheme point limit 512"),
 ], ids=["no-graph", "eliminate-without-network", "scheme-without-input",
         "k-range-without-dots", "manifest-object", "network-r-unparsable",
-        "classify-above-lambda-64"])
+        "classify-above-lambda-64", "scheme-above-512-points"])
 def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -66,6 +70,13 @@ def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
     # The largest 4-byte header decodes to 258047 vertices, the supported top.
     (lambda: graphs.parse_graph6("~}~~"), Graph6ParseError,
      "bit vector needs 5548999681 bytes, found 0 (byte offset 4)"),
+    (lambda: graphs.parse_graph6("A!"), Graph6ParseError, "bad body byte 33 (byte offset 1)"),
+    # A non-ASCII character is refused where it stands, before the header is
+    # read, so it cannot pass for "?" (63), which is a valid byte.
+    (lambda: graphs.parse_graph6("C\u00e9"), Graph6ParseError,
+     "non-ASCII character '\u00e9' (byte offset 1)"),
+    (lambda: graphs.parse_graph6("\u00e9"), Graph6ParseError,
+     "non-ASCII character '\u00e9' (byte offset 0)"),
     (lambda: graphs.emit_graph6(Graph(2, [(0, 1, 2)])), ParameterError,
      "graph6 cannot encode multiplicities"),
     (lambda: graphs.emit_graph6(Graph(258048)), ParameterError,
@@ -114,7 +125,8 @@ def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
      "negative verdict must carry a witness"),
 ], ids=["graph-negative", "complete-0", "cycle-2", "star-1", "double-star-0-1",
         "hypercube-0", "graph6-eight-byte-header", "graph6-truncated-extended-header", "graph6-bad-extended-header-byte",
-        "graph6-largest-header", "emit-graph6-multigraph", "emit-graph6-too-large",
+        "graph6-largest-header", "graph6-bad-body-byte", "graph6-non-ascii-body",
+        "graph6-non-ascii-header", "emit-graph6-multigraph", "emit-graph6-too-large",
         "edge-list-bad-line", "identify-empty-group", "identify-out-of-range",
         "from-resistances-loop", "spanning-trees-empty", "probe-above-range",
         "probe-below-range", "w-sum-out-of-range", "network-json-zero-denominator",
@@ -127,6 +139,16 @@ def test_library_refusal(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command", ["matching", "analyze"])
+def test_cli_refuses_a_non_ascii_graph6_file(tmp_path, command):
+    path = tmp_path / "bad.g6"
+    path.write_text("C\u00e9\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command([command, str(path)], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: non-ASCII character '\u00e9' (byte offset 1)\n")
 
 
 def test_graph6_prefix_is_stripped():
