@@ -377,14 +377,6 @@ class DegreeConnectivityReport:
         return not self.counterexamples
 
 
-def _small_degree_sum_rows(k: int) -> list[tuple[int, range]]:
-    """Every (x, y) with x, y >= 1 and x + y <= k - sqrt(k) - 2, grouped by
-    x in increasing order: (x, range of y).  The bound is an integer,
-    floor(k - sqrt(k)) - 2, so the boundary is exact."""
-    top = _floor_k_minus_sqrt_k(k) - 2
-    return [(x, range(1, top - x + 1)) for x in range(1, top)]
-
-
 def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
     """Verify that a connected regular equiarboreal graph has edge
     connectivity equal to its degree, plus every structural cut property
@@ -420,19 +412,17 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
         lam = edge_connectivity(g)
         min_cuts = _minimum_cuts(g)[1] if lam < k else ()
     counterexamples: list[str] = []
-    if lam != k:
+    parity_ok = lam % 2 == 0 if k % 2 == 0 else None
+    if lam < k:  # a vertex star has k edges, and odd lambda at even k is below k
         counterexamples.append(f"lambda = {lam} != degree {k}")
-    parity_ok: bool | None = None
-    if k % 2 == 0:
-        parity_ok = lam % 2 == 0
-        if not parity_ok:
+        if parity_ok is False:
             counterexamples.append(f"even degree {k} but odd lambda {lam}")
-
-    if lam < k:
         counterexamples.extend(
             f"cut of size {lam} < {k}: sides {sorted(cut.side_a)}" for cut in min_cuts)
     elif k >= 4:
         simple = g.is_simple
+        # x + y <= k - sqrt(k) - 2 exactly; top < k, so each pair is in the cut's map.
+        top = _floor_k_minus_sqrt_k(k) - 2
         for cut in min_cuts:
             if cut.is_trivial:
                 continue  # trivial cuts are allowed
@@ -456,15 +446,15 @@ def verify_degree_connectivity(g: Graph) -> DegreeConnectivityReport:
             if not cls.k2_component_free:
                 counterexamples.append(f"cut {a} has a K2 component")
             if k >= 7:
-                for x, ys in _small_degree_sum_rows(k):
-                    counterexamples.extend(
-                        f"cut {a} contains the forbidden "
-                        f"double star for degrees ({x + 1}, {y + 1})"
-                        for y in ys if not cls.strongly_sxy_free.get((x, y), True))
+                counterexamples.extend(
+                    f"cut {a} contains the forbidden "
+                    f"double star for degrees ({x + 1}, {y + 1})"
+                    for (x, y), free in cls.strongly_sxy_free.items()
+                    if not free and x + y <= top)
             if k >= 8:
                 if cls.min_degree_in_cut_graph < 2:
                     counterexamples.append(f"cut {a} has a degree-1 vertex")
-                least = 2 * _floor_k_minus_sqrt_k(k) - 2
+                least = 2 * top + 2
                 if lam < least:
                     counterexamples.append(
                         f"non-trivial cut of {lam} < {least} edges")

@@ -8,14 +8,15 @@ adjacency sets, solves and inverses by Gaussian and Gauss-Jordan
 elimination over ``Fraction``, resistances and the equiarboreal verdict
 from a ``Fraction`` Laplacian and those solves and inverses, scheme
 intersection numbers by counting z for every (i, j, k) and pair, schemes
-beyond distance schemes (cyclotomic schemes and direct products), regular
-equiarboreal graphs beyond schemes (semisymmetric graphs from their LCF
-codes, built by networkx), the bound grids by filtering the whole (x, y)
-square and comparing ``Fraction`` values, or by walking every pair of the
-range with integer cross-multiplication (the package proves the grids
-algebraically), and the paper's lemmas as plain formulas: the worked
-closed-form networks, the cut bound, star synthesis, and S-equivalence
-over ``Fraction`` resistances with the principle of substitution.
+beyond distance schemes (cyclotomic schemes, group schemes and direct
+products), regular equiarboreal graphs beyond schemes (semisymmetric
+graphs from their LCF codes, built by networkx, and generalized Petersen
+graphs), the bound grids by filtering the whole (x, y) square and
+comparing ``Fraction`` values, or by walking every pair of the range with
+integer cross-multiplication (the package proves the grids algebraically),
+and the paper's lemmas as plain formulas: the worked closed-form networks,
+the cut bound, star synthesis, and S-equivalence over ``Fraction``
+resistances with the principle of substitution.
 Agreement between these and the package is the point of the tests
 importing them.
 """
@@ -36,7 +37,7 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from equiarbor.bounds import U1, V1, degree_pair_bound, reduced_cut_network
-from equiarbor.cuts import EdgeCut, _small_degree_sum_rows, cut_from_side
+from equiarbor.cuts import EdgeCut, cut_from_side
 from equiarbor.equiarboreal import EquiarborealVerdict
 from equiarbor.errors import (
     ConnectivityError,
@@ -356,6 +357,30 @@ def cyclotomic_relation(p: int, e: int) -> list[list[int]]:
             for x in range(p)]
 
 
+def group_relation(elements: list[tuple[int, ...]]) -> list[list[int]]:
+    """The group scheme of a permutation group listed with the identity
+    first: rel(x, y) is the index of the conjugacy class of x^-1 y, the
+    classes numbered in the order their first member appears in
+    ``elements``.  A symmetric scheme when every element is conjugate to
+    its inverse, as in symmetric and dihedral groups (Bannai & Ito 1984)."""
+    def compose(p, q):  # p after q
+        return tuple(p[i] for i in q)
+
+    def inverse(p):
+        inv = [0] * len(p)
+        for i, image in enumerate(p):
+            inv[image] = i
+        return tuple(inv)
+
+    class_of: dict[tuple[int, ...], int] = {}
+    for g in elements:
+        if g not in class_of:
+            number = len(set(class_of.values()))
+            for h in elements:
+                class_of[compose(inverse(h), compose(g, h))] = number
+    return [[class_of[compose(inverse(x), y)] for y in elements] for x in elements]
+
+
 def product_relation(r: list[list[int]], s: list[list[int]]) -> list[list[int]]:
     """The direct product of two relation tables on pairs (x1, x2), point
     x1 * |s| + x2: class (i, j) is numbered i * (d + 1) + j for s's d
@@ -371,6 +396,17 @@ def lcf_graph(shifts: list[int], repeats: int) -> Graph:
     at every vertex i (Frucht 1977)."""
     g = nx.LCF_graph(len(shifts) * repeats, shifts, repeats)
     return Graph(g.number_of_nodes(), g.edges())
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """The generalized Petersen graph GP(n, k) on 2n vertices: the outer
+    cycle i -- i+1, the spokes i -- n+i and the inner edges n+i --
+    n+(i+k mod n), for i mod n.  Edge-transitive exactly for (n, k) in
+    {(4, 1), (5, 2), (8, 3), (10, 2), (10, 3), (12, 5), (24, 5)} up to
+    isomorphism (Frucht, Graver & Watkins 1971)."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, edges)
 
 
 #: Semisymmetric graphs by LCF code: edge-transitive, so equiarboreal, but
@@ -482,11 +518,24 @@ def row_meets_two_over_k(k: int, x: int, ys: Iterable[int]) -> bool:
     return True
 
 
+def small_degree_sum_rows(k: int) -> list[tuple[int, range]]:
+    """Every (x, y) with x, y >= 1 and x + y <= k - sqrt(k) - 2, grouped by
+    x in increasing order: (x, range of y).  The bound is k - 2 - s for the
+    least s >= 0 with s^2 >= k, found by counting up, so the boundary is
+    exact without an integer square root."""
+    s = 0
+    while s * s < k:
+        s += 1
+    top = k - 2 - s
+    return [(x, range(1, top - x + 1)) for x in range(1, top)]
+
+
 def integer_double_star_threshold(k: int) -> bool:
     """The double-star threshold grid walked pair by pair over the rows of
-    ``_small_degree_sum_rows``, each pair compared with 2/k by integer
-    cross-multiplication."""
-    return all(row_meets_two_over_k(k, x, ys) for x, ys in _small_degree_sum_rows(k))
+    ``small_degree_sum_rows``, each pair compared with 2/k by integer
+    cross-multiplication: the range and the comparison both come from this
+    module, so it checks ``verify_double_star_threshold`` independently."""
+    return all(row_meets_two_over_k(k, x, ys) for x, ys in small_degree_sum_rows(k))
 
 
 def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

@@ -16,7 +16,7 @@ from equiarbor.bounds import (
     verify_denominator_positive,
     verify_double_star_threshold,
 )
-from equiarbor.cuts import _small_degree_sum_rows, cut_from_side
+from equiarbor.cuts import cut_from_side
 from equiarbor.errors import DomainError, ParameterError, VerificationError
 from equiarbor.graphs import Graph
 from equiarbor.resistance import WeightedNetwork, _potentials, resistance, resistance_matrix
@@ -312,14 +312,14 @@ def _in_squaring_filter(k, x, y):
 
 def test_small_degree_sum_rows_equal_squaring_filter():
     for k in range(7, 121):
-        walked = [(x, y) for x, ys in _small_degree_sum_rows(k) for y in ys]
+        walked = [(x, y) for x, ys in oracles.small_degree_sum_rows(k) for y in ys]
         filtered = [(x, y) for x in range(1, k) for y in range(1, k)
                     if _in_squaring_filter(k, x, y)]
         assert walked == filtered, k
     # Further out, row by row: s falls as y grows, so each row of the filter
     # is a prefix 1..m of y, fixed by its last member and the next y.
     for k in range(121, 501):
-        rows = dict(_small_degree_sum_rows(k))
+        rows = dict(oracles.small_degree_sum_rows(k))
         assert list(rows) == sorted(rows)
         for x in range(1, k):
             m = len(rows.get(x, ()))
@@ -333,7 +333,7 @@ def test_integer_pair_test_matches_fraction_bound():
     outcomes = set()
     below_outside = 0
     for k in range(7, 81):
-        inside = {(x, y) for x, ys in _small_degree_sum_rows(k) for y in ys}
+        inside = {(x, y) for x, ys in oracles.small_degree_sum_rows(k) for y in ys}
         for x in range(1, k):
             for y in range(1, k):
                 try:

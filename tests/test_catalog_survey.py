@@ -397,3 +397,39 @@ def test_semisymmetric_graphs_pass_without_a_distance_scheme(tmp_path):
         ("Folkman", 4, True, "19/40", 4, "pass", "pass", note),
         ("Gray", 3, True, "53/81", 3, "pass", "pass", note),
     ]
+
+
+def test_edge_transitive_generalized_petersen_graphs_pass(tmp_path):
+    # The cubic edge-transitive generalized Petersen graphs beyond the
+    # catalog's Petersen graph, and GP(13, 5), which is not edge-transitive,
+    # as the control: its outer and spoke edges differ in resistance, so
+    # the main theorem's hypothesis fails and the entry is skipped.
+    nauru = oracles.to_networkx(oracles.lcf_graph([5, -9, 7, -7, 9, -5], 4))
+    named = {(8, 3): nx.moebius_kantor_graph(), (12, 5): nauru,
+             (10, 2): nx.dodecahedral_graph(), (10, 3): nx.desargues_graph()}
+    params = [(8, 3), (12, 5), (24, 5), (10, 2), (10, 3), (13, 5)]
+    items = []
+    for n, k in params:
+        g = oracles.generalized_petersen(n, k)
+        assert (g.vertex_count, g.edge_count, g.is_regular()) == (2 * n, 3 * n, 3)
+        if (n, k) in named:
+            assert nx.is_isomorphic(oracles.to_networkx(g), named[n, k])
+        items.append({"name": f"GP({n},{k})", "format": "graph6", "payload": emit_graph6(g)})
+    manifest = tmp_path / "petersen.json"
+    manifest.write_text(json.dumps(items))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["--deterministic", "survey", str(manifest)], out, err) == 0
+    assert err.getvalue() == "survey: 5 passed, 0 failed, 1 skipped\n"
+    no_scheme = "distance partition is not an association scheme"
+    scheme = "scheme with 5 classes: all colour classes pass"
+    control = "not equiarboreal: edge (0, 1) has 16/25, edge (0, 13) has 209/325; " + no_scheme
+    assert [(e["graphName"], e["regularity"], e["equiarboreal"], e["omega"], e["lambda"],
+             e["mainTheoremPass"], e["matchingPass"], e["notes"])
+            for e in json.loads(out.getvalue())["entries"]] == [
+        ("GP(8,3)", 3, True, "5/8", 3, "pass", "pass", no_scheme),
+        ("GP(12,5)", 3, True, "23/36", 3, "pass", "pass", no_scheme),
+        ("GP(24,5)", 3, True, "47/72", 3, "pass", "pass", no_scheme),
+        ("GP(10,2)", 3, True, "19/30", 3, "pass", "pass", scheme),
+        ("GP(10,3)", 3, True, "19/30", 3, "pass", "pass", scheme),
+        ("GP(13,5)", 3, False, None, 3, "skipped", "skipped", control),
+    ]

@@ -259,18 +259,33 @@ def test_distance_partition_carries_the_oracle_intersection_numbers(family, para
 
 
 # Schemes that are not distance schemes: cyclotomic schemes on Z_p, whose
-# classes >= 2 are not distance graphs of class 1, and K3 x C5, whose class 1
-# is three disjoint C5s.
+# classes >= 2 are not distance graphs of class 1, K3 x C5, whose class 1
+# is three disjoint C5s, and the group schemes of S4, D7, D9 and S5, whose
+# classes of even permutations or of rotations are disconnected.
 K3_X_C5 = ("product", (("complete", (3,)), ("cycle", (5,))))
+GROUPS = [("group", ("symmetric", 4)), ("group", ("dihedral", 7)),
+          ("group", ("dihedral", 9)), ("group", ("symmetric", 5))]
 BEYOND_DISTANCE = [("cyclotomic", (13, 2)), ("cyclotomic", (17, 4)),
-                   ("cyclotomic", (41, 4)), K3_X_C5]
+                   ("cyclotomic", (41, 4)), K3_X_C5] + GROUPS
+
+
+def _group(kind, n):
+    """S_n as ``itertools.permutations`` lists it, or D_n on Z_n as its
+    rotations followed by its reflections: the identity first either way."""
+    if kind == "symmetric":
+        return list(itertools.permutations(range(n)))
+    rotations = [tuple((i + j) % n for i in range(n)) for j in range(n)]
+    return rotations + [tuple((j - i) % n for i in range(n)) for j in range(n)]
 
 
 def _scheme(family, params):
-    """The distance scheme of a generated graph, or a cyclotomic scheme or
-    a product of two distance schemes that ``verify_scheme`` accepts."""
+    """The distance scheme of a generated graph, or a cyclotomic scheme, a
+    group scheme or a product of two distance schemes that
+    ``verify_scheme`` accepts."""
     if family == "cyclotomic":
         table = oracles.cyclotomic_relation(*params)
+    elif family == "group":
+        table = oracles.group_relation(_group(*params))
     elif family == "product":
         table = oracles.product_relation(*(distance_table(generate(*f)) for f in params))
     else:
@@ -286,7 +301,8 @@ def _component(g: Graph, comp: frozenset[int]) -> Graph:
                              if u in comp])
 
 
-@pytest.mark.parametrize("family, params", [("cycle", (40,)), ("hypercube", (6,)), K3_X_C5])
+@pytest.mark.parametrize("family, params",
+                         [("cycle", (40,)), ("hypercube", (6,)), K3_X_C5] + GROUPS)
 def test_godsil_report_agrees_with_each_component(family, params):
     scheme = _scheme(family, params)
     report = verify_godsil_theorems(scheme)
