@@ -28,9 +28,9 @@ from .errors import (ConnectivityError, DimensionError, EquiarborError,
 from .exactalg import SIZE_LIMIT, _check_size, format_rational, json_text
 from .graphs import Graph, fact_scope, generate, member_size, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
+from .schemes import SCHEME_CLASS_LIMIT
 
 ENV_CATALOG = "EQUIARBOR_CATALOG"
-SCHEME_CLASS_LIMIT = 64  # scheme's intersection numbers grow as classes cubed
 CLASSIFY_LIMIT = 64  # a classification's double-star map grows as lambda squared
 
 

@@ -13,9 +13,9 @@ when that is at most the point count, else one count over the points (a
 long cycle or path has one class per distance).  The pairs with x <= y
 decide validity (the histogram of (y, x) is the transpose, and the comment
 in ``_decide_scheme`` shows why the transposes then agree too), and the
-check stops at the first mismatch.  On success the scheme is returned with
-its intersection numbers; on failure the first violating tuple in scan order,
-intersection counts being scanned by (i, j, class, position in the class).
+check stops at the first mismatch.  On success the scheme is returned; on
+failure the first violating tuple in scan order, intersection counts being
+scanned by (i, j, class, position in the class).
 Only that witness needs every ordered pair of an invalid table, so the
 distance-partition builder, which needs only the verdict, never scans them.
 
@@ -29,6 +29,7 @@ inverted too, as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -42,16 +43,17 @@ from .errors import ParameterError, SingularSystemError, VerificationError
 from .graphs import Graph, require_connected
 
 RelationTable = Sequence[Sequence[int]]
+SCHEME_CLASS_LIMIT = 64  # a scheme's intersection numbers grow as classes cubed
 
 
 @dataclass(frozen=True)
 class AssociationScheme:
-    """A relation table that satisfies the scheme axioms, with its
-    intersection numbers: ``intersections[i][j][k]`` is, for (x, y) in class
-    k, the number of z with (x, z) in class i and (z, y) in class j."""
+    """A relation table that satisfies the scheme axioms.  Its intersection
+    numbers are counted from it: ``intersections[i][j][k]`` is, for (x, y)
+    in class k, the number of z with (x, z) in class i and (z, y) in class
+    j, counted at the first pair (0, y) of class k."""
 
     relation: tuple[tuple[int, ...], ...]
-    intersections: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def point_count(self) -> int:
@@ -59,7 +61,15 @@ class AssociationScheme:
 
     @property
     def class_count(self) -> int:
-        return len(self.intersections) - 1
+        return max(self.relation[0])
+
+    @functools.cached_property
+    def intersections(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        width = self.class_count + 1
+        first = self.relation[0]
+        counts = [Counter(zip(first, self.relation[first.index(k)])) for k in range(width)]
+        return tuple(tuple(tuple(c[i, j] for c in counts) for j in range(width))
+                     for i in range(width))
 
     def rel(self, x: int, y: int) -> int:
         return self.relation[x][y]
@@ -100,12 +110,12 @@ def _validate_table(rel: RelationTable) -> tuple[int, int]:
 def verify_scheme(rel: RelationTable) -> SchemeCheck:
     """Check the scheme axioms exhaustively.
 
-    Returns the scheme with its intersection numbers on success; on
-    failure, the first violation in scan order, with (i, j, x, y) details
-    for a failed intersection-count constancy: the least (i, j), then the
-    least class k, then the first pair (x, y) of class k in row-major order
-    whose count of z with rel(x, z) = i and rel(z, y) = j differs from the
-    count of the class's first pair.
+    Returns the scheme on success; on failure, the first violation in scan
+    order, with (i, j, x, y) details for a failed intersection-count
+    constancy: the least (i, j), then the least class k, then the first
+    pair (x, y) of class k in row-major order whose count of z with
+    rel(x, z) = i and rel(z, y) = j differs from the count of the class's
+    first pair.
     """
     check = _decide_scheme(rel)
     if check.valid or check.violation is not None:
@@ -150,20 +160,14 @@ def _decide_scheme(rel: RelationTable) -> SchemeCheck:
     # v_k H_k[i][j] = v_j H_j[i][k], with the valencies v read off the
     # common diagonal H_0.  v_k H_k[i][j] is then symmetric in i, j and k,
     # so every H_k equals its transpose and so does every pair with x > y.
-    width = n + 1
-    histogram = _pair_histograms(rel, width)
+    histogram = _pair_histograms(rel, n + 1)
     firsts: dict = {}
     for x in range(size):
         for y in range(x, size):
             hist = histogram(x, y)
             if firsts.setdefault(rel[x][y], hist) != hist:
                 return SchemeCheck(False, None, None)
-    intersections = tuple(
-        tuple(tuple(firsts[k][i * width + j] for k in range(width))
-              for j in range(width))
-        for i in range(width))
-    return SchemeCheck(True, AssociationScheme(tuple(map(tuple, rel)), intersections),
-                       None)
+    return SchemeCheck(True, AssociationScheme(tuple(map(tuple, rel))), None)
 
 
 def _intersection_witness(rel: RelationTable) -> SchemeViolation:
@@ -298,11 +302,10 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
     their own.  Each class must pass Foster's identity on components of
     equal size, and class 1 must agree with a direct check (whole when
     connected, else the component of point 0); a failure raises
-    ``VerificationError``, as does an intersection number that the relation
-    contradicts.  That the relation satisfies the axioms stays the caller's
+    ``VerificationError``.  The intersection numbers are counted from the
+    relation, and that the relation satisfies the axioms stays the caller's
     precondition.
     """
-    _check_intersections(s)
     reports = []
     for i in range(1, s.class_count + 1):
         g = colour_class(s, i)
@@ -325,22 +328,6 @@ def verify_godsil_theorems(s: AssociationScheme) -> SchemeGodsilReport:
             omega=omega if connected else None,
             lambda_value=edge_connectivity(g) if connected else None))
     return SchemeGodsilReport(tuple(reports))
-
-
-def _check_intersections(s: AssociationScheme) -> None:
-    """The tensor's shape, then each p_ij^k against its count at the first pair (0, y) of k."""
-    width = 1 + max(s.relation[0])
-    if [[len(row) for row in plane] for plane in s.intersections] != [[width] * width] * width:
-        raise VerificationError(f"the intersection tensor is not {width}^3 for {width - 1} classes")
-    for k in range(width):
-        counted = [0] * (width * width)
-        for i, j in zip(s.relation[0], s.relation[s.relation[0].index(k)]):
-            counted[i * width + j] += 1
-        given = [row[k] for plane in s.intersections for row in plane]
-        if counted != given:
-            i, j = divmod(_first_difference(counted, given), width)
-            raise VerificationError(f"p_ij^k at ({i}, {j}, {k}) is {s.p(i, j, k)}, but the "
-                                    f"relation gives {counted[i * width + j]}")
 
 
 def _class_resistance(s: AssociationScheme, i: int, within: set[int]) -> Fraction:

@@ -5,12 +5,13 @@
 ``catalog.default_manifest()``, and loads each with the same checks.  Each
 entry gets the equiarboreality check, the degree-connectivity verdict when
 its hypotheses hold, the distance-partition scheme check with the
-colour-class theorems when a scheme exists, and the perfect-matching
-corollary on even orders.  Entries run one at a time in manifest order, and
-an unreadable or failing entry does not stop the others.  Each entry runs
-in its own fact scope, so its equiarboreal verdict, lambda and minimum cuts
-are computed once, and the distance-1 colour class of a distance-regular
-graph, which equals the graph, reuses them.
+colour-class theorems when a scheme of at most 64 classes exists, and the
+perfect-matching corollary on even orders.  Entries run one at a time in
+manifest order, and an unreadable or failing entry does not stop the
+others.  Each entry runs in its own fact scope, so its equiarboreal
+verdict, lambda and minimum cuts are computed once, and the distance-1
+colour class of a distance-regular graph, which equals the graph, reuses
+them.
 
 Entry status: "failed" if any applicable check produced a counterexample,
 "skipped" if the degree-connectivity hypotheses did not apply (negative
@@ -32,7 +33,7 @@ from .errors import EquiarborError
 from .exactalg import format_rational, json_text
 from .graphs import fact_scope
 from .matching import has_perfect_matching
-from .schemes import scheme_from_distance_partition, verify_godsil_theorems
+from .schemes import SCHEME_CLASS_LIMIT, scheme_from_distance_partition, verify_godsil_theorems
 
 
 #: JSON schema of a survey report; reports are validated against this in
@@ -173,6 +174,9 @@ def _survey_entry(entry: GraphCatalogEntry) -> SurveyEntry:
         scheme = scheme_from_distance_partition(g)
         if scheme is None:
             notes.append("distance partition is not an association scheme")
+        elif scheme.class_count > SCHEME_CLASS_LIMIT:
+            notes.append(f"scheme with {scheme.class_count} classes: above the class "
+                         f"limit {SCHEME_CLASS_LIMIT}, colour classes not checked")
         else:
             godsil = verify_godsil_theorems(scheme)
             if godsil.passed:

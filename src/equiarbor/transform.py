@@ -45,10 +45,11 @@ def eliminate_vertex(net: WeightedNetwork, w: int) -> WeightedNetwork:
 
 
 def _mesh_branches(net: WeightedNetwork, w: int) -> list[tuple[int, int, Fraction]]:
-    """(a, b, c_a c_b / sum c) for each pair a < b of w's neighbours."""
+    """(a, b, c_a c_b / sum c) for each pair a < b of w's neighbours; an
+    isolated w adds none."""
     star = [(v, net.conductance(w, v)) for v in net.neighbors(w)]
     total = sum((c for _, c in star), Fraction(0))
-    if total == 0:
+    if star and total == 0:
         raise SingularEliminationError(
             f"conductance sum at vertex {w} is zero")
     return [(a, b, ca * cb / total) for (a, ca), (b, cb) in combinations(star, 2)]

@@ -30,7 +30,7 @@ import types
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable
 
 import networkx as nx
@@ -468,8 +468,12 @@ def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:
                             SchemeViolation("intersection", (i, j, x, y)))
                 values[i][j][k] = ref
 
-    intersections = tuple(tuple(tuple(row) for row in plane) for plane in values)
-    return SchemeCheck(True, AssociationScheme(tuple(map(tuple, rel)), intersections), None)
+    scheme = AssociationScheme(tuple(map(tuple, rel)))
+    for i, j, k in product(range(n + 1), repeat=3):
+        if scheme.p(i, j, k) != values[i][j][k]:
+            raise AssertionError(f"p_ij^k at ({i}, {j}, {k}) is {scheme.p(i, j, k)}, "
+                                 f"the scan counts {values[i][j][k]}")
+    return SchemeCheck(True, scheme, None)
 
 
 def fraction_double_star_threshold(k: int) -> bool:

@@ -373,6 +373,18 @@ def test_survey_decides_the_distance_partition_without_a_witness(monkeypatch):
         assert "distance partition is not an association scheme" in entry.notes
 
 
+def test_scheme_above_the_class_limit_leaves_its_colour_classes_unchecked(monkeypatch):
+    # C130 is distance-regular with 65 classes, one above the limit.
+    def refuse(scheme):
+        raise AssertionError("colour classes checked above the class limit")
+
+    monkeypatch.setattr(survey_module, "verify_godsil_theorems", refuse)
+    entry = survey([generated("C130", "cycle", 130)]).entries[0]
+    assert entry.status == "passed"
+    assert entry.notes == ("scheme with 65 classes: above the class limit 64, "
+                           "colour classes not checked")
+
+
 def test_semisymmetric_graphs_pass_without_a_distance_scheme(tmp_path):
     # Edge-transitive but not vertex-transitive: every edge has one
     # resistance, so the main theorem applies, yet neither graph is

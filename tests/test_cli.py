@@ -423,6 +423,15 @@ def test_transform_eliminate(tmp_path):
     assert "series" in err
 
 
+def test_transform_eliminate_isolated_vertex(tmp_path):
+    # An isolated vertex adds no branches, so it is not refused as singular.
+    path = tmp_path / "isolated.json"
+    path.write_text(dump_network(WeightedNetwork.from_resistances(3, [(0, 1, 1)])))
+    code, out, err = run(["transform", str(path), "--eliminate", "2"])
+    assert (code, out) == (0, path.read_text())
+    assert err == "transform: star-mesh; removed [2]; added []\n"
+
+
 def test_transform_eliminate_builds_its_mesh_once(monkeypatch):
     # The record reads each branch off the networks before and after, so
     # only the elimination builds the mesh; the reported branches, on a

@@ -66,6 +66,14 @@ def test_eliminate_terminal_rejected():
         eliminate_vertex(net, 1)
 
 
+def test_eliminating_an_isolated_vertex_returns_the_network_unchanged():
+    net = WeightedNetwork.from_resistances(3, [(0, 1, 1)])
+    reduced = eliminate_vertex(net, 2)
+    assert reduced == net and list(reduced.edge_items()) == [((0, 1), 1)]
+    record = record_for_elimination(net, reduced, 2)
+    assert (record.kind, record.removed_vertices, record.added_edges) == ("star-mesh", (2,), ())
+
+
 def test_eliminate_zero_conductance_sum():
     net = WeightedNetwork.from_resistances(
         4, [(3, 0, 1), (3, 1, -1), (0, 1, 1), (1, 2, 1)])
