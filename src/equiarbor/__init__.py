@@ -10,7 +10,7 @@ as a sequence of rows.
 from .cuts import godsil_bound_check
 from .equiarboreal import EquiarborealVerdict, check_equiarboreal
 from .errors import EquiarborError
-from .exactalg import Rational, determinant, solve
+from .exactalg import determinant, solve
 from .graphs import Graph, generate, identify_vertices, parse_graph6
 from .resistance import (
     WeightedNetwork,
@@ -26,7 +26,6 @@ __all__ = [
     "EquiarborError",
     "EquiarborealVerdict",
     "Graph",
-    "Rational",
     "WeightedNetwork",
     "check_equiarboreal",
     "determinant",

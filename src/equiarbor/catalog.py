@@ -20,20 +20,15 @@ from typing import Optional
 from .errors import ParameterError
 from .graphs import Graph, generate, parse_edge_list, parse_graph6
 
-PROVENANCES = ("generator", "graph6", "edge-list")
-
 
 @dataclass(frozen=True)
 class GraphCatalogEntry:
     name: str
     graph: Graph
     expected_regularity: Optional[int] = None
-    provenance: str = "generator"
     negative_control: bool = False
 
     def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise ParameterError(f"unknown provenance {self.provenance!r}")
         if self.expected_regularity is not None:
             k = self.graph.is_regular()
             if k != self.expected_regularity:
@@ -79,7 +74,6 @@ def entry_from_manifest(item) -> GraphCatalogEntry:
         name=name,
         graph=graph,
         expected_regularity=regularity,
-        provenance=fmt,
         negative_control=negative,
     )
 

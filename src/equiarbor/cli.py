@@ -25,7 +25,7 @@ from . import bounds, catalog, cuts, matching, schemes, survey, transform
 from .equiarboreal import check_equiarboreal
 from .errors import (ConnectivityError, DimensionError, EquiarborError,
                      PreconditionError, ScaleError, VerificationError)
-from .exactalg import SIZE_LIMIT, _check_size, format_rational, json_text
+from .exactalg import SIZE_LIMIT, _check_size, json_text
 from .graphs import Graph, fact_scope, generate, member_size, parse_edge_list, parse_graph6
 from .resistance import dump_network, load_network, resistance
 from .schemes import SCHEME_CLASS_LIMIT
@@ -83,17 +83,17 @@ def _cmd_analyze(args, stdout, stderr) -> int:
     bound = None
     if verdict.is_equiarboreal:
         result = cuts.godsil_bound_check(g)
-        bound = format_rational(result.bound)
+        bound = str(result.bound)
         if not result.holds:  # a theorem here, so only a defect fails it
             raise VerificationError(
                 f"lambda = {result.lam} is below the spanning-tree bound m/(n-1) = {bound}")
     else:
         e1, e2, v1, v2 = verdict.witness
         witness = {"edgeA": list(e1), "edgeB": list(e2),
-                   "valueA": format_rational(v1), "valueB": format_rational(v2)}
+                   "valueA": str(v1), "valueB": str(v2)}
     _emit(args, {
         "equiarboreal": verdict.is_equiarboreal,
-        "omega": format_rational(verdict.omega) if verdict.omega is not None else None,
+        "omega": str(verdict.omega) if verdict.omega is not None else None,
         "witness": witness,
         "godsilBound": bound,
         "lambda": lam,
@@ -104,7 +104,7 @@ def _cmd_analyze(args, stdout, stderr) -> int:
 def _cmd_resist(args, stdout, stderr) -> int:
     net = load_network(args.network)
     value = resistance(net, args.u, args.v)
-    print(format_rational(value), file=stdout)
+    print(value, file=stdout)
     return 0
 
 
@@ -182,7 +182,7 @@ def _cmd_transform(args, stdout, stderr) -> int:
         record = transform.record_for_elimination(before, net, args.eliminate)
     stdout.write(dump_network(net))
     print(f"transform: {record.kind}; removed {list(record.removed_vertices)}; "
-          f"added {[(u, v, format_rational(r)) for u, v, r in record.added_edges]}",
+          f"added {[(u, v, str(r)) for u, v, r in record.added_edges]}",
           file=stderr)
     return 0
 
@@ -236,7 +236,7 @@ def _cmd_scheme(args, stdout, stderr) -> int:
                     "degree": c.degree,
                     "connected": c.connected,
                     "equiarboreal": True,  # every failure raises
-                    "omega": format_rational(c.omega) if c.omega is not None else None,
+                    "omega": str(c.omega) if c.omega is not None else None,
                     "lambda": c.lambda_value,
                 } for c in report.classes],
             }
@@ -248,7 +248,7 @@ def _cmd_scheme(args, stdout, stderr) -> int:
 
 def _cmd_fxy(args, stdout, stderr) -> int:
     value = bounds.degree_pair_bound(args.k, args.x, args.y)
-    print(format_rational(value), file=stdout)
+    print(value, file=stdout)
     return 0
 
 

@@ -25,8 +25,9 @@ succeeds the pivoted one would have swapped no rows, so both give the same
 
 The public functions take a matrix as a sequence of rows of ``Fraction``
 or int, leave it unchanged, and are pure; :func:`invert` returns rows.
-Results leave as text: :func:`format_rational` writes a rational and
-:func:`json_text` every JSON document the command line prints.
+Results leave as text: a rational as ``str(Fraction)``, ``p/q`` or plain
+``p``, and every JSON document the command line prints through
+:func:`json_text`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from typing import Sequence
 
 from .errors import DimensionError, SingularSystemError, VerificationError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 #: Soft size limit for dense matrices; beyond desk scale is a non-goal.
@@ -51,13 +50,6 @@ def _check_size(size: int) -> None:
     """Refuse a matrix dimension above :data:`SIZE_LIMIT`."""
     if size > SIZE_LIMIT:
         raise DimensionError(f"matrix exceeds the {SIZE_LIMIT} soft size limit")
-
-
-def format_rational(value: Rational) -> str:
-    """Serialize as ``p/q``, or plain ``p`` when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 #: The writer of each leaf type.  Dispatch on the exact type keeps True and 1
@@ -96,7 +88,7 @@ def json_text(value: object, newline: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with optional leading sign; q must be > 0."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
@@ -109,8 +101,8 @@ def parse_rational(text: str) -> Rational:
     return Fraction(int(s))
 
 
-def _scaled_rows(a: Sequence[Sequence[Rational | int]],
-                 rhs: Sequence[Sequence[Rational | int]] = ()
+def _scaled_rows(a: Sequence[Sequence[Fraction | int]],
+                 rhs: Sequence[Sequence[Fraction | int]] = ()
                  ) -> tuple[list[list[int]], list[int]]:
     """Rows of ``[a | rhs]`` as integers, each multiplied by the lcm of its
     denominators, and the per-row scales.  The one check of matrix input:
@@ -239,7 +231,7 @@ def _symmetric_eliminate(rows: Sequence[list[int]]
     return prev, det_x
 
 
-def determinant(a: Sequence[Sequence[Rational | int]]) -> Rational:
+def determinant(a: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Exact determinant of the rows ``a``: ``det(D A) / det D`` from
     :func:`integer_solve` with no right-hand side, D the row scales."""
     rows, scales = _scaled_rows(a)
@@ -285,8 +277,8 @@ def integer_solve(rows: Sequence[list[int]], what: str) -> tuple[int, list[list[
     return det, det_x
 
 
-def solve(a: Sequence[Sequence[Rational | int]],
-          b: Sequence[Rational | int]) -> tuple[Rational, ...]:
+def solve(a: Sequence[Sequence[Fraction | int]],
+          b: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """Solve ``a @ x == b`` exactly, ``a`` given by its rows.
 
     Pivot choice is the first row with a nonzero pivot; the integer identity
@@ -300,7 +292,7 @@ def solve(a: Sequence[Sequence[Rational | int]],
     return tuple(Fraction(row[0], det) for row in det_x)
 
 
-def invert(a: Sequence[Sequence[Rational | int]]) -> list[list[Rational]]:
+def invert(a: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """Exact inverse, as rows, from one fraction-free Gauss-Jordan pass.
 
     Eliminating ``[D A | D]``, with D the diagonal row scales, leaves

@@ -40,7 +40,7 @@ from .errors import (
     SingularNetworkError,
     SingularSystemError,
 )
-from .exactalg import Rational, format_rational, json_text, parse_rational
+from .exactalg import json_text, parse_rational
 from .graphs import _GRAPH6_MAX_N, Graph, _PairMap, _norm_edge, require_connected
 
 Pair = tuple[int, int]
@@ -51,7 +51,7 @@ class WeightedNetwork(_PairMap):
 
     __slots__ = ("_terminals",)
 
-    def __init__(self, vertex_count: int, conductances: Mapping[Pair, Rational],
+    def __init__(self, vertex_count: int, conductances: Mapping[Pair, Fraction],
                  terminals: Iterable[int] | None = None):
         super().__init__(vertex_count)
         cond: dict[Pair, Fraction] = {}
@@ -79,7 +79,7 @@ class WeightedNetwork(_PairMap):
 
     @classmethod
     def from_resistances(cls, vertex_count: int,
-                         edges: Iterable[tuple[int, int, Rational | int | str]],
+                         edges: Iterable[tuple[int, int, Fraction | int | str]],
                          terminals: Iterable[int] | None = None
                          ) -> "WeightedNetwork":
         """Build from (u, v, resistance) triples; parallel entries merge by
@@ -134,7 +134,7 @@ def spanning_tree_count(g: Graph) -> int:
 # Laplacian solves over the integers
 
 
-def _reduced_laplacian(items: Sequence[tuple[Pair, Rational | int]],
+def _reduced_laplacian(items: Sequence[tuple[Pair, Fraction | int]],
                        vertices: Sequence[int], grounded: int
                        ) -> tuple[list[list[int]], list[int], dict[int, int]]:
     """Integer rows ``D L D`` of the conductance Laplacian on ``vertices``
@@ -166,7 +166,7 @@ def _reduced_laplacian(items: Sequence[tuple[Pair, Rational | int]],
     return rows, scales, pos
 
 
-def _grounded_adjugate(items: Sequence[tuple[Pair, Rational | int]], n: int
+def _grounded_adjugate(items: Sequence[tuple[Pair, Fraction | int]], n: int
                        ) -> tuple[int, list[list[int]]]:
     """``(det, M)`` with ``M = det L^-1`` over the integers, L the Laplacian
     of vertices ``0..n-1`` grounded at ``n - 1``; M is n x n, its grounded
@@ -281,7 +281,7 @@ def w_sum(net: WeightedNetwork, u: int) -> Fraction:
 def network_to_json_dict(net: WeightedNetwork) -> dict:
     edges = []
     for (u, v), c in net.edge_items():
-        edges.append({"u": u, "v": v, "r": format_rational(1 / c)})
+        edges.append({"u": u, "v": v, "r": str(1 / c)})
     return {
         "vertices": net.vertex_count,
         "terminals": sorted(net.terminals) if net.terminals is not None else [],

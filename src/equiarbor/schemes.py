@@ -74,9 +74,6 @@ class AssociationScheme:
     def rel(self, x: int, y: int) -> int:
         return self.relation[x][y]
 
-    def p(self, i: int, j: int, k: int) -> int:
-        return self.intersections[i][j][k]
-
 
 @dataclass(frozen=True)
 class SchemeViolation:

@@ -30,7 +30,7 @@ from .catalog import GraphCatalogEntry, entry_from_manifest
 from .cuts import edge_connectivity, verify_degree_connectivity
 from .equiarboreal import check_equiarboreal
 from .errors import EquiarborError
-from .exactalg import format_rational, json_text
+from .exactalg import json_text
 from .graphs import fact_scope
 from .matching import has_perfect_matching
 from .schemes import SCHEME_CLASS_LIMIT, scheme_from_distance_partition, verify_godsil_theorems
@@ -97,7 +97,7 @@ class SurveyEntry:
             "graphName": self.graph_name,
             "regularity": self.regularity,
             "equiarboreal": self.equiarboreal,
-            "omega": format_rational(self.omega) if self.omega is not None else None,
+            "omega": str(self.omega) if self.omega is not None else None,
             "lambda": self.lambda_value,
             "mainTheoremPass": self.main_theorem,
             "matchingPass": self.matching,
@@ -156,9 +156,7 @@ def _survey_entry(entry: GraphCatalogEntry) -> SurveyEntry:
         failed = True
     if not verdict.is_equiarboreal:
         e1, e2, v1, v2 = verdict.witness
-        notes.append(
-            f"not equiarboreal: edge {e1} has {format_rational(v1)}, "
-            f"edge {e2} has {format_rational(v2)}")
+        notes.append(f"not equiarboreal: edge {e1} has {v1}, edge {e2} has {v2}")
 
     main = "skipped"
     if regularity is not None and verdict.is_equiarboreal:

@@ -470,8 +470,8 @@ def scan_verify_scheme(rel: list[list[int]]) -> SchemeCheck:
 
     scheme = AssociationScheme(tuple(map(tuple, rel)))
     for i, j, k in product(range(n + 1), repeat=3):
-        if scheme.p(i, j, k) != values[i][j][k]:
-            raise AssertionError(f"p_ij^k at ({i}, {j}, {k}) is {scheme.p(i, j, k)}, "
+        if (count := scheme.intersections[i][j][k]) != values[i][j][k]:
+            raise AssertionError(f"p_ij^k at ({i}, {j}, {k}) is {count}, "
                                  f"the scan counts {values[i][j][k]}")
     return SchemeCheck(True, scheme, None)
 

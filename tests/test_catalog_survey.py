@@ -63,7 +63,6 @@ def test_manifest_alternate_formats():
     ])
     entries = [entry_from_manifest(item) for item in json.loads(manifest)]
     assert entries[0].graph == generate("complete", (4,))
-    assert entries[0].provenance == "graph6"
     assert entries[1].graph.edge_count == 2
 
 
@@ -74,11 +73,6 @@ def test_manifest_regularity_mismatch():
     ])
     with pytest.raises(ParameterError):
         entry_from_manifest(json.loads(manifest)[0])
-
-
-def test_entry_provenance_validation():
-    with pytest.raises(ParameterError):
-        GraphCatalogEntry("x", generate("cycle", (4,)), provenance="magic")
 
 
 def test_survey_default_catalog_passes():

@@ -12,7 +12,6 @@ from equiarbor.catalog import default_catalog
 from equiarbor.errors import DimensionError, SingularSystemError, VerificationError
 from equiarbor.exactalg import (
     determinant,
-    format_rational,
     invert,
     json_text,
     parse_rational,
@@ -310,13 +309,6 @@ def test_symmetric_kernel_equals_the_pivoted_kernel(case):
         if solved is not None:
             assert solved == (det, det_x)
         assert exactalg.integer_solve(rows, "test") == (det, det_x)
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 5)) == "3/5"
-    assert format_rational(Fraction(-3, 5)) == "-3/5"
-    assert format_rational(Fraction(4)) == "4"
-    assert format_rational(Fraction(0)) == "0"
 
 
 def test_parse_rational():

@@ -38,15 +38,15 @@ from test_cuts import STRESS_SCHEMES
 def test_c5_distance_scheme():
     check = verify_scheme(distance_table(generate("cycle", (5,))))
     assert check.valid
-    assert check.scheme.p(1, 1, 1) == 0  # adjacent pairs share no neighbor
-    assert check.scheme.p(1, 1, 2) == 1  # distance-2 pairs share exactly one
+    assert check.scheme.intersections[1][1][1] == 0  # adjacent pairs share no neighbor
+    assert check.scheme.intersections[1][1][2] == 1  # distance-2 pairs share exactly one
 
 
 def test_petersen_distance_scheme():
     check = verify_scheme(distance_table(generate("petersen")))
     assert check.valid
     assert check.scheme.class_count == 2
-    assert check.scheme.p(1, 1, 1) == 0  # triangle-free
+    assert check.scheme.intersections[1][1][1] == 0  # triangle-free
 
 
 def test_prism_distance_partition_fails_intersection_axiom():
@@ -139,7 +139,7 @@ def test_many_classes_count_points_instead_of_popcounts(monkeypatch):
     monkeypatch.setattr(schemes, "_popcount_histogram", refuse)
     cycle = verify_scheme(distance_table(generate("cycle", (120,))))
     assert cycle.valid and cycle.scheme.class_count == 60
-    assert [cycle.scheme.p(1, 1, k) for k in range(4)] == [2, 0, 1, 0]
+    assert [cycle.scheme.intersections[1][1][k] for k in range(4)] == [2, 0, 1, 0]
     path = verify_scheme(_path_table(80))
     assert path.violation == SchemeViolation("intersection", (1, 1, 1, 1))
 
@@ -226,6 +226,13 @@ def test_colour_class_index_range():
         colour_class(scheme, 0)
     with pytest.raises(ParameterError):
         colour_class(scheme, 3)
+
+
+def test_irregular_colour_class_raises():
+    # The path P3 by distance: class 1 has degrees 1, 2, 1, so no scheme has it.
+    path = schemes.AssociationScheme(((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+    with pytest.raises(VerificationError, match="colour class 1 is empty or not regular"):
+        colour_class(path, 1)
 
 
 def test_godsil_verification_petersen():
@@ -402,6 +409,17 @@ def test_components_of_unequal_size_raise():
         verify_godsil_theorems(schemes.AssociationScheme(relation))
 
 
+def test_resistance_failing_fosters_identity_raises():
+    # The triangular prism's distance relation fails the intersection axiom,
+    # so its intersection numbers give class 1 a resistance that is not
+    # 2 (n - 1) / (n k) = 5/9.
+    prism = schemes.AssociationScheme(
+        tuple(map(tuple, distance_table(generate("triangular_prism")))))
+    with pytest.raises(VerificationError,
+                       match="colour class 1: resistance 6/11 fails Foster's identity"):
+        verify_godsil_theorems(prism)
+
+
 def test_k4_as_three_perfect_matchings_checks_the_component_of_point_0(monkeypatch):
     # rel(x, y) = x xor y: each class is a perfect matching of K4.
     checked = []
@@ -430,7 +448,7 @@ def test_intersection_row_sums_equal_valency():
             valency = sum(1 for y in range(scheme.point_count)
                           if scheme.rel(0, y) == i)
             for k in range(n + 1):
-                assert sum(check.scheme.p(i, j, k) for j in range(n + 1)) \
+                assert sum(check.scheme.intersections[i][j][k] for j in range(n + 1)) \
                     == valency
 
 
@@ -450,7 +468,7 @@ def test_bose_mesner_matrix_identity():
                     for y in range(size):
                         product = sum(mats[i][x][z] * mats[j][z][y]
                                       for z in range(size))
-                        combo = sum(check.scheme.p(i, j, k) * mats[k][x][y]
+                        combo = sum(check.scheme.intersections[i][j][k] * mats[k][x][y]
                                     for k in range(n + 1))
                         assert product == combo
 

@@ -76,11 +76,17 @@ KEPT = {
 }
 
 
-def _names(node):
-    """How often each identifier is read under ``node``, as a name or an
-    attribute."""
+#: The nodes that read a function, and those that read a method: a method is
+#: reached only through an attribute, so a local variable of the same name
+#: reads no method.
+FUNCTION_READS, METHOD_READS = (ast.Name, ast.Attribute), (ast.Attribute,)
+
+
+def _names(node, kinds):
+    """How often each identifier is read under ``node`` as one of ``kinds``,
+    a name or an attribute."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, kinds))
 
 
 def _public_definitions(tree):
@@ -101,7 +107,8 @@ def test_every_public_function_has_a_reader():
     # public function or method is read somewhere in src/ outside its own
     # body, exported by the package, named by a benchmark metric or KEPT.
     trees = {path.stem: _tree(path) for path in MODULES}
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    everywhere = {kinds: sum((_names(tree, kinds) for tree in trees.values()), Counter())
+                  for kinds in (FUNCTION_READS, METHOD_READS)}
     pinned = {name.rsplit(".", 1)[0] for name in _pinned_layers()}
     defined, reached = set(), set()
     for module, tree in trees.items():
@@ -110,7 +117,9 @@ def test_every_public_function_has_a_reader():
             defined.add(qualified)
             exported = fn.name in equiarbor.__all__ and getattr(equiarbor, fn.name) is \
                 getattr(importlib.import_module(f"equiarbor.{module}"), suffix, None)
-            if everywhere[fn.name] > _names(fn)[fn.name] or exported or qualified in pinned:
+            kinds = METHOD_READS if "." in suffix else FUNCTION_READS
+            if everywhere[kinds][fn.name] > _names(fn, kinds)[fn.name] or exported \
+                    or qualified in pinned:
                 reached.add(qualified)
     unread = sorted(defined - reached - KEPT)
     assert unread == [], f"public API that nothing in src/ reads: {unread}"
