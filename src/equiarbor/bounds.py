@@ -15,16 +15,15 @@ closed form, for every (k, x, y), and the grid inequalities (the 2/k
 threshold and the positive denominator), for every integer pair they
 quantify, rest on one algebraic certificate: polynomial identities in
 (k, x, y), five of them tying the network's nodal solve to the bound's
-numerator and denominator, checked once per process on a product grid that
-proves them.  Each degree k then needs a few integer comparisons, with the
-range x + y <= k - sqrt(k) - 2 bounded by ``math.isqrt``, never through
-floats.
+numerator and denominator, checked once per process by one nodal solve at a
+Kronecker point that proves them.  Each degree k then needs a few integer
+comparisons, with the range x + y <= k - sqrt(k) - 2 bounded by
+``math.isqrt``, never through floats.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -113,10 +112,19 @@ def kirchhoff_cross_check(k: int, x: int, y: int) -> bool:
 # With integer conductances the reduced network's nodal solve, V1 grounded,
 # returns its 3x3 determinant det and U1's adjugate column P unscaled, and
 # five identities in (k, x, y) tie them to N and D: det = D and P[U1] = N by
-# the weighted matrix-tree theorem (Kirchhoff 1847).  Every side has degree
-# <= 3 in each variable, so agreement on {20..23} x {2..5} x {2..5}, where
-# all six conductances are positive, proves it (the product-set lemma behind
-# Schwartz 1980 and Zippel 1979).
+# the weighted matrix-tree theorem (Kirchhoff 1847).
+#
+# One evaluation proves all seven (Kronecker substitution, Kronecker 1882).
+# Each side is a polynomial in (k, x, y) of total degree <= 3, so no
+# variable has an exponent above 3.  The l1 norm of a product is at most the
+# product of the l1 norms, so no side's l1 norm exceeds det's, 6 * 4^3 = 384:
+# six products of three entries of the reduced Laplacian, each a linear form
+# of l1 norm <= 4.  A difference p = sum c_abc k^a x^b y^c of two sides thus
+# has every |c_abc| < 2^10.  At (k, x, y) = (B^16, B^4, B), B = 2^32, p takes
+# the value sum c_abc B^(16a + 4b + c), whose exponents are distinct in
+# 0..63.  Every |c_abc| < B/2, and balanced base-B digits are unique, so p
+# vanishes there only if every c_abc = 0.  All six conductances are positive
+# at that point, so the domain check accepts it and the network is connected.
 
 
 def _shifted_terms(k: int, X: int, Y: int) -> tuple[int, int]:
@@ -137,24 +145,30 @@ _IDENTITIES = (
 )
 
 
+_KRONECKER_POINT = (2 ** 512, 2 ** 128, 2 ** 32)  # (B^16, B^4, B), B = 2^32
+
+
+def _identity_sides(k: int, x: int, y: int) -> list[tuple[str, int, int]]:
+    """(statement, left side, right side) of the seven identities at
+    (k, x, y), from one nodal solve of the reduced network there."""
+    det, p = _potentials(reduced_cut_network(k, x, y), U1, V1)
+    n, d = _shifted_terms(k, x, y)
+    a, c = k - x, k - x - y + 1
+    return [(s, lhs(k, x, y), rhs(k, x, y)) for s, lhs, rhs in _IDENTITIES] + [
+        ("det = D", det, d), ("P[U1] = N", p[U1], n),
+        ("P[U2] = 2ab + c(x-1)", p[U2], 2 * a * (k - y) + c * (x - 1)),
+        ("P[V2] = a(2x + c - 2)", p[V2], a * (2 * x + c - 2)),
+        ("kN - a P[U2] - (x-1) P[V2] = D", k * n - a * p[U2] - (x - 1) * p[V2], d)]
+
+
 @functools.cache
 def _check_identities() -> None:
-    """Every identity on the 64 points of the product grid, one nodal solve
-    per point, once per process; a disagreement raises, so it also fires
-    under ``python -O``."""
-    for k, x, y in itertools.product(range(20, 24), range(2, 6), range(2, 6)):
-        det, p = _potentials(reduced_cut_network(k, x, y), U1, V1)
-        n, d = _shifted_terms(k, x, y)
-        a, c = k - x, k - x - y + 1
-        checks = [(s, lhs(k, x, y), rhs(k, x, y)) for s, lhs, rhs in _IDENTITIES] + [
-            ("det = D", det, d), ("P[U1] = N", p[U1], n),
-            ("P[U2] = 2ab + c(x-1)", p[U2], 2 * a * (k - y) + c * (x - 1)),
-            ("P[V2] = a(2x + c - 2)", p[V2], a * (2 * x + c - 2)),
-            ("kN - a P[U2] - (x-1) P[V2] = D", k * n - a * p[U2] - (x - 1) * p[V2], d)]
-        for statement, left, right in checks:
-            if left != right:
-                raise VerificationError(
-                    f"identity {statement} fails at (k, x, y) = ({k}, {x}, {y})")
+    """Every identity at the Kronecker point, one nodal solve, once per
+    process; a disagreement raises, so it also fires under ``python -O``."""
+    for statement, left, right in _identity_sides(*_KRONECKER_POINT):
+        if left != right:
+            raise VerificationError(f"identity {statement} fails at the Kronecker "
+                                    "point (B^16, B^4, B), B = 2^32")
 
 
 def verify_reduced_network(k: int) -> bool:

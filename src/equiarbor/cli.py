@@ -32,6 +32,7 @@ from .schemes import SCHEME_CLASS_LIMIT
 
 ENV_CATALOG = "EQUIARBOR_CATALOG"
 CLASSIFY_LIMIT = 64  # a classification's double-star map grows as lambda squared
+K_RANGE_LIMIT = 100_000  # verify claims writes about 100 bytes of JSON per degree
 
 
 def _load_graph_file(path: str) -> Graph:
@@ -275,6 +276,9 @@ def _cmd_verify(args, stdout, stderr) -> int:
     lo, hi = _parse_k_range(args.k_range)
     if max(lo, 3) > hi:
         raise EquiarborError(f"--k-range {lo}..{hi} checks no degree k >= 3")
+    if (count := hi - max(lo, 3) + 1) > K_RANGE_LIMIT:
+        raise ScaleError(f"--k-range {lo}..{hi} holds {count} degrees, above the "
+                         f"verify limit {K_RANGE_LIMIT}")
     per_k = []
     all_ok = True
     for k in range(max(lo, 3), hi + 1):
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p)
     p.set_defaults(func=_cmd_matching)
 
-    p = sub.add_parser("verify", help="exhaustive grid verifications")
+    p = sub.add_parser("verify", help="certify the bound's claims for each degree k")
     p.add_argument("what", choices=("claims",))
     p.add_argument("--k-range", default="7..40", metavar="A..B")
     p.set_defaults(func=_cmd_verify)

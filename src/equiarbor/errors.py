@@ -63,8 +63,9 @@ class ScaleError(EquiarborError):
     ``edge_connectivity`` instead) or a ``scheme`` command's relation above
     ``exactalg.SIZE_LIMIT`` vertices or points, a ``scheme`` relation above
     64 classes, a generated graph above the vertex limit or the edge budget,
-    a double star above the vertex limit of a network file, or a ``cut
-    --classify`` whose minimum cuts cross more than 64 edges."""
+    a double star above the vertex limit of a network file, a ``cut
+    --classify`` whose minimum cuts cross more than 64 edges, or a ``verify
+    claims`` range of more than 100,000 degrees."""
 
 
 class VerificationError(EquiarborError):

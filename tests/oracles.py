@@ -14,6 +14,8 @@ graphs from their LCF codes, built by networkx, and generalized Petersen
 graphs), the bound grids by filtering the whole (x, y) square and
 comparing ``Fraction`` values, or by walking every pair of the range with
 integer cross-multiplication (the package proves the grids algebraically),
+the claims identities on a 4x4x4 product grid and their sides' coefficients
+by exact Lagrange interpolation (the package proves them at one point),
 and the paper's lemmas as plain formulas: the worked closed-form networks,
 the cut bound, star synthesis, and S-equivalence over ``Fraction``
 resistances with the principle of substitution.
@@ -36,6 +38,7 @@ from typing import Iterable
 import networkx as nx
 from hypothesis import strategies as st
 
+from equiarbor import bounds
 from equiarbor.bounds import U1, V1, degree_pair_bound, reduced_cut_network
 from equiarbor.cuts import EdgeCut, cut_from_side
 from equiarbor.equiarboreal import EquiarborealVerdict
@@ -46,6 +49,7 @@ from equiarbor.errors import (
     ParameterError,
     SingularNetworkError,
     SingularSystemError,
+    VerificationError,
 )
 from equiarbor.graphs import Graph, identify_vertices
 from equiarbor.resistance import WeightedNetwork, spanning_tree_count
@@ -540,6 +544,79 @@ def integer_double_star_threshold(k: int) -> bool:
     cross-multiplication: the range and the comparison both come from this
     module, so it checks ``verify_double_star_threshold`` independently."""
     return all(row_meets_two_over_k(k, x, ys) for x, ys in small_degree_sum_rows(k))
+
+
+# The product grid of the claims identities: all six conductances of the
+# reduced cut network are positive on it.
+IDENTITY_GRID = (range(20, 24), range(2, 6), range(2, 6))
+
+
+def grid_check_identities(module: types.ModuleType = bounds) -> None:
+    """The claims identities of ``module._identity_sides`` on the 64 points
+    of the product grid, one nodal solve per point; a disagreement raises.
+    Every side has degree <= 3 in each variable, so agreement on 4 x 4 x 4
+    points proves them (the product-set lemma behind Schwartz 1980 and
+    Zippel 1979).  The reference for ``bounds._check_identities``."""
+    for k, x, y in product(*IDENTITY_GRID):
+        for statement, left, right in module._identity_sides(k, x, y):
+            if left != right:
+                raise VerificationError(
+                    f"identity {statement} fails at (k, x, y) = ({k}, {x}, {y})")
+
+
+def _lagrange_basis(nodes: range) -> list[list[Fraction]]:
+    """Row i: the coefficients of z^0, z^1, ... of the Lagrange basis
+    polynomial that is 1 at nodes[i] and 0 at the other nodes."""
+    rows = []
+    for i, t in enumerate(nodes):
+        coeffs = [Fraction(1)]
+        for u in nodes:
+            if u != t:  # multiply by (z - u) / (t - u)
+                coeffs = [((coeffs[e - 1] if e else 0)
+                           - u * (coeffs[e] if e < len(coeffs) else 0)) / (t - u)
+                          for e in range(len(coeffs) + 1)]
+        rows.append(coeffs)
+    return rows
+
+
+def identity_side_coefficients(grid: tuple[range, ...]
+                               ) -> list[tuple[str, dict, dict]]:
+    """For each claims identity, its statement and the coefficients
+    {(a, b, c): coefficient of k^a x^b y^c} of its two sides, interpolated
+    exactly over ``Fraction`` from one nodal solve per point of the product
+    grid: the polynomial of degree < len(r) in each variable, r the ranges
+    of ``grid``, that agrees with the side there."""
+    bases = [_lagrange_basis(r) for r in grid]
+    values = {index: bounds._identity_sides(*(r[i] for r, i in zip(grid, index)))
+              for index in product(*(range(len(r)) for r in grid))}
+    out = []
+    for which, (statement, _, _) in enumerate(next(iter(values.values()))):
+        sides = []
+        for side in (1, 2):
+            table = {index: Fraction(v[which][side]) for index, v in values.items()}
+            for axis, basis in enumerate(bases):
+                spread = Counter()
+                for index, v in table.items():
+                    for e, coeff in enumerate(basis[index[axis]]):
+                        spread[index[:axis] + (e,) + index[axis + 1:]] += v * coeff
+                table = spread
+            sides.append(dict(table))
+        out.append((statement, *sides))
+    return out
+
+
+def balanced_digits(value: int, base: int, count: int) -> list[int]:
+    """The digits d_0, ..., d_(count-1) in (-base/2, base/2] with value =
+    sum d_e base^e; raises when ``count`` digits do not hold value."""
+    digits = []
+    for _ in range(count):
+        d = value % base
+        d -= base if d > base // 2 else 0
+        digits.append(d)
+        value = (value - d) // base
+    if value:
+        raise ValueError(f"{count} balanced base-{base} digits do not hold the value")
+    return digits
 
 
 def fraction_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

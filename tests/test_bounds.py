@@ -1,5 +1,6 @@
 """The reduced-cut-network bound, its oracle identities, and grid checks."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -208,9 +209,9 @@ def test_shifted_terms_are_the_bound_numerator_and_denominator():
             assert degree_pair_bound(k, x, y) == Fraction(n, d)
 
 
-def test_identity_grid_checks_every_identity_on_64_points(monkeypatch):
-    # One shared 4x4x4 grid for the two bound identities and the five of the
-    # reduced network, with one 3x3 nodal solve per point.
+def _count_identity_work(monkeypatch) -> tuple[list, list]:
+    """Record the point of every identity evaluation and the row count of
+    every ``integer_solve``."""
     seen, solves = [], []
     monkeypatch.setattr(bounds, "_IDENTITIES", tuple(
         (statement, lambda k, X, Y, lhs=lhs: seen.append((k, X, Y)) or lhs(k, X, Y), rhs)
@@ -218,21 +219,34 @@ def test_identity_grid_checks_every_identity_on_64_points(monkeypatch):
     solve = exactalg.integer_solve
     monkeypatch.setattr(exactalg, "integer_solve",
                         lambda rows, what: solves.append(len(rows)) or solve(rows, what))
-    bounds._check_identities.cache_clear()
-    try:
-        bounds._check_identities()
-    finally:
-        bounds._check_identities.cache_clear()
+    return seen, solves
+
+
+def test_identity_grid_checks_every_identity_on_64_points(monkeypatch):
+    # The grid oracle: one shared 4x4x4 grid for the two bound identities
+    # and the five of the reduced network, with one 3x3 nodal solve per point.
+    seen, solves = _count_identity_work(monkeypatch)
+    oracles.grid_check_identities()
     assert len(bounds._IDENTITIES) == 2
     assert len(seen) == 128 and len(set(seen)) == 64
     assert solves == [3] * 64
 
 
-@pytest.mark.parametrize("edge", [(bounds.U2, bounds.V2), (bounds.U1, bounds.U2)])
-def test_certificate_rejects_a_mutant_network(monkeypatch, edge):
+def test_certificate_is_one_nodal_solve_at_the_kronecker_point(monkeypatch):
+    seen, solves = _count_identity_work(monkeypatch)
+    bounds._check_identities.cache_clear()
+    try:
+        bounds._check_identities()
+    finally:
+        bounds._check_identities.cache_clear()
+    B = 1 << 32
+    assert seen == [(B ** 16, B ** 4, B)] * 2
+    assert solves == [3]
+
+
+def _mutant_network(monkeypatch, edge):
     # One conductance raised by 1 (U2-V2 to c+1, or U1-U2 to a+1) changes
-    # the network's determinant at every grid point, so the certificate
-    # fails at the first; the per-point oracle rejects the mutant too.
+    # the network's determinant as a polynomial in (k, x, y).
     real = bounds.reduced_cut_network
 
     def mutant(k, x, y):
@@ -240,10 +254,21 @@ def test_certificate_rejects_a_mutant_network(monkeypatch, edge):
         return oracles.with_resistance(net, *edge, 1 / (net.conductance(*edge) + 1))
 
     monkeypatch.setattr(bounds, "reduced_cut_network", mutant)
+
+
+MUTANT_EDGES = [(bounds.U2, bounds.V2), (bounds.U1, bounds.U2)]
+
+
+@pytest.mark.parametrize("edge", MUTANT_EDGES)
+def test_certificate_rejects_a_mutant_network(monkeypatch, edge):
+    # The certificate fails on the determinant, its first nodal identity;
+    # the per-point oracle rejects the mutant too.
+    _mutant_network(monkeypatch, edge)
     bounds._check_identities.cache_clear()
     try:
-        with pytest.raises(VerificationError,
-                           match=r"identity det = D fails at \(k, x, y\) = \(20, 2, 2\)"):
+        with pytest.raises(VerificationError, match=(
+                r"^identity det = D fails at the Kronecker point "
+                r"\(B\^16, B\^4, B\), B = 2\^32$")):
             bounds.verify_reduced_network(7)
         assert not kirchhoff_cross_check(7, 2, 1)
     finally:
@@ -255,45 +280,49 @@ def test_certificate_rejects_a_mutant_network(monkeypatch, edge):
 @pytest.mark.parametrize("which", [(0, 1), (0, 2), (1, 1), (1, 2)])
 def test_identity_check_catches_every_coefficient_change(monkeypatch, which):
     # Add +1 or -1 to one coefficient k^i X^j Y^l of one side of one
-    # identity, for every monomial within the degree box: the check must
-    # raise, so the 36-point grid leaves no such change unseen.
+    # identity, for each of the 64 monomials of the degree box i, j, l < 4:
+    # the check must raise, so the Kronecker point leaves no such change
+    # unseen.
     identity, side = which
     original = bounds._IDENTITIES
-    for i in range(4):
-        for j in range(3):
-            for l in range(3):
-                for delta in (1, -1):
-                    mutated = list(map(list, original))
-                    f = original[identity][side]
-                    mutated[identity][side] = (
-                        lambda k, X, Y, f=f, i=i, j=j, l=l, d=delta:
-                        f(k, X, Y) + d * k ** i * X ** j * Y ** l)
-                    monkeypatch.setattr(bounds, "_IDENTITIES", tuple(map(tuple, mutated)))
-                    bounds._check_identities.cache_clear()
-                    try:
-                        with pytest.raises(VerificationError):
-                            verify_double_star_threshold(7)
-                        with pytest.raises(VerificationError):
-                            verify_denominator_positive(7)
-                    finally:
-                        bounds._check_identities.cache_clear()
+    for i, j, l in itertools.product(range(4), repeat=3):
+        for delta in (1, -1):
+            mutated = list(map(list, original))
+            f = original[identity][side]
+            mutated[identity][side] = (
+                lambda k, X, Y, f=f, i=i, j=j, l=l, d=delta:
+                f(k, X, Y) + d * k ** i * X ** j * Y ** l)
+            monkeypatch.setattr(bounds, "_IDENTITIES", tuple(map(tuple, mutated)))
+            bounds._check_identities.cache_clear()
+            try:
+                with pytest.raises(VerificationError):
+                    verify_double_star_threshold(7)
+                with pytest.raises(VerificationError):
+                    verify_denominator_positive(7)
+            finally:
+                bounds._check_identities.cache_clear()
     monkeypatch.undo()
     assert verify_double_star_threshold(7) and verify_denominator_positive(7)
 
 
-@pytest.mark.parametrize("old,new", [
-    # One coefficient of an identity side.
+# One coefficient of an identity side.
+SIDE_MUTANTS = [
     ("(k - 1) * ((k - X - Y) ** 2 - k)", "(k - 2) * ((k - X - Y) ** 2 - k)"),
     ("+ (X - Y) ** 2)", "+ 2 * (X - Y) ** 2)"),
     ("(2 * k * k + 2 * k - (X + Y) ** 2)", "(2 * k * k + 3 * k - (X + Y) ** 2)"),
     ("- (k + 1) * (X - Y) ** 2", "- (k + 2) * (X - Y) ** 2"),
     ("4 * a * b - c * c, 2 * a * b", "4 * a * b - c * c, 3 * a * b"),
-    # One endpoint or range comparison, flipped.
+]
+# One endpoint or range comparison, flipped.
+COMPARISON_MUTANTS = [
     ("_shifted_terms(k, 2, 2)[1] > 0", "_shifted_terms(k, 2, 2)[1] <= 0"),
     ("_shifted_terms(k, 2, k - 1)[1] > 0", "_shifted_terms(k, 2, k - 1)[1] <= 0"),
     ("return s >= 0 and s * s >= k", "return s < 0 and s * s >= k"),
     ("return s >= 0 and s * s >= k", "return s >= 0 and s * s < k"),
-])
+]
+
+
+@pytest.mark.parametrize("old,new", SIDE_MUTANTS + COMPARISON_MUTANTS)
 def test_certificate_mutation_is_caught(monkeypatch, old, new):
     mutant = oracles.mutant_module(monkeypatch, bounds, old, new)
     try:
@@ -302,6 +331,60 @@ def test_certificate_mutation_is_caught(monkeypatch, old, new):
     except VerificationError:
         return
     assert not all(a and b for a, b in verdicts)
+
+
+def _raises(check, *args) -> bool:
+    try:
+        check(*args)
+    except VerificationError:
+        return True
+    return False
+
+
+def test_grid_oracle_and_certificate_agree(monkeypatch):
+    # Both pass on the real module.  Both raise on each mutant network and
+    # on each source mutant that changes an identity side; the mutants that
+    # flip a comparison leave the identities true, and neither raises.
+    assert not _raises(oracles.grid_check_identities, bounds)
+    bounds._check_identities.cache_clear()
+    assert not _raises(bounds._check_identities)
+    for edge in MUTANT_EDGES:
+        with monkeypatch.context() as patch:
+            _mutant_network(patch, edge)
+            bounds._check_identities.cache_clear()
+            try:
+                assert _raises(oracles.grid_check_identities, bounds), edge
+                assert _raises(bounds._check_identities), edge
+            finally:
+                bounds._check_identities.cache_clear()
+    for old, new in SIDE_MUTANTS + COMPARISON_MUTANTS:
+        with monkeypatch.context() as patch:
+            mutant = oracles.mutant_module(patch, bounds, old, new)
+            changes_a_side = (old, new) in SIDE_MUTANTS
+            assert _raises(oracles.grid_check_identities, mutant) == changes_a_side, old
+            assert _raises(mutant._check_identities) == changes_a_side, old
+
+
+def test_identity_sides_are_small_polynomials_of_degree_at_most_three():
+    # Each of the 14 sides, interpolated exactly on the 4x4x4 grid, has
+    # integer coefficients |c| <= 4 < 2^31 and total degree <= 3; the 5x5x5
+    # grid adds no monomial of degree 4 in any variable.  The side's value at
+    # the Kronecker point (B^16, B^4, B) then has those coefficients as its
+    # balanced base-B digits, at positions 16a + 4b + c.
+    B = 1 << 32
+    box = oracles.identity_side_coefficients(oracles.IDENTITY_GRID)
+    wide = oracles.identity_side_coefficients((range(20, 25), range(2, 7), range(2, 7)))
+    at_point = bounds._identity_sides(*bounds._KRONECKER_POINT)
+    assert bounds._KRONECKER_POINT == (B ** 16, B ** 4, B)
+    assert len(box) == len(wide) == len(at_point) == 7
+    for (statement, *sides), (_, *wide_sides), (_, *values) in zip(box, wide, at_point):
+        for coeffs, wide_coeffs, value in zip(sides, wide_sides, values):
+            assert all(c.denominator == 1 and abs(c) <= 4 for c in coeffs.values()), statement
+            assert all(sum(e) <= 3 for e, c in coeffs.items() if c), statement
+            assert all(c == 0 for e, c in wide_coeffs.items() if 4 in e), statement
+            assert all(wide_coeffs[e] == c for e, c in coeffs.items()), statement
+            assert oracles.balanced_digits(value, B, 64) == [
+                coeffs[e // 16, e // 4 % 4, e % 4] for e in range(64)], statement
 
 
 def _in_squaring_filter(k, x, y):

@@ -29,6 +29,9 @@ EDGE = WeightedNetwork(3, {(0, 1): 1})  # vertex 2 is isolated
     (["transform", "--eliminate", "1"], {}, "--eliminate needs a network file"),
     (["scheme"], {}, "a scheme table file or --from-distance is required"),
     (["verify", "claims", "--k-range", "7-40"], {}, "bad --k-range '7-40'; expected A..B"),
+    # Refused before any degree is checked: 7..200000 would write 20 MB of JSON.
+    (["verify", "claims", "--k-range", "7..200000"], {},
+     "--k-range 7..200000 holds 199994 degrees, above the verify limit 100000"),
     (["survey", "manifest.json"], {"manifest.json": '{"graphs": []}'},
      "manifest must be a JSON array"),
     (["resist", "bad_r.json", "0", "1"],
@@ -41,7 +44,7 @@ EDGE = WeightedNetwork(3, {(0, 1): 1})  # vertex 2 is isolated
     (["scheme", "--family", "star", "--params", "4800"], {},
      "4800 points exceed the scheme point limit 512"),
 ], ids=["no-graph", "eliminate-without-network", "scheme-without-input",
-        "k-range-without-dots", "manifest-object", "network-r-unparsable",
+        "k-range-without-dots", "k-range-above-limit", "manifest-object", "network-r-unparsable",
         "classify-above-lambda-64", "scheme-above-512-points"])
 def test_cli_refusal_exits_two(tmp_path, monkeypatch, argv, files, message):
     monkeypatch.chdir(tmp_path)
